@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation error (bad cube names, sizes, flags),
-3 verification mismatch (--check failures or disagreeing counting methods),
-4 search budget exhausted before completion.
+Exit codes: 0 success, 2 validation error (bad cube names, sizes, flags,
+malformed checkpoints), 3 verification mismatch (--check failures or
+disagreeing counting methods), 4 search budget exhausted before completion.
 
+Every command is a :class:`Report` spec run by :func:`run_report`, which
+handles the cache, --check, rendering and the exit code in one place.
 Reports print as text tables by default; --format csv/json with --out PATH
 writes byte-deterministic files (no timestamps or timings inside).  Heavy
 sweeps cache their payloads under --cache-dir (or $MADNESS_CACHE_DIR),
-keyed by command, cube-data hash and parameters.
+keyed by command, version, cube-data hash and parameters.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 from . import __version__, reports
-from .cubes import InvalidColoringError, InvalidCornerError, UnknownCubeError, build_tableau
+from .cubes import UnknownCubeError, build_tableau
 from .reports import Envelope, ReportCache
 from .solver import (
-    CollectionSizeError,
-    OrientationError,
     as_ids,
     enumerate_arrangements,
     interior_matching_count,
@@ -32,7 +34,6 @@ from .solver import (
     solution_number_prime_scan,
 )
 from .sweeps import (
-    InvalidRuleError,
     VerificationError,
     distribution_buildable,
     distribution_for_target,
@@ -40,7 +41,7 @@ from .sweeps import (
     five_target_records,
 )
 from .universal import (
-    SetSizeError,
+    buildable_count,
     conjecture_sets,
     exhaustive_search,
     orbit_and_stabilizer,
@@ -54,16 +55,35 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 EXIT_BUDGET = 4
 
-_VALIDATION_ERRORS = (
-    UnknownCubeError,
-    InvalidCornerError,
-    InvalidColoringError,
-    CollectionSizeError,
-    OrientationError,
-    InvalidRuleError,
-    SetSizeError,
-    ValueError,
-)
+# Every input error of the package is a ValueError, except an unknown cube
+# name, which is also a KeyError.
+_VALIDATION_ERRORS = (UnknownCubeError, ValueError)
+
+
+@dataclass(frozen=True)
+class Report:
+    """One command: its parameters, payload, table and optional hooks.
+
+    ``params(args)`` gives the parameters that key the cache and head the
+    report, ``compute(args, params)`` the JSON-ready payload, and
+    ``rows(payload)`` the table as (fieldnames, rows, notes), where notes are
+    lines printed above the text table.  Optional hooks, each of which also
+    adds its options to the command: ``cached`` (--cache-dir, --no-cache);
+    ``check(payload)`` returns a failure message for --check;
+    ``files(payload)`` maps file names to bodies for --out-dir.  And without
+    options: ``csv_rows(payload)`` replaces the table in CSV, its notes
+    becoming ``#`` lines; ``status(args, payload)`` gives the exit code once
+    the report is written.
+    """
+
+    params: Callable
+    compute: Callable
+    rows: Callable
+    cached: bool = False
+    check: Callable | None = None
+    csv_rows: Callable | None = None
+    files: Callable | None = None
+    status: Callable | None = None
 
 
 def _default_cache_dir():
@@ -73,76 +93,79 @@ def _default_cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "madness")
 
 
-def _add_output_options(parser):
-    parser.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text",
-        help="report format (default text)",
-    )
-    parser.add_argument("--out", metavar="PATH", help="write the report to a file")
-    parser.add_argument(
-        "--threads", type=int, default=0, metavar="N",
-        help="advisory; sweeps are vectorized and give identical output for any value",
-    )
-
-
-def _add_cache_options(parser):
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory (default $MADNESS_CACHE_DIR or ~/.cache/madness)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="compute without reading or writing the cache"
-    )
-
-
-def _cache_for(args):
-    if getattr(args, "no_cache", False):
-        return None
-    return ReportCache(args.cache_dir or _default_cache_dir())
-
-
-def _cached(args, command, params, compute):
-    cache = _cache_for(args)
-    if cache is not None:
-        payload = cache.load(command, params)
-        if payload is not None:
-            return payload, True
-    payload = compute()
-    if cache is not None:
-        cache.store(command, params, payload)
-    return payload, False
-
-
-def _emit(args, command, params, fieldnames, rows, payload, started, extra_text=()):
-    """Render one report in the requested format, to stdout or --out."""
-    if args.format == "csv":
-        body = reports.render_csv(fieldnames, rows)
-    elif args.format == "json":
-        envelope = Envelope(command=command, params=params).as_dict()
+def _render(report, args, params, payload):
+    """The report body in the requested format."""
+    if args.format == "json":
+        envelope = Envelope(command=args.command, params=params).as_dict()
         envelope["payload"] = payload
-        body = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    else:
-        head = Envelope(command=command, params=params).as_dict()
-        lines = [
-            "madness %s  data %s" % (head["version"], head["data_hash"]),
-            "command: %s %s" % (command, json.dumps(params, sort_keys=True)),
-            "",
-        ]
-        lines.extend(extra_text)
-        body = "\n".join(lines) + ("\n" if lines else "") + reports.render_text(fieldnames, rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    if args.format == "csv":
+        if report.csv_rows is None:
+            fieldnames, rows, _ = report.rows(payload)
+            return reports.render_csv(fieldnames, rows)
+        fieldnames, rows, notes = report.csv_rows(payload)
+        return "".join("# %s\n" % n for n in notes) + reports.render_csv(fieldnames, rows)
+    fieldnames, rows, notes = report.rows(payload)
+    head = Envelope(command=args.command, params=params).as_dict()
+    lines = [
+        "madness %s  data %s" % (head["version"], head["data_hash"]),
+        "command: %s %s" % (args.command, json.dumps(params, sort_keys=True)),
+        "",
+    ]
+    if notes:
+        lines += list(notes) + [""]
+    return "\n".join(lines) + "\n" + reports.render_text(fieldnames, rows)
+
+
+def _write(path, body):
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(body)
-        print("wrote %s" % args.out)
+        print("wrote %s" % path)
     else:
         sys.stdout.write(body)
+
+
+def run_report(report, args):
+    """Compute or load the payload, check it, write the report, give the exit code."""
+    started = time.monotonic()
+    params = report.params(args)
+    cache = None
+    if report.cached and not args.no_cache:
+        cache = ReportCache(args.cache_dir or _default_cache_dir())
+    payload = cache.load(args.command, params) if cache else None
+    if payload is None:
+        payload = report.compute(args, params)
+        if cache:
+            cache.store(args.command, params, payload)
+    if getattr(args, "check", False):
+        failure = report.check(payload)
+        if failure:
+            print("check FAILED: %s" % failure, file=sys.stderr)
+            return EXIT_VERIFICATION
+    if getattr(args, "out_dir", None):
+        os.makedirs(args.out_dir, exist_ok=True)
+        for name, body in report.files(payload).items():
+            _write(os.path.join(args.out_dir, name), body)
+    _write(args.out, _render(report, args, params, payload))
     if args.format == "text" and not args.out:
         print("computed in %.2fs" % (time.monotonic() - started))
+    return report.status(args, payload) if report.status else EXIT_OK
 
 
-def _check_failed(message):
-    print("check FAILED: %s" % message, file=sys.stderr)
-    return EXIT_VERIFICATION
+def _no_params(args):
+    return {}
+
+
+def _int_keyed(mapping):
+    return sorted((int(k), v) for k, v in mapping.items())
+
+
+def _mismatch(*checks):
+    """The first (what, got, expected) triple that disagrees, as a message."""
+    for what, got, expected in checks:
+        if got != expected:
+            return "%s %r != expected %r" % (what, got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -150,255 +173,247 @@ def _check_failed(message):
 # ---------------------------------------------------------------------------
 
 
-def cmd_cubes(args):
-    started = time.monotonic()
-    rows = reports.cubes_rows()
-    fieldnames = ["name", "id", "U", "D", "N", "E", "S", "W"] + [f"c{i}" for i in range(1, 9)]
-    _emit(args, "cubes", {}, fieldnames, rows, rows, started)
-    return EXIT_OK
+def _cubes_compute(args, params):
+    rows = []
+    for c in build_tableau():
+        row = {"name": c.name, "id": c.id}
+        row.update(zip("UDNESW", c.coloring))
+        row.update(("c%d" % i, "%03d" % corner) for i, corner in enumerate(sorted(c.corner_set), 1))
+        rows.append(row)
+    return rows
 
 
-def cmd_solve(args):
-    started = time.monotonic()
+CUBES = Report(
+    params=_no_params,
+    compute=_cubes_compute,
+    rows=lambda payload: (
+        ["name", "id", "U", "D", "N", "E", "S", "W"] + ["c%d" % i for i in range(1, 9)],
+        payload,
+        [],
+    ),
+)
+
+
+def _solve_params(args):
     tableau = build_tableau()
-    names = [n for n in args.cubes.replace(",", " ").split() if n]
-    ids = as_ids(names, tableau)
-    target = tableau.cube(args.target)
-    value = solution_number(ids, target, tableau)
-    via_permanent = solution_number_permanent(ids, target, tableau)
-    via_primes = solution_number_prime_scan(ids, target, tableau)
+    ids = as_ids([n for n in args.cubes.replace(",", " ").split() if n], tableau)
+    return {"target": tableau.cube(args.target).name, "cubes": list(tableau.names(ids))}
+
+
+def _solve_compute(args, params):
+    target, cubes = params["target"], params["cubes"]
+    value = solution_number(cubes, target)
+    via_permanent = solution_number_permanent(cubes, target)
+    via_primes = solution_number_prime_scan(cubes, target)
     if not value == via_permanent == via_primes:
-        print(
+        raise VerificationError(
             "counting methods disagree: formula=%d permanent=%d primes=%d"
-            % (value, via_permanent, via_primes),
-            file=sys.stderr,
+            % (value, via_permanent, via_primes)
         )
-        return EXIT_VERIFICATION
-    params = {"target": target.name, "cubes": list(tableau.names(ids))}
     payload = {
-        "target": target.name,
-        "collection": list(tableau.names(ids)),
+        "target": target,
+        "collection": cubes,
         "solution_number": value,
         "methods": {"formula": value, "permanent": via_permanent, "prime_scan": via_primes},
     }
-    rows = [{"quantity": "solution_number", "value": value}]
     if args.interior:
-        interior = interior_matching_count(ids, target, tableau)
-        payload["interior_matching_count"] = interior
-        rows.append({"quantity": "interior_matching_count", "value": interior})
+        payload["interior_matching_count"] = interior_matching_count(cubes, target)
     if args.arrangements:
-        arrangements = enumerate_arrangements(ids, target, tableau)
-        payload["arrangements"] = [reports.arrangement_payload(a) for a in arrangements]
-        rows.append({"quantity": "arrangements_listed", "value": len(arrangements)})
-    _emit(args, "solve", params, ["quantity", "value"], rows, payload, started)
-    return EXIT_OK
-
-
-def cmd_table1(args):
-    started = time.monotonic()
-    params = {"target": args.target, "direct": bool(args.direct)}
-
-    def compute():
-        dist = (
-            distribution_for_target_direct(args.target)
-            if args.direct
-            else distribution_for_target(args.target)
-        )
-        return {
-            "target": dist.target,
-            "counts": {str(k): v for k, v in sorted(dist.counts.items())},
-            "buildable": dist.buildable_total,
-            "total_collections": dist.total_collections,
-        }
-
-    payload, _ = _cached(args, "table1", params, compute)
-    counts = {int(k): v for k, v in payload["counts"].items()}
-    if args.check and counts != reports.EXPECTED_SOLUTION_DISTRIBUTION:
-        return _check_failed(
-            "solution distribution %r != expected %r"
-            % (counts, reports.EXPECTED_SOLUTION_DISTRIBUTION)
-        )
-    rows = [
-        {"solution_number": k, "collections": v} for k, v in sorted(counts.items())
-    ]
-    _emit(
-        args, "table1", params, ["solution_number", "collections"], rows, payload,
-        started,
-        extra_text=[
-            "buildable collections: %d of %d" % (payload["buildable"], payload["total_collections"]),
-            "",
-        ],
-    )
-    return EXIT_OK
-
-
-def cmd_table2(args):
-    started = time.monotonic()
-    params = {}
-
-    def compute():
-        dist, five_masks = distribution_buildable()
-        return {
-            "counts": {str(k): v for k, v in sorted(dist.items())},
-            "five_target_collections": len(five_masks),
-        }
-
-    payload, _ = _cached(args, "table2", params, compute)
-    counts = {int(k): v for k, v in payload["counts"].items()}
-    if args.check:
-        if counts != reports.EXPECTED_BUILDABLE_DISTRIBUTION:
-            return _check_failed(
-                "buildable distribution %r != expected %r"
-                % (counts, reports.EXPECTED_BUILDABLE_DISTRIBUTION)
-            )
-        if payload["five_target_collections"] != reports.EXPECTED_FIVE_TARGET_COUNT:
-            return _check_failed(
-                "five-target collections %d != %d"
-                % (payload["five_target_collections"], reports.EXPECTED_FIVE_TARGET_COUNT)
-            )
-    total = sum(counts.values())
-    rows = [
-        {
-            "buildable_targets": k,
-            "collections": v,
-            "proportion": "%.4f" % (v / total),
-        }
-        for k, v in sorted(counts.items())
-    ]
-    _emit(
-        args, "table2", params,
-        ["buildable_targets", "collections", "proportion"], rows, payload, started,
-    )
-    return EXIT_OK
-
-
-def cmd_five_targets(args):
-    started = time.monotonic()
-    params = {"verify": not args.no_verify}
-
-    def compute():
-        records = five_target_records(verify=not args.no_verify)
-        return {
-            "count": len(records),
-            "records": [
+        payload["arrangements"] = [
+            [
                 {
-                    "columns": list(r.rule.columns),
-                    "rows": list(r.rule.rows),
-                    "columns_first": r.rule.columns_first,
-                    "collection": list(r.collection),
-                    "targets": list(r.targets),
-                    "solution_numbers": {t: r.solution_numbers[t] for t in r.targets},
+                    "corner": "%03d" % p.corner,
+                    "position": list(p.position),
+                    "cube": p.cube,
+                    "faces": p.faces(),
                 }
-                for r in records
-            ],
-        }
+                for p in arrangement
+            ]
+            for arrangement in enumerate_arrangements(cubes, target)
+        ]
+    return payload
 
-    payload, _ = _cached(args, "five-targets", params, compute)
-    if args.check:
-        if payload["count"] != reports.EXPECTED_FIVE_TARGET_COUNT:
-            return _check_failed("rule generator emitted %d records" % payload["count"])
-        _, five_masks = distribution_buildable()
-        tableau = build_tableau()
-        sweep = {tuple(tableau.names_of_mask(int(m))) for m in five_masks}
-        generated = {tuple(r["collection"]) for r in payload["records"]}
-        if sweep != generated:
-            return _check_failed("rule collections differ from the sweep's five-target collections")
+
+def _solve_rows(payload):
+    rows = [{"quantity": "solution_number", "value": payload["solution_number"]}]
+    if "interior_matching_count" in payload:
+        interior = payload["interior_matching_count"]
+        rows.append({"quantity": "interior_matching_count", "value": interior})
+    if "arrangements" in payload:
+        rows.append({"quantity": "arrangements_listed", "value": len(payload["arrangements"])})
+    return ["quantity", "value"], rows, []
+
+
+SOLVE = Report(params=_solve_params, compute=_solve_compute, rows=_solve_rows)
+
+
+def _table1_compute(args, params):
+    direct = distribution_for_target_direct if args.direct else distribution_for_target
+    dist = direct(args.target)
+    return {
+        "target": dist.target,
+        "counts": {str(k): v for k, v in sorted(dist.counts.items())},
+        "buildable": dist.buildable_total,
+        "total_collections": dist.total_collections,
+    }
+
+
+TABLE1 = Report(
+    params=lambda args: {"target": args.target, "direct": bool(args.direct)},
+    compute=_table1_compute,
+    rows=lambda payload: (
+        ["solution_number", "collections"],
+        [{"solution_number": k, "collections": v} for k, v in _int_keyed(payload["counts"])],
+        ["buildable collections: %d of %d" % (payload["buildable"], payload["total_collections"])],
+    ),
+    cached=True,
+    check=lambda payload: _mismatch((
+        "solution distribution",
+        dict(_int_keyed(payload["counts"])),
+        reports.EXPECTED_SOLUTION_DISTRIBUTION,
+    )),
+)
+
+
+def _table2_compute(args, params):
+    dist, five_masks = distribution_buildable()
+    return {
+        "counts": {str(k): v for k, v in sorted(dist.items())},
+        "five_target_collections": len(five_masks),
+    }
+
+
+def _table2_rows(payload):
+    counts = _int_keyed(payload["counts"])
+    total = sum(v for _, v in counts)
+    rows = [
+        {"buildable_targets": k, "collections": v, "proportion": "%.4f" % (v / total)}
+        for k, v in counts
+    ]
+    return ["buildable_targets", "collections", "proportion"], rows, []
+
+
+TABLE2 = Report(
+    params=_no_params,
+    compute=_table2_compute,
+    rows=_table2_rows,
+    cached=True,
+    check=lambda payload: _mismatch(
+        (
+            "buildable distribution",
+            dict(_int_keyed(payload["counts"])),
+            reports.EXPECTED_BUILDABLE_DISTRIBUTION,
+        ),
+        (
+            "five-target collections",
+            payload["five_target_collections"],
+            reports.EXPECTED_FIVE_TARGET_COUNT,
+        ),
+    ),
+)
+
+
+def _five_targets_compute(args, params):
+    records = five_target_records(verify=params["verify"])
+    return {
+        "count": len(records),
+        "records": [
+            {
+                "columns": list(r.rule.columns),
+                "rows": list(r.rule.rows),
+                "columns_first": r.rule.columns_first,
+                "collection": list(r.collection),
+                "targets": list(r.targets),
+                "solution_numbers": {t: r.solution_numbers[t] for t in r.targets},
+            }
+            for r in records
+        ],
+    }
+
+
+def _five_targets_check(payload):
+    tableau = build_tableau()
+    sweep = {tuple(tableau.names_of_mask(int(m))) for m in distribution_buildable()[1]}
+    generated = {tuple(r["collection"]) for r in payload["records"]}
+    return _mismatch(
+        ("rule records", payload["count"], reports.EXPECTED_FIVE_TARGET_COUNT),
+        ("rule collections not among the sweep's five-target collections", len(generated ^ sweep), 0),
+    )
+
+
+def _five_targets_rows(payload):
     rows = []
     for r in payload["records"]:
-        row = {}
-        for i, name in enumerate(r["collection"], start=1):
-            row[f"cube{i}"] = name
-        for i, t in enumerate(r["targets"], start=1):
-            row[f"target{i}"] = t
-            row[f"solutions{i}"] = r["solution_numbers"][t]
+        row = {"cube%d" % i: name for i, name in enumerate(r["collection"], 1)}
+        for i, t in enumerate(r["targets"], 1):
+            row["target%d" % i] = t
+            row["solutions%d" % i] = r["solution_numbers"][t]
         rows.append(row)
-    fieldnames = [f"cube{i}" for i in range(1, 9)]
-    fieldnames += [f"target{i}" for i in range(1, 6)]
-    fieldnames += [f"solutions{i}" for i in range(1, 6)]
-    _emit(
-        args, "five-targets", params, fieldnames, rows, payload, started,
-        extra_text=["five-target collections: %d" % payload["count"], ""],
-    )
-    return EXIT_OK
+    fieldnames = ["cube%d" % i for i in range(1, 9)]
+    fieldnames += ["target%d" % i for i in range(1, 6)] + ["solutions%d" % i for i in range(1, 6)]
+    return fieldnames, rows, ["five-target collections: %d" % payload["count"]]
 
 
-def cmd_universal(args):
-    started = time.monotonic()
-    params = {}
+FIVE_TARGETS = Report(
+    params=lambda args: {"verify": not args.no_verify},
+    compute=_five_targets_compute,
+    rows=_five_targets_rows,
+    cached=True,
+    check=_five_targets_check,
+)
 
-    def compute():
-        tableau = build_tableau()
-        candidates = conjecture_sets(tableau)
-        report = orbit_and_stabilizer(candidates, tableau)
-        from .universal import buildable_count
 
-        sets = []
-        for index, cand in enumerate(candidates):
-            analyses = per_target_analysis(cand, tableau)
-            sets.append(
+def _universal_compute(args, params):
+    tableau = build_tableau()
+    candidates = conjecture_sets(tableau)
+    report = orbit_and_stabilizer(candidates, tableau)
+    sets = [
+        {
+            "pair": list(cand.pair),
+            "cubes": list(cand.names),
+            "buildable_count": buildable_count(cand.names, tableau),
+            "stabilizer_order": report.stabilizer_orders[index],
+            "per_target": [
                 {
-                    "pair": list(cand.pair),
-                    "cubes": list(cand.names),
-                    "buildable_count": buildable_count(cand.names, tableau),
-                    "stabilizer_order": report.stabilizer_orders[index],
-                    "per_target": [
-                        {
-                            "target": a.target,
-                            "in_set": a.in_set,
-                            "unusable_members": list(a.unusable_members),
-                            "collections": [
-                                {"cubes": list(c), "solution_number": v}
-                                for c, v in a.collections
-                            ],
-                        }
-                        for a in analyses
+                    "target": a.target,
+                    "in_set": a.in_set,
+                    "unusable_members": list(a.unusable_members),
+                    "collections": [
+                        {"cubes": list(c), "solution_number": v} for c, v in a.collections
                     ],
                 }
-            )
-        figure7 = {
-            str(k): {str(v): c for v, c in subset_build_distribution(candidates[0], k, tableau).items()}
-            for k in (8, 9, 10, 11)
+                for a in per_target_analysis(cand, tableau)
+            ],
         }
-        return {
-            "sets": sets,
-            "orbit": {
-                "orbit_size": report.orbit_size,
-                "single_orbit": report.single_orbit,
-            },
-            "figure7": figure7,
-        }
+        for index, cand in enumerate(candidates)
+    ]
+    figure7 = {
+        str(k): {str(v): c for v, c in subset_build_distribution(candidates[0], k, tableau).items()}
+        for k in (8, 9, 10, 11)
+    }
+    return {
+        "sets": sets,
+        "orbit": {"orbit_size": report.orbit_size, "single_orbit": report.single_orbit},
+        "figure7": figure7,
+    }
 
-    payload, _ = _cached(args, "universal", params, compute)
-    if args.check:
-        if len(payload["sets"]) != reports.EXPECTED_UNIVERSAL_SETS:
-            return _check_failed("expected 10 candidate sets, got %d" % len(payload["sets"]))
-        if not payload["orbit"]["single_orbit"] or payload["orbit"]["orbit_size"] != 10:
-            return _check_failed("candidates do not form a single orbit of size 10")
-        for s in payload["sets"]:
-            if s["buildable_count"] != 30:
-                return _check_failed("set %s builds %d targets" % (s["cubes"], s["buildable_count"]))
-            if s["stabilizer_order"] != 72:
-                return _check_failed("set %s has stabilizer order %d" % (s["cubes"], s["stabilizer_order"]))
-        fig = {int(k): {int(v): c for v, c in h.items()} for k, h in payload["figure7"].items()}
-        if fig != reports.EXPECTED_SUBSET_BUILD:
-            return _check_failed("subset build distributions %r != expected" % fig)
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "universal.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        for k, histogram in sorted(payload["figure7"].items()):
-            rows = [
-                {"buildable_count": int(v), "subsets": c}
-                for v, c in sorted(histogram.items(), key=lambda kv: int(kv[0]))
-            ]
-            reports.write_csv(
-                os.path.join(args.out_dir, f"figure7_k{k}.csv"),
-                ["buildable_count", "subsets"],
-                rows,
-            )
-        print("wrote %s and figure7_k{8..11}.csv" % path)
+
+def _universal_check(payload):
+    sets, count = payload["sets"], reports.EXPECTED_UNIVERSAL_SETS
+    return _mismatch(
+        ("candidate sets", len(sets), count),
+        ("orbit", payload["orbit"], {"orbit_size": count, "single_orbit": True}),
+        ("buildable targets per set", [s["buildable_count"] for s in sets], [30] * count),
+        ("stabilizer order per set", [s["stabilizer_order"] for s in sets], [72] * count),
+        (
+            "subset build distributions",
+            {k: dict(_int_keyed(h)) for k, h in _int_keyed(payload["figure7"])},
+            reports.EXPECTED_SUBSET_BUILD,
+        ),
+    )
+
+
+def _universal_rows(payload):
     rows = [
         {
             "pair": "".join(s["pair"]),
@@ -408,58 +423,59 @@ def cmd_universal(args):
         }
         for s in payload["sets"]
     ]
-    _emit(
-        args, "universal", params, ["pair", "cubes", "buildable", "stabilizer"],
-        rows, payload, started,
-        extra_text=[
-            "orbit: size %d, single=%s" % (payload["orbit"]["orbit_size"], payload["orbit"]["single_orbit"]),
-            "",
-        ],
+    orbit = payload["orbit"]
+    note = "orbit: size %d, single=%s" % (orbit["orbit_size"], orbit["single_orbit"])
+    return ["pair", "cubes", "buildable", "stabilizer"], rows, [note]
+
+
+def _universal_files(payload):
+    files = {"universal.json": json.dumps(payload, sort_keys=True, indent=2) + "\n"}
+    for k, histogram in _int_keyed(payload["figure7"]):
+        rows = [{"buildable_count": v, "subsets": c} for v, c in _int_keyed(histogram)]
+        files["figure7_k%d.csv" % k] = reports.render_csv(["buildable_count", "subsets"], rows)
+    return files
+
+
+UNIVERSAL = Report(
+    params=_no_params,
+    compute=_universal_compute,
+    rows=_universal_rows,
+    cached=True,
+    check=_universal_check,
+    files=_universal_files,
+)
+
+
+def _sample_compute(args, params):
+    stats, counts = sample_distribution(params["k"], params["n"], params["seed"])
+    histogram = {str(k): v for k, v in stats.histogram.items()}
+    return dict(asdict(stats), histogram=histogram, counts=[int(c) for c in counts])
+
+
+def _sample_note(payload):
+    return (
+        "k=%(k)d n=%(n)d seed=%(seed)d mean=%(mean).4f std=%(std).4f min=%(min)d max=%(max)d"
+        % payload
     )
-    return EXIT_OK
 
 
-def cmd_sample(args):
-    started = time.monotonic()
-    stats, counts = sample_distribution(args.k, args.n, args.seed)
-    params = {"k": args.k, "n": args.n, "seed": args.seed}
-    payload = {
-        "k": stats.k,
-        "n": stats.n,
-        "seed": stats.seed,
-        "mean": stats.mean,
-        "std": stats.std,
-        "min": stats.min,
-        "max": stats.max,
-        "histogram": {str(k): v for k, v in stats.histogram.items()},
-        "counts": [int(c) for c in counts],
-    }
-    stats_line = "# k=%d n=%d seed=%d mean=%.4f std=%.4f min=%d max=%d" % (
-        stats.k, stats.n, stats.seed, stats.mean, stats.std, stats.min, stats.max,
-    )
-    if args.format == "csv":
-        rows = reports.sample_rows(counts)
-        body = stats_line + "\n" + reports.render_csv(["sample", "buildable_count"], rows)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            print("wrote %s" % args.out)
-        else:
-            sys.stdout.write(body)
-        return EXIT_OK
-    histogram_rows = [
-        {"buildable_count": k, "samples": v} for k, v in sorted(stats.histogram.items())
-    ]
-    _emit(
-        args, "sample", params, ["buildable_count", "samples"], histogram_rows,
-        payload, started,
-        extra_text=[stats_line.lstrip("# "), ""] if args.format == "text" else (),
-    )
-    return EXIT_OK
+SAMPLE = Report(
+    params=lambda args: {"k": args.k, "n": args.n, "seed": args.seed},
+    compute=_sample_compute,
+    rows=lambda payload: (
+        ["buildable_count", "samples"],
+        [{"buildable_count": k, "samples": v} for k, v in _int_keyed(payload["histogram"])],
+        [_sample_note(payload)],
+    ),
+    csv_rows=lambda payload: (
+        ["sample", "buildable_count"],
+        [{"sample": i, "buildable_count": c} for i, c in enumerate(payload["counts"])],
+        [_sample_note(payload)],
+    ),
+)
 
 
-def cmd_search(args):
-    started = time.monotonic()
+def _search_compute(args, params):
     state = exhaustive_search(
         checkpoint_path=args.checkpoint,
         budget_combinations=args.budget,
@@ -467,20 +483,39 @@ def cmd_search(args):
         chunk_size=args.chunk,
     )
     tableau = build_tableau()
-    print(
-        "scanned %d of %d twelve-cube sets; %d universal sets found"
-        % (state.completed, state.total, len(state.found))
-    )
-    for mask in state.found:
-        print("  " + " ".join(tableau.names_of_mask(mask)))
-    print("elapsed %.1fs" % (time.monotonic() - started))
-    if not state.finished:
-        if args.checkpoint:
-            print("budget exhausted; resume with the same --checkpoint", file=sys.stderr)
-        else:
-            print("budget exhausted before completion", file=sys.stderr)
-        return EXIT_BUDGET
-    return EXIT_OK
+    return {
+        "completed": state.completed,
+        "total": state.total,
+        "finished": state.finished,
+        "found": [list(tableau.names_of_mask(mask)) for mask in state.found],
+    }
+
+
+def _search_status(args, payload):
+    if payload["finished"]:
+        return EXIT_OK
+    if args.checkpoint:
+        print("budget exhausted; resume with the same --checkpoint", file=sys.stderr)
+    else:
+        print("budget exhausted before completion", file=sys.stderr)
+    return EXIT_BUDGET
+
+
+SEARCH = Report(
+    params=lambda args: {
+        "budget": args.budget, "budget_seconds": args.budget_seconds, "chunk": args.chunk,
+    },
+    compute=_search_compute,
+    rows=lambda payload: (
+        ["cubes"],
+        [{"cubes": " ".join(names)} for names in payload["found"]],
+        [
+            "scanned %d of %d twelve-cube sets; %d universal sets found"
+            % (payload["completed"], payload["total"], len(payload["found"]))
+        ],
+    ),
+    status=_search_status,
+)
 
 
 def build_parser():
@@ -491,60 +526,59 @@ def build_parser():
     parser.add_argument("--version", action="version", version="madness " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cubes", help="list the 30 cubes with colorings and corner numbers")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_cubes)
+    def add(name, report, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(report=report)
+        p.add_argument(
+            "--format", choices=("text", "csv", "json"), default="text",
+            help="report format (default text)",
+        )
+        p.add_argument("--out", metavar="PATH", help="write the report to a file")
+        if report.cached:
+            p.add_argument(
+                "--cache-dir", default=None, metavar="DIR",
+                help="cache directory (default $MADNESS_CACHE_DIR or ~/.cache/madness)",
+            )
+            p.add_argument(
+                "--no-cache", action="store_true", help="compute without reading or writing the cache"
+            )
+        if report.check:
+            p.add_argument("--check", action="store_true", help="verify against the expected values")
+        if report.files:
+            p.add_argument(
+                "--out-dir", metavar="DIR", help="write universal.json and figure7_k{8..11}.csv here"
+            )
+        return p
 
-    p = sub.add_parser("solve", help="solution number of one collection for one target")
+    add("cubes", CUBES, "list the 30 cubes with colorings and corner numbers")
+
+    p = add("solve", SOLVE, "solution number of one collection for one target")
     p.add_argument("--target", required=True, help="target cube name, e.g. Ba")
     p.add_argument("--cubes", required=True, help="8 cube names, comma or space separated")
     p.add_argument("--arrangements", action="store_true", help="list every solution explicitly")
     p.add_argument("--interior", action="store_true", help="also count interior-matching solutions")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("table1", help="solution-number distribution over all collections")
+    p = add("table1", TABLE1, "solution-number distribution over all collections")
     p.add_argument("--target", default="Ba", help="target cube (default Ba; all targets agree)")
     p.add_argument("--direct", action="store_true", help="slow independent enumeration instead of the slot table")
-    p.add_argument("--check", action="store_true", help="verify against the embedded expected table")
-    _add_output_options(p)
-    _add_cache_options(p)
-    p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("table2", help="buildable-target distribution over all collections")
-    p.add_argument("--check", action="store_true", help="verify against the embedded expected table")
-    _add_output_options(p)
-    _add_cache_options(p)
-    p.set_defaults(func=cmd_table2)
+    add("table2", TABLE2, "buildable-target distribution over all collections")
 
-    p = sub.add_parser("five-targets", help="the 360 collections that build five targets, by rule")
+    p = add("five-targets", FIVE_TARGETS, "the 360 collections that build five targets, by rule")
     p.add_argument("--no-verify", action="store_true", help="skip re-solving each record")
-    p.add_argument("--check", action="store_true", help="verify count and sweep agreement")
-    _add_output_options(p)
-    _add_cache_options(p)
-    p.set_defaults(func=cmd_five_targets)
 
-    p = sub.add_parser("universal", help="the ten 12-cube universal sets and their structure")
-    p.add_argument("--check", action="store_true", help="verify counts, orbit and subset distributions")
-    p.add_argument("--out-dir", help="write universal.json and figure7_k{8..11}.csv here")
-    _add_output_options(p)
-    _add_cache_options(p)
-    p.set_defaults(func=cmd_universal)
+    add("universal", UNIVERSAL, "the ten 12-cube universal sets and their structure")
 
-    p = sub.add_parser("sample", help="buildable-count statistics of random k-cube sets")
+    p = add("sample", SAMPLE, "buildable-count statistics of random k-cube sets")
     p.add_argument("--k", type=int, required=True, help="cubes per sample (8..30)")
     p.add_argument("--n", type=int, default=20000, help="number of samples (default 20000)")
     p.add_argument("--seed", type=int, default=7, help="base seed (default 7)")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("search", help="scan all C(30,12) sets for universality, resumably")
+    p = add("search", SEARCH, "scan all C(30,12) sets for universality, resumably")
     p.add_argument("--budget", type=int, help="stop after this many combinations")
     p.add_argument("--budget-seconds", type=float, help="stop after this much time")
     p.add_argument("--checkpoint", help="checkpoint file for resuming")
     p.add_argument("--chunk", type=int, default=250000, help="combinations per chunk")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_search)
 
     return parser
 
@@ -556,7 +590,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     try:
-        return args.func(args)
+        return run_report(args.report, args)
     except VerificationError as exc:
         print("verification failed: %s" % exc, file=sys.stderr)
         return EXIT_VERIFICATION

@@ -32,6 +32,8 @@ __all__ = [
     "FACE_COUNT",
     "OPPOSITE_FACE",
     "ROTATIONS",
+    "ROTATION_SET",
+    "CELL_FACES",
     "ALL_CORNER_NUMBERS",
     "CUBE_NAMES",
     "ROW_LETTERS",
@@ -162,7 +164,7 @@ def _rotation_permutations():
 
 
 ROTATIONS = _rotation_permutations()
-_ROTATION_SET = frozenset(ROTATIONS)
+ROTATION_SET = frozenset(ROTATIONS)
 
 
 def rotate(coloring, perm):
@@ -186,9 +188,10 @@ def canonical_coloring(coloring):
 #
 # Corner i of the cube (0..7) has sign vector s = (sx, sy, sz) with
 # sx = +1 iff bit 2 of i is set, sy from bit 1, sz from bit 0.  The three
-# faces meeting there are the E/W, N/S, U/D faces picked by the signs.  The
-# same indexing names the cells of the 2x2x2 target assembly: cell i sits at
-# (x, y, z) = (bit2, bit1, bit0) and shows exactly those three faces.
+# faces meeting there are the E/W, N/S, U/D faces picked by the signs:
+# CELL_FACES[i], in axis order.  The same indexing names the cells of the
+# 2x2x2 target assembly: cell i sits at (x, y, z) = (bit2, bit1, bit0) and
+# shows exactly those three faces on the outside of the block.
 #
 # Reading order.  Looking at corner s from outside, the outward face normals
 # are sx*x, sy*y, sz*z; listing the faces in axis order (x-face, y-face,
@@ -201,20 +204,14 @@ def canonical_coloring(coloring):
 # ---------------------------------------------------------------------------
 
 
-def _corner_face_triples():
-    primary = []
-    flipped = []
-    for i in range(8):
-        xf = E if i & 4 else W
-        yf = N if i & 2 else S
-        zf = U if i & 1 else D
-        order = (xf, yf, zf) if bin(i).count("1") % 2 == 0 else (xf, zf, yf)
-        primary.append(order)
-        flipped.append(tuple(reversed(order)))
-    return tuple(primary), tuple(flipped)
-
-
-_CORNER_FACES, _CORNER_FACES_FLIPPED = _corner_face_triples()
+CELL_FACES = tuple(
+    (E if i & 4 else W, N if i & 2 else S, U if i & 1 else D) for i in range(8)
+)
+_CORNER_FACES = tuple(
+    (x, y, z) if bin(i).count("1") % 2 == 0 else (x, z, y)
+    for i, (x, y, z) in enumerate(CELL_FACES)
+)
+_CORNER_FACES_FLIPPED = tuple(tuple(reversed(order)) for order in _CORNER_FACES)
 
 
 def canonical_corner(triple):

@@ -1,10 +1,11 @@
-"""Serialization, expected-value tables, and result caching.
+"""Rendering, expected-value tables, and result caching.
 
 Output files are byte-deterministic: CSV and JSON payloads never contain
 timestamps or timings (the text report prints timing to the terminal only).
-Cached results are keyed by command name, a hash of the cube data, and the
-parameters, so a repeat invocation returns instantly and a change to the
-underlying cube data invalidates every cache entry.
+Cached results are keyed by command name, package version, a hash of the
+cube data, and the parameters, so a repeat invocation returns instantly and
+a new version or a change to the underlying cube data invalidates every
+cache entry.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 from dataclasses import dataclass
 
 from . import __version__
-from .cubes import build_tableau, corner_digits
+from .cubes import build_tableau
 
 log = logging.getLogger("madness")
 
@@ -32,14 +33,6 @@ __all__ = [
     "Envelope",
     "ReportCache",
     "data_hash",
-    "cubes_rows",
-    "table1_rows",
-    "table2_rows",
-    "five_target_rows",
-    "figure7_rows",
-    "sample_rows",
-    "arrangement_payload",
-    "write_csv",
     "render_csv",
     "render_text",
 ]
@@ -108,87 +101,6 @@ class Envelope:
         }
 
 
-def cubes_rows(tableau=None):
-    tableau = tableau or build_tableau()
-    rows = []
-    for c in tableau:
-        row = {"name": c.name, "id": c.id}
-        for letter, color in zip("UDNESW", c.coloring):
-            row[letter] = color
-        for i, corner in enumerate(sorted(c.corner_set), start=1):
-            row[f"c{i}"] = "%03d" % corner
-        rows.append(row)
-    return rows
-
-
-def table1_rows(distribution):
-    return [
-        {"solution_number": v, "collections": c}
-        for v, c in sorted(distribution.counts.items())
-    ]
-
-
-def table2_rows(distribution):
-    total = sum(distribution.values())
-    return [
-        {
-            "buildable_targets": v,
-            "collections": c,
-            "proportion": "%.4f" % (c / total),
-        }
-        for v, c in sorted(distribution.items())
-    ]
-
-
-def five_target_rows(records):
-    rows = []
-    for r in records:
-        row = {}
-        for i, name in enumerate(r.collection, start=1):
-            row[f"cube{i}"] = name
-        for i, t in enumerate(r.targets, start=1):
-            row[f"target{i}"] = t
-            row[f"solutions{i}"] = r.solution_numbers[t]
-        rows.append(row)
-    return rows
-
-
-def figure7_rows(histogram):
-    return [
-        {"buildable_count": v, "subsets": c} for v, c in sorted(histogram.items())
-    ]
-
-
-def sample_rows(counts):
-    return [
-        {"sample": i, "buildable_count": int(c)} for i, c in enumerate(counts)
-    ]
-
-
-def arrangement_payload(arrangement):
-    """JSON-ready description of one solution: cube and faces per block cell."""
-    return [
-        {
-            "corner": "%03d" % p.corner,
-            "position": list(p.position),
-            "cube": p.cube,
-            "faces": p.faces(),
-        }
-        for p in arrangement
-    ]
-
-
-def corner_string(corner):
-    return "".join(str(d) for d in corner_digits(corner))
-
-
-def write_csv(path, fieldnames, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def render_csv(fieldnames, rows):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
@@ -210,16 +122,19 @@ def render_text(fieldnames, rows):
 
 
 class ReportCache:
-    """JSON payload cache in a directory, keyed by (command, data, params)."""
+    """JSON payload cache in a directory, keyed by (command, version, data, params)."""
 
     def __init__(self, directory):
         self.directory = directory
 
     def _path(self, command, params, tableau=None):
-        key = json.dumps(
-            {"command": command, "data": data_hash(tableau), "params": params},
-            sort_keys=True,
-        )
+        entry = {
+            "command": command,
+            "version": __version__,
+            "data": data_hash(tableau),
+            "params": params,
+        }
+        key = json.dumps(entry, sort_keys=True)
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         return os.path.join(self.directory, f"{command}-{digest}.json"), key
 
@@ -230,8 +145,8 @@ class ReportCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 stored = json.load(fh)
-            if stored.get("key") != key:
-                raise ValueError("cache key mismatch")
+            if not isinstance(stored, dict) or stored.get("key") != key:
+                raise ValueError("not an entry for this key")
             return stored["payload"]
         except (ValueError, KeyError, OSError) as exc:
             log.warning("discarding unreadable cache file %s (%s)", path, exc)

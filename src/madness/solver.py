@@ -18,9 +18,11 @@ decides everything: any tree component other than the target's own free
 placement kills the count, and otherwise every component contributes a
 factor of 2, giving 2^(n-1) * (k+1) when T is in W (n components, the unique
 tree among them having k edges) and 2^n when it is not and no component is a
-tree.  Two slower, independent counting routes are provided as oracles: the
-permanent of the corner/cube incidence matrix, and a scan of products of
-primes assigned to the cubes.
+tree.  Two slower counting routes are provided as oracles: the permanent of
+the corner/cube incidence matrix, and a scan of products of primes assigned
+to the cubes.  They are independent of the graph formula, but not of the
+corner-number model: both read which cube has which corner through
+``Cube.has_corner``, as the target graph does.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cubes import (
+    CELL_FACES,
     FACE_LETTERS,
     OPPOSITE_FACE,
-    ROTATIONS,
+    ROTATION_SET,
     Cube,
     build_tableau,
     rotate,
@@ -89,12 +92,13 @@ SLOT_ENDPOINTS = ADJACENT_PAIRS + tuple(
     pair for pair in DIAGONAL_PAIRS for _ in (0, 1)
 )
 
-# Face contacts inside the 2x2x2 block: for each axis bit, (low-cell face,
-# high-cell face).  Cell x=0 touches its x=1 neighbor through its E face.
-_AXIS_FACES = {4: (3, 5), 2: (2, 4), 1: (0, 1)}
+# Face contacts inside the 2x2x2 block, axis by axis (x, y, z): the cell
+# with the axis bit clear touches its neighbor through its face on the plus
+# side (the one cell 7 shows outside), the neighbor through its face on the
+# minus side (the one cell 0 shows).  Cell x=0 meets cell x=1 E to W.
 INTERIOR_CONTACTS = tuple(
-    (v, v | bit, faces[0], faces[1])
-    for bit, faces in sorted(_AXIS_FACES.items(), reverse=True)
+    (v, v | bit, CELL_FACES[7][axis], CELL_FACES[0][axis])
+    for axis, bit in enumerate((4, 2, 1))
     for v in range(8)
     if not v & bit
 )
@@ -445,10 +449,7 @@ def corner_frame(target, vertex, tableau=None):
     """The exterior (face, required color) triple of block cell ``vertex``."""
     tableau = tableau or build_tableau()
     t = tableau.cube(target)
-    xf = 3 if vertex & 4 else 5
-    yf = 2 if vertex & 2 else 4
-    zf = 0 if vertex & 1 else 1
-    return tuple((f, t.coloring[f]) for f in (xf, yf, zf))
+    return tuple((f, t.coloring[f]) for f in CELL_FACES[vertex])
 
 
 def orient_cube(cube, corner, frame):
@@ -460,7 +461,7 @@ def orient_cube(cube, corner, frame):
     frames cut from a real target.
     """
     position = cube.corner_position(corner)  # InvalidCornerError if absent
-    source_faces = {cube.coloring[f]: f for f in _corner_faces_of(position)}
+    source_faces = {cube.coloring[f]: f for f in CELL_FACES[position]}
     src_of = [-1] * 6
     for face, color in frame:
         try:
@@ -472,21 +473,11 @@ def orient_cube(cube, corner, frame):
         src_of[face] = g
         src_of[OPPOSITE_FACE[face]] = OPPOSITE_FACE[g]
     perm = tuple(src_of)
-    if perm not in _ROTATION_LOOKUP:
+    if perm not in ROTATION_SET:
         raise OrientationError(
             f"no rotation of {cube.name} shows corner {corner} on the frame"
         )
     return rotate(cube.coloring, perm)
-
-
-def _corner_faces_of(vertex):
-    xf = 3 if vertex & 4 else 5
-    yf = 2 if vertex & 2 else 4
-    zf = 0 if vertex & 1 else 1
-    return (xf, yf, zf)
-
-
-_ROTATION_LOOKUP = frozenset(ROTATIONS)
 
 
 @dataclass(frozen=True)

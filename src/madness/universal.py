@@ -39,6 +39,7 @@ __all__ = [
     "SET_SIZE",
     "TOTAL_TWELVE_SETS",
     "SetSizeError",
+    "CheckpointError",
     "UniversalCandidate",
     "TargetAnalysis",
     "SampleStats",
@@ -61,6 +62,10 @@ TOTAL_TWELVE_SETS = comb(30, 12)
 
 class SetSizeError(ValueError):
     """A cube set too small to contain any 8-cube collection."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that does not hold a valid scan state."""
 
 
 @dataclass(frozen=True)
@@ -378,15 +383,35 @@ def _combinations_from(start):
         yield tuple(combo)
 
 
+def _is_int_list(value):
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def _load_checkpoint(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return SearchState(
-        completed=raw["completed"],
-        last_combo=tuple(raw["last_combo"]),
-        found=list(raw["found"]),
-        total=raw["total"],
-    )
+    """Read a scan state, raising CheckpointError if the file holds none."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path} is not JSON ({exc})") from None
+    if not isinstance(raw, dict) or set(raw) != {"completed", "last_combo", "found", "total"}:
+        raise CheckpointError(
+            f"checkpoint {path} must be an object with completed, last_combo, found and total"
+        )
+    completed, combo = raw["completed"], raw["last_combo"]
+    if not (
+        type(completed) is int
+        and 0 <= completed <= TOTAL_TWELVE_SETS
+        and type(raw["total"]) is int
+        and raw["total"] == TOTAL_TWELVE_SETS
+        and _is_int_list(raw["found"])
+        and _is_int_list(combo)
+        and len(combo) == (SET_SIZE if completed else 0)
+        and combo == sorted(set(combo))
+        and all(0 <= c < 30 for c in combo)
+    ):
+        raise CheckpointError(f"checkpoint {path} does not hold a scan state of the C(30,12) sets")
+    return SearchState(completed=completed, last_combo=tuple(combo), found=raw["found"])
 
 
 def _store_checkpoint(path, state):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -9,11 +10,13 @@ from pathlib import Path
 import pytest
 
 import madness
+from madness import reports
 from madness.cli import main
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
     EXPECTED_SOLUTION_DISTRIBUTION,
     EXPECTED_SUBSET_BUILD,
+    ReportCache,
 )
 
 CANONICAL = "Ac,Ad,Ae,Af,Cb,Db,Eb,Fb"
@@ -187,12 +190,24 @@ def test_corrupted_cache_is_recovered(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     assert run(capsys, "table1", "--cache-dir", cache)[0] == 0
     (entry,) = os.listdir(cache)
-    with open(os.path.join(cache, entry), "w", encoding="utf-8") as fh:
-        fh.write("not json {")
-    code, out, _ = run(capsys, "table1", "--check", "--cache-dir", cache, "--format", "json")
-    assert code == 0
-    counts = json.loads(out)["payload"]["counts"]
-    assert {int(k): v for k, v in counts.items()} == EXPECTED_SOLUTION_DISTRIBUTION
+    # Not JSON, and JSON that is not an object: both are discarded and recomputed.
+    for content in ("not json {", "[1,2]"):
+        with open(os.path.join(cache, entry), "w", encoding="utf-8") as fh:
+            fh.write(content)
+        code, out, _ = run(capsys, "table1", "--check", "--cache-dir", cache, "--format", "json")
+        assert code == 0
+        counts = json.loads(out)["payload"]["counts"]
+        assert {int(k): v for k, v in counts.items()} == EXPECTED_SOLUTION_DISTRIBUTION
+        with open(os.path.join(cache, entry), encoding="utf-8") as fh:
+            assert json.load(fh)["payload"]["counts"] == counts
+
+
+def test_cache_entry_of_another_version_misses(tmp_path, monkeypatch):
+    cache = ReportCache(str(tmp_path))
+    cache.store("table2", {}, {"counts": {}})
+    assert cache.load("table2", {}) == {"counts": {}}
+    monkeypatch.setattr(reports, "__version__", madness.__version__ + ".other")
+    assert cache.load("table2", {}) is None
 
 
 def test_sample_csv_deterministic(tmp_path, capsys):
@@ -210,11 +225,10 @@ def test_sample_csv_deterministic(tmp_path, capsys):
         assert fh.read() == out
 
 
-def test_sample_threads_flag_is_advisory(capsys):
-    base = ("sample", "--k", "10", "--n", "40", "--seed", "5", "--format", "csv")
-    out1 = run(capsys, *base, "--threads", "1")[1]
-    out4 = run(capsys, *base, "--threads", "4")[1]
-    assert out1 == out4
+def test_threads_flag_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "sample", "--k", "10", "--n", "40", "--threads", "1")
+    assert code == 2
+    assert "--threads" in err
 
 
 def test_sample_text_histogram(capsys):
@@ -243,6 +257,32 @@ def test_search_budget_and_resume(tmp_path, capsys):
     )
     assert code == 4
     assert "scanned 30000 of 86493225" in out
+
+
+def test_search_writes_its_report(tmp_path, capsys):
+    checkpoint, report = str(tmp_path / "scan.json"), tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "search", "--budget", "20000", "--chunk", "10000",
+        "--checkpoint", checkpoint, "--format", "json", "--out", str(report),
+    )
+    assert code == 4
+    assert "resume" in err
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["command"] == "search"
+    assert doc["payload"] == {
+        "completed": 20000, "total": 86493225, "finished": False, "found": [],
+    }
+
+
+@pytest.mark.parametrize("content", ["[1,2]", '{"completed": "x"}'])
+def test_malformed_checkpoint_is_a_validation_error(content, tmp_path, capsys):
+    checkpoint = tmp_path / "scan.json"
+    checkpoint.write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, "search", "--budget", "10", "--checkpoint", str(checkpoint))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: checkpoint ")
 
 
 def test_console_script_entry_point():
@@ -285,3 +325,71 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["solution_number"] == 16
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes.  Every report file of the six report commands, in each
+# format, plus the files of `universal --out-dir`, must keep these sha256
+# digests.  A change that alters any of them changes what users get on disk,
+# and must say why.
+# ---------------------------------------------------------------------------
+
+GOLDEN_ARGV = {
+    "cubes": ("cubes",),
+    "solve": ("solve", "--target", "Ba", "--cubes", CANONICAL, "--interior", "--arrangements"),
+    "table1": ("table1",),
+    "table2": ("table2",),
+    "five-targets": ("five-targets",),
+    "universal": ("universal",),
+    "sample": ("sample", "--k", "12", "--n", "50", "--seed", "3"),
+}
+GOLDEN_CACHED = {"table1", "table2", "five-targets", "universal"}
+GOLDEN_SHA256 = {
+    "cubes-text": "c6df51c137fac1f7a110139273bd5a4fd88461d683cea25a4167530825d43598",
+    "cubes-csv": "37de70ff003f543191a6207ee8a7a65b70c2318361fac1a7a605eba5dbbfbcab",
+    "cubes-json": "897a5a966fa1c9346a9b338dd105840e4b3be4fa0fa56f0ddbac8e6689526e15",
+    "solve-text": "1d57f5f61093b476555d619e6efdee22c58b76de1e0e96d63afb85c19ddd4141",
+    "solve-csv": "354abcac79b53edf6ca7a8bb8ef8eb5c166654d46f0cab8fb12bb54e8072a28c",
+    "solve-json": "e651d0f81c9325b717678083ff86a7feceb2b4c9f5390460b0078c62a11b8780",
+    "table1-text": "30d88b1e7c5825d4fab4fb6077aa132174e5fb7a927aaba1b08b7cb2c725490e",
+    "table1-csv": "1ead753237710275ea87eb59b2166beff428fdbe6eb224160a149c4574992653",
+    "table1-json": "0f2429c6665ed17f9840f20e120f0290885ae019601940d0a10dbc3f5aa51959",
+    "table2-text": "d994270073346af4ffcef3219636f045257e71c84f0ea5e23ec09e498a669eba",
+    "table2-csv": "78904b1daa9f869f152f0b49cf65302f4d03f6b7621dfe37af7512836d6f92b0",
+    "table2-json": "b7f3f7630ac6d91d5a15a84d5bd7fc9395ca58dcd9b1f74423c1c42e559d4c65",
+    "five-targets-text": "4008938128d38266efb62eb9ccc890c240391d7c3e0566302771f58164f0853b",
+    "five-targets-csv": "91a7f71d81e78736128c1e08a589d34adf1704caa26ad6d1386f38ea81e2b0ad",
+    "five-targets-json": "161889a382ee282de6bc33d8bae1abba9175d3bfc682780a2a4410f14e963886",
+    "universal-text": "657813f127f34eaca585572547f0d8960cdb0e60da6de43f9166b239a5e5f0fc",
+    "universal-csv": "39779e1267186160f9d6f07b4f580e1cf24ffab121cfbe9b8188b80912db734c",
+    "universal-json": "3158bc85fd0c4f6261a169a7750a882675dca9131e035f5b6a092293c2b353a8",
+    "sample-text": "7b96cee2446d51b32d458386a2a44be81ff6c93fd6c28262784caa45b85534f5",
+    "sample-csv": "552696709506779cdb8ea718bc2cb803882f832a147b3ea2f655f53ad29fd37f",
+    "sample-json": "470973ffc54d5968c5cff362d68f34a28ec3f328f7e719f855310ba3d8954840",
+    "out-dir/figure7_k10.csv": "31942da1be417c77b8f0a3b529aa65ff0c2200b7392acc54c6bd5646e40c1752",
+    "out-dir/figure7_k11.csv": "c8cc6b0da1a41691d630e0b75a8805a1391641412ce9ee5289f2d13eedcade18",
+    "out-dir/figure7_k8.csv": "92527d1d0c179052a61e1b0c5f4b5eaf1c17fb9648ba521e1f9418c0456c4822",
+    "out-dir/figure7_k9.csv": "fb15bb14b9292a5714b310de64eac704749ce7efd2bdf52fb052f52814b51335",
+    "out-dir/universal.json": "f57d11a345d65c286fcc8ddca7dd0d54920bda78f13cd00d256fb3454caf53a0",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("golden-cache"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_report_bytes_are_stable(name, golden_cache, tmp_path, capsys):
+    if name.startswith("out-dir/"):
+        out_dir = tmp_path / "reports"
+        argv = ("universal", "--cache-dir", golden_cache, "--out-dir", str(out_dir))
+        path = out_dir / name.split("/", 1)[1]
+    else:
+        command, fmt = name.rsplit("-", 1)
+        path = tmp_path / "report"
+        argv = GOLDEN_ARGV[command] + ("--format", fmt, "--out", str(path))
+        if command in GOLDEN_CACHED:
+            argv += ("--cache-dir", golden_cache)
+    assert run(capsys, *argv)[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from math import comb
@@ -10,6 +11,7 @@ from madness.reports import EXPECTED_SUBSET_BUILD, EXPECTED_UNIVERSAL_SETS
 from madness.universal import (
     SET_SIZE,
     TOTAL_TWELVE_SETS,
+    CheckpointError,
     SetSizeError,
     buildable_count,
     buildable_count_direct,
@@ -217,6 +219,35 @@ def test_search_time_budget(tmp_path):
     resumed = exhaustive_search(checkpoint_path=path, budget_combinations=5_000,
                                 chunk_size=5_000)
     assert resumed.completed == 5_000
+
+
+GOOD_CHECKPOINT = {
+    "completed": 12,
+    "last_combo": list(range(SET_SIZE - 1)) + [22],
+    "found": [],
+    "total": TOTAL_TWELVE_SETS,
+}
+
+
+@pytest.mark.parametrize("change", [
+    {"completed": "12"},
+    {"completed": -1},
+    {"completed": True},
+    {"total": 1000},
+    {"found": [1.5]},
+    {"found": None},
+    {"last_combo": [0, 1, 2]},
+    {"last_combo": list(range(SET_SIZE - 1)) + [30]},
+    {"last_combo": list(reversed(range(SET_SIZE)))},
+    {"extra": 1},
+])
+def test_malformed_checkpoint_is_rejected(change, tmp_path):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(dict(GOOD_CHECKPOINT, **change)), encoding="utf-8")
+    with pytest.raises(CheckpointError):
+        exhaustive_search(checkpoint_path=str(path), budget_combinations=0)
+    path.write_text(json.dumps(GOOD_CHECKPOINT), encoding="utf-8")
+    assert exhaustive_search(checkpoint_path=str(path), budget_combinations=0).completed == 12
 
 
 def test_search_space_size():
