@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation error (bad cube names, sizes, flags,
-malformed checkpoints), 3 verification mismatch (--check failures or
-disagreeing counting methods), 4 search budget exhausted before completion.
+malformed checkpoints, paths that cannot be read or written), 3 verification
+mismatch (--check failures or disagreeing counting methods), 4 search budget
+exhausted before completion.
 
 Every command is a :class:`Report` spec run by :func:`run_report`, which
 handles the cache, --check, rendering and the exit code in one place.
@@ -56,8 +57,10 @@ EXIT_VERIFICATION = 3
 EXIT_BUDGET = 4
 
 # Every input error of the package is a ValueError, except an unknown cube
-# name, which is also a KeyError.
-_VALIDATION_ERRORS = (UnknownCubeError, ValueError)
+# name, which is also a KeyError.  The only files read or written are the
+# ones the flags name (--out, --out-dir, --cache-dir, --checkpoint), so an
+# OSError is a bad flag value too.
+_VALIDATION_ERRORS = (UnknownCubeError, ValueError, OSError)
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,8 @@ def run_report(report, args):
     """Compute or load the payload, check it, write the report, give the exit code."""
     started = time.monotonic()
     params = report.params(args)
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError("--out directory %s does not exist" % os.path.dirname(args.out))
     cache = None
     if report.cached and not args.no_cache:
         cache = ReportCache(args.cache_dir or _default_cache_dir())

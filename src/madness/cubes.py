@@ -423,7 +423,9 @@ class Tableau:
         self.cubes = tuple(cubes)
         self.corner_read_flipped = corner_read_flipped
         self.by_name = {c.name: c for c in self.cubes}
-        self.by_coloring = {c.coloring: c for c in self.cubes}
+        # Every one of the 720 face colorings, not only the canonical ones,
+        # so that recoloring is one lookup.
+        self.by_coloring = {rotate(c.coloring, p): c for c in self.cubes for p in ROTATIONS}
         self.by_corner_set = {c.corner_set: c for c in self.cubes}
 
     def cube(self, key):
@@ -473,8 +475,11 @@ class Tableau:
 
     def recolor(self, perm, key):
         """The cube obtained by recoloring ``key`` with a color permutation."""
-        cube = self.cube(key)
-        return self.by_coloring[canonical_coloring(recolor_coloring(perm, cube.coloring))]
+        coloring = recolor_coloring(perm, self.cube(key).coloring)
+        try:
+            return self.by_coloring[coloring]
+        except KeyError:
+            raise InvalidColoringError(f"not a color permutation: {perm!r}") from None
 
     @lru_cache(maxsize=None)
     def recolor_id_table(self, perm):

@@ -4,10 +4,12 @@ The key observation making full sweeps cheap: every target sees the same
 abstract target graph once its 20 edge cubes are funneled into the 21 fixed
 slots defined in the solver module (12 adjacent-pair slots, 4x2 diagonal
 slots, 1 target slot).  Collections containing an unusable cube have
-solution number 0, so a single classification pass over the C(21,8) =
-203,490 slot subsets decides the solution number of every collection for
-every target; per-target work is then a cheap remap of slot masks to cube
-masks, done with numpy.
+solution number 0, so a single classification of the C(21,8) = 203,490
+slot subsets decides the solution number of every collection for every
+target.  That classification is one numpy census over all subsets at once:
+each corner's adjacency as an 8-bit row, closed under reachability, read
+off as components, trees and solution numbers.  Per-target work is then a
+cheap remap of slot masks to cube masks, also done with numpy.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from .solver import (
     SLOT_COUNT,
     SLOT_ENDPOINTS,
     TARGET_SLOT,
+    VERTEX_COUNT,
     build_target_graph,
     classify_edges,
     solution_number,
-    solution_number_formula,
 )
 
 __all__ = [
@@ -84,28 +86,101 @@ class SlotTable:
         return {int(v): int(c) for v, c in zip(values, counts)}
 
 
+# ---------------------------------------------------------------------------
+# The slot census.  A corner's row is a uint8 with bit u set when corner u is
+# joined to it.  Packing the 8 rows of one slot into a little-endian uint64,
+# corner v in byte v, lets 8 ORs (adds) build the rows (degrees) of a whole
+# combination; no byte carries, since no corner has degree above 5.
+# ---------------------------------------------------------------------------
+
+_WORD = np.dtype("<u8")
+_CENSUS_BLOCK = 1 << 15    # combinations per census step, to bound memory
+_CORNER_BITS = np.uint8(1) << np.arange(VERTEX_COUNT, dtype=np.uint8)
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _slot_words():
+    """(neighbour, degree) words of each slot; the target slot has no edge."""
+    neighbours = np.zeros((SLOT_COUNT, VERTEX_COUNT), dtype=np.uint8)
+    degrees = np.zeros((SLOT_COUNT, VERTEX_COUNT), dtype=np.uint8)
+    for slot, (u, v) in enumerate(SLOT_ENDPOINTS):
+        neighbours[slot, u] |= 1 << v
+        neighbours[slot, v] |= 1 << u
+        degrees[slot, [u, v]] += 1
+    return neighbours.view(_WORD).ravel(), degrees.view(_WORD).ravel()
+
+
+_NEIGHBOUR_WORDS, _DEGREE_WORDS = _slot_words()
+
+
+def _slot_combinations():
+    """All 8-subsets of the slots as ascending uint8 rows, in lexicographic order."""
+    rows = np.arange(SLOT_COUNT, dtype=np.uint8)[:, None]
+    for _ in range(7):
+        # Put each slot in front of every row whose first slot is larger.
+        starts = np.searchsorted(rows[:, 0], np.arange(SLOT_COUNT), side="right")
+        first = np.repeat(np.arange(SLOT_COUNT, dtype=np.uint8), len(rows) - starts)
+        tails = np.concatenate([np.arange(start, len(rows)) for start in starts])
+        rows = np.column_stack((first, rows[tails]))
+    return rows
+
+
+def _census(combos):
+    """Solution numbers of slot combinations, one row of 8 ascending slots each.
+
+    The rule of solution_number_formula over classify_edges, for every row at
+    once.  Warshall's algorithm closes each corner's row under reachability;
+    a corner is its component's root when it reaches no lower corner, the
+    component's vertex count is the popcount of the root's row, and its edge
+    count is half its degree sum.
+    """
+    adjacency = np.zeros(len(combos), dtype=_WORD)
+    degree = np.zeros(len(combos), dtype=_WORD)
+    for slots in combos.T:
+        adjacency |= _NEIGHBOUR_WORDS[slots]
+        degree += _DEGREE_WORDS[slots]
+    reach = adjacency.view(np.uint8).reshape(-1, VERTEX_COUNT) | _CORNER_BITS
+    degree = degree.view(np.uint8).reshape(-1, VERTEX_COUNT)
+    for k in range(VERTEX_COUNT):
+        reach |= ((reach >> k) & 1) * reach[:, k : k + 1]
+    vertices = _POPCOUNT[reach]
+    degree_sum = np.zeros_like(reach)
+    for v in range(VERTEX_COUNT):
+        degree_sum += ((reach >> v) & 1) * degree[:, v : v + 1]
+    root = (reach & (_CORNER_BITS - 1)) == 0
+    tree = root & (degree_sum + 2 == 2 * vertices)
+    components = root.sum(axis=1, dtype=np.uint8)
+    trees = tree.sum(axis=1, dtype=np.uint8)
+    tree_vertices = (vertices * tree).sum(axis=1, dtype=np.uint8)
+    # The values selected never exceed 16, so uint8 arithmetic is exact there.
+    return np.where(
+        combos[:, -1] == TARGET_SLOT,
+        np.where(trees == 1, (1 << (components - 1)) * tree_vertices, 0),
+        np.where(trees == 0, 1 << components, 0),
+    ).astype(np.uint8)
+
+
 @lru_cache(maxsize=1)
 def slot_table():
-    """Classify every 8-subset of slots once; shared by all sweeps."""
+    """Classify every 8-subset of slots once; shared by all sweeps.
+
+    The census runs over all C(21,8) combinations in lexicographic order,
+    in blocks of ``_CENSUS_BLOCK`` rows, so ``nonzero_masks`` ascends in
+    that order.  It gives the same numbers as classify_edges with
+    solution_number_formula on every subset (the tests compare all of them).
+    """
+    combos = _slot_combinations()
+    values = np.concatenate([
+        _census(combos[start : start + _CENSUS_BLOCK])
+        for start in range(0, len(combos), _CENSUS_BLOCK)
+    ])
+    buildable = values > 0
+    masks = np.zeros(np.count_nonzero(buildable), dtype=np.uint32)
+    for slots in combos[buildable].T:
+        masks |= np.uint32(1) << slots.astype(np.uint32)
     table = np.zeros(1 << SLOT_COUNT, dtype=np.uint8)
-    masks = []
-    values = []
-    for combo in itertools.combinations(range(SLOT_COUNT), 8):
-        target_in = combo[-1] == TARGET_SLOT
-        edges = [SLOT_ENDPOINTS[s] for s in combo if s != TARGET_SLOT]
-        value = solution_number_formula(classify_edges(edges, target_in))
-        if value:
-            mask = 0
-            for s in combo:
-                mask |= 1 << s
-            table[mask] = value
-            masks.append(mask)
-            values.append(value)
-    return SlotTable(
-        table=table,
-        nonzero_masks=np.asarray(masks, dtype=np.uint32),
-        nonzero_values=np.asarray(values, dtype=np.uint8),
-    )
+    table[masks] = values[buildable]
+    return SlotTable(table=table, nonzero_masks=masks, nonzero_values=values[buildable])
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ __all__ = [
     "SET_SIZE",
     "TOTAL_TWELVE_SETS",
     "SetSizeError",
+    "SampleCountError",
     "CheckpointError",
     "UniversalCandidate",
     "TargetAnalysis",
@@ -64,8 +65,12 @@ class SetSizeError(ValueError):
     """A cube set too small to contain any 8-cube collection."""
 
 
+class SampleCountError(ValueError):
+    """A number of random samples below one."""
+
+
 class CheckpointError(ValueError):
-    """A checkpoint file that does not hold a valid scan state."""
+    """A checkpoint file that cannot be read or written, or holds no scan state."""
 
 
 @dataclass(frozen=True)
@@ -233,6 +238,8 @@ def sample_sets(k, n, seed):
     """n sorted k-subsets of cube ids, reproducible from (seed, index)."""
     if not 8 <= k <= 30:
         raise SetSizeError(f"sample size must be 8..30, got {k}")
+    if n < 1:
+        raise SampleCountError(f"number of samples n must be at least 1, got {n}")
     samples = np.empty((n, k), dtype=np.int64)
     for index in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
@@ -392,6 +399,8 @@ def _load_checkpoint(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+    except OSError as exc:
+        raise CheckpointError(f"checkpoint {path} cannot be read ({exc.strerror})") from None
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path} is not JSON ({exc})") from None
     if not isinstance(raw, dict) or set(raw) != {"completed", "last_combo", "found", "total"}:
@@ -416,17 +425,20 @@ def _load_checkpoint(path):
 
 def _store_checkpoint(path, state):
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "completed": state.completed,
-                "last_combo": list(state.last_combo),
-                "found": state.found,
-                "total": state.total,
-            },
-            fh,
-        )
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(
+                {
+                    "completed": state.completed,
+                    "last_combo": list(state.last_combo),
+                    "found": state.found,
+                    "total": state.total,
+                },
+                fh,
+            )
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise CheckpointError(f"checkpoint {path} cannot be written ({exc.strerror})") from None
 
 
 def exhaustive_search(

@@ -285,6 +285,44 @@ def test_malformed_checkpoint_is_a_validation_error(content, tmp_path, capsys):
     assert err.startswith("error: checkpoint ")
 
 
+def test_out_into_missing_directory_fails_before_computing(tmp_path, capsys, monkeypatch):
+    def compute_nothing(target):
+        raise AssertionError("table1 computed before checking --out")
+
+    monkeypatch.setattr("madness.cli.distribution_for_target", compute_nothing)
+    out = tmp_path / "missing" / "x.txt"
+    code, stdout, err = run(capsys, "table1", "--no-cache", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: --out directory %s does not exist\n" % out.parent
+
+
+def test_unwritable_out_is_a_validation_error(tmp_path, capsys):
+    code, out, err = run(capsys, "cubes", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("where", ["", "missing/scan.json"], ids=["directory", "missing-directory"])
+def test_unusable_checkpoint_path_is_a_validation_error(where, tmp_path, capsys):
+    checkpoint = tmp_path / where
+    code, out, err = run(capsys, "search", "--budget", "10", "--checkpoint", str(checkpoint))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: checkpoint %s cannot be " % checkpoint)
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_sample_count_must_be_positive(n, capsys):
+    code, out, err = run(capsys, "sample", "--k", "12", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == "error: number of samples n must be at least 1, got %s\n" % n
+
+
 def test_console_script_entry_point():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,6 +1,8 @@
+import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from madness.cubes import build_tableau, mirror_name
@@ -10,7 +12,14 @@ from madness.reports import (
     EXPECTED_MAX_COLLECTIONS,
     EXPECTED_SOLUTION_DISTRIBUTION,
 )
-from madness.solver import solution_number
+from madness.solver import (
+    SLOT_COUNT,
+    SLOT_ENDPOINTS,
+    TARGET_SLOT,
+    classify_edges,
+    solution_number,
+    solution_number_formula,
+)
 from madness.sweeps import (
     TOTAL_COLLECTIONS,
     USABLE_COLLECTIONS,
@@ -46,6 +55,27 @@ def test_slot_table_census():
     assert st.distribution() == EXPECTED_SOLUTION_DISTRIBUTION
     assert int(st.table.astype(bool).sum()) == len(st.nonzero_masks)
     assert all(bin(int(m)).count("1") == 8 for m in st.nonzero_masks[:100])
+
+
+def test_slot_table_matches_union_find_on_every_subset():
+    """The census against classify_edges + solution_number_formula, all C(21,8)."""
+    table = np.zeros(1 << SLOT_COUNT, dtype=np.uint8)
+    masks, values = [], []
+    for combo in itertools.combinations(range(SLOT_COUNT), 8):
+        edges = [SLOT_ENDPOINTS[s] for s in combo if s != TARGET_SLOT]
+        value = solution_number_formula(classify_edges(edges, TARGET_SLOT in combo))
+        if value:
+            mask = sum(1 << s for s in combo)
+            table[mask] = value
+            masks.append(mask)
+            values.append(value)
+    st = slot_table()
+    assert (st.table.dtype, st.nonzero_masks.dtype, st.nonzero_values.dtype) == (
+        np.uint8, np.uint32, np.uint8,
+    )
+    assert np.array_equal(st.table, table)
+    assert np.array_equal(st.nonzero_masks, np.asarray(masks, dtype=np.uint32))
+    assert np.array_equal(st.nonzero_values, np.asarray(values, dtype=np.uint8))
 
 
 def test_solution_values():

@@ -12,6 +12,7 @@ from madness.universal import (
     SET_SIZE,
     TOTAL_TWELVE_SETS,
     CheckpointError,
+    SampleCountError,
     SetSizeError,
     buildable_count,
     buildable_count_direct,
@@ -164,6 +165,8 @@ def test_sample_sets_validation():
         sample_sets(7, 5, 1)
     with pytest.raises(SetSizeError):
         sample_sets(31, 5, 1)
+    with pytest.raises(SampleCountError):
+        sample_sets(12, 0, 1)
 
 
 def test_sample_distribution_statistics():
