@@ -485,7 +485,6 @@ def _search_compute(args, params):
         checkpoint_path=args.checkpoint,
         budget_combinations=args.budget,
         budget_seconds=args.budget_seconds,
-        chunk_size=args.chunk,
     )
     tableau = build_tableau()
     return {
@@ -507,9 +506,7 @@ def _search_status(args, payload):
 
 
 SEARCH = Report(
-    params=lambda args: {
-        "budget": args.budget, "budget_seconds": args.budget_seconds, "chunk": args.chunk,
-    },
+    params=lambda args: {"budget": args.budget, "budget_seconds": args.budget_seconds},
     compute=_search_compute,
     rows=lambda payload: (
         ["cubes"],
@@ -583,7 +580,6 @@ def build_parser():
     p.add_argument("--budget", type=int, help="stop after this many combinations")
     p.add_argument("--budget-seconds", type=float, help="stop after this much time")
     p.add_argument("--checkpoint", help="checkpoint file for resuming")
-    p.add_argument("--chunk", type=int, default=250000, help="combinations per chunk")
 
     return parser
 

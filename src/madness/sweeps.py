@@ -10,6 +10,11 @@ target.  That classification is one numpy census over all subsets at once:
 each corner's adjacency as an 8-bit row, closed under reachability, read
 off as components, trees and solution numbers.  Per-target work is then a
 cheap remap of slot masks to cube masks, also done with numpy.
+
+``combination_rows`` is the package's one combination enumerator: it
+unranks lexicographic k-combinations into uint8 rows, for the slot subsets
+here and for the subset histograms and the C(30,12) scan of the universal
+module.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -43,6 +49,7 @@ __all__ = [
     "FiveTargetRecord",
     "InvalidRuleError",
     "VerificationError",
+    "combination_rows",
     "slot_table",
     "solution_values",
     "distribution_for_target",
@@ -113,15 +120,23 @@ def _slot_words():
 _NEIGHBOUR_WORDS, _DEGREE_WORDS = _slot_words()
 
 
-def _slot_combinations():
-    """All 8-subsets of the slots as ascending uint8 rows, in lexicographic order."""
-    rows = np.arange(SLOT_COUNT, dtype=np.uint8)[:, None]
-    for _ in range(7):
-        # Put each slot in front of every row whose first slot is larger.
-        starts = np.searchsorted(rows[:, 0], np.arange(SLOT_COUNT), side="right")
-        first = np.repeat(np.arange(SLOT_COUNT, dtype=np.uint8), len(rows) - starts)
-        tails = np.concatenate([np.arange(start, len(rows)) for start in starts])
-        rows = np.column_stack((first, rows[tails]))
+def combination_rows(n, k, ranks):
+    """The k-combinations of range(n) at lexicographic ``ranks``, as uint8 rows.
+
+    Row i holds the ascending elements of combination ``ranks[i]``.  With
+    d = n - 1 - c, the lexicographic rank r of c is C(n,k) - 1 - sum of
+    C(d_i, k - i) over positions i (the colexicographic rank of d), so each
+    position's d_i is the largest d with C(d, k - i) within what is left of
+    C(n,k) - 1 - r: one searchsorted over a binomial table per position.
+    """
+    binomials = np.array([[comb(d, j) for j in range(k + 1)] for d in range(n)], dtype=np.int64)
+    left = comb(n, k) - 1 - np.asarray(ranks, dtype=np.int64)
+    rows = np.empty((len(left), k), dtype=np.uint8)
+    for i in range(k):
+        column = binomials[:, k - i]
+        d = np.searchsorted(column, left, side="right") - 1
+        left = left - column[d]
+        rows[:, i] = n - 1 - d
     return rows
 
 
@@ -169,7 +184,7 @@ def slot_table():
     that order.  It gives the same numbers as classify_edges with
     solution_number_formula on every subset (the tests compare all of them).
     """
-    combos = _slot_combinations()
+    combos = combination_rows(SLOT_COUNT, 8, np.arange(USABLE_COLLECTIONS))
     values = np.concatenate([
         _census(combos[start : start + _CENSUS_BLOCK])
         for start in range(0, len(combos), _CENSUS_BLOCK)

@@ -26,14 +26,16 @@ from math import comb
 
 import numpy as np
 
+from . import __version__
 from .cubes import (
     COLUMN_LETTERS,
     all_color_permutations,
     build_tableau,
     permutation_cycle_type,
 )
+from .reports import data_hash
 from .solver import SLOT_COUNT, build_target_graph, solution_number
-from .sweeps import VerificationError, slot_table
+from .sweeps import VerificationError, combination_rows, slot_table
 
 __all__ = [
     "SET_SIZE",
@@ -137,6 +139,17 @@ def _slot_bits_by_target():
     return bits
 
 
+def _slot_masks(ids_matrix, target):
+    """Slot mask of each row of cube ids for one target: the kernel of every count."""
+    return np.bitwise_or.reduce(_slot_bits_by_target()[target][ids_matrix], axis=1)
+
+
+def _counts_for_id_matrix(ids_matrix):
+    """Buildable counts for rows of cube ids, all rows at once."""
+    closed = _buildable_closure()
+    return sum(closed[_slot_masks(ids_matrix, t)].astype(np.int64) for t in range(30))
+
+
 def _check_size(ids):
     if len(ids) < 8:
         raise SetSizeError(f"a cube set needs at least 8 cubes, got {len(ids)}")
@@ -149,17 +162,7 @@ def buildable_count(cube_set, tableau=None):
     if len(set(ids)) != len(ids):
         raise ValueError("cube set contains a repeated cube")
     _check_size(ids)
-    closed = _buildable_closure()
-    bits = _slot_bits_by_target()
-    count = 0
-    for t in range(30):
-        mask = 0
-        row = bits[t]
-        for c in ids:
-            mask |= int(row[c])
-        if closed[mask]:
-            count += 1
-    return count
+    return int(_counts_for_id_matrix(np.array([ids]))[0])
 
 
 def buildable_count_direct(cube_set, tableau=None):
@@ -221,10 +224,10 @@ def subset_build_distribution(candidate, k, tableau=None):
     tableau = tableau or build_tableau()
     if not 8 <= k <= len(candidate.names):
         raise SetSizeError(f"subset size must be 8..{len(candidate.names)}, got {k}")
-    counts = Counter()
-    for combo in itertools.combinations(candidate.names, k):
-        counts[buildable_count(combo, tableau)] += 1
-    return dict(sorted(counts.items()))
+    ids = np.array([tableau.cube(name).id for name in candidate.names])
+    rows = combination_rows(len(ids), k, np.arange(comb(len(ids), k)))
+    values, counts = np.unique(_counts_for_id_matrix(ids[rows]), return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +264,6 @@ class SampleStats:
     min: int
     max: int
     histogram: dict
-
-
-def _counts_for_id_matrix(ids_matrix):
-    """Vectorized buildable counts for rows of sorted cube-id arrays."""
-    closed = _buildable_closure()
-    bits = _slot_bits_by_target()
-    n = ids_matrix.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    for t in range(30):
-        row = bits[t]
-        masks = np.zeros(n, dtype=np.uint32)
-        for col in range(ids_matrix.shape[1]):
-            masks |= row[ids_matrix[:, col]]
-        counts += closed[masks]
-    return counts
 
 
 def sample_distribution(k, n, seed, tableau=None):
@@ -352,17 +340,19 @@ def orbit_and_stabilizer(candidates=None, tableau=None):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive scan of all C(30,12) sets.  Combinations stream in
-# lexicographic order; chunks are filtered target by target with numpy, so
-# almost every row dies within the first few targets.  A checkpoint file
-# records the resume point and the sets found so far.
+# Exhaustive scan of all C(30,12) sets.  Each chunk of consecutive
+# lexicographic ranks is unranked into rows of cube ids and filtered target
+# by target with numpy, so almost every row dies within the first few
+# targets.  A checkpoint file records the rank to resume from, the sets
+# found so far, and the version and cube data that wrote it.
 # ---------------------------------------------------------------------------
+
+_CHUNK_SIZE = 250_000
 
 
 @dataclass
 class SearchState:
-    completed: int
-    last_combo: tuple
+    completed: int       # sets scanned: the rank of the next set to scan
     found: list          # masks of universal sets, ascending discovery order
     total: int = TOTAL_TWELVE_SETS
 
@@ -371,31 +361,8 @@ class SearchState:
         return self.completed >= self.total
 
 
-def _combinations_from(start):
-    """Lexicographic 12-combinations of 0..29, starting after ``start``."""
-    if start is None:
-        combo = list(range(SET_SIZE))
-        yield tuple(combo)
-    else:
-        combo = list(start)
-    while True:
-        i = SET_SIZE - 1
-        while i >= 0 and combo[i] == 30 - SET_SIZE + i:
-            i -= 1
-        if i < 0:
-            return
-        combo[i] += 1
-        for j in range(i + 1, SET_SIZE):
-            combo[j] = combo[j - 1] + 1
-        yield tuple(combo)
-
-
-def _is_int_list(value):
-    return isinstance(value, list) and all(type(x) is int for x in value)
-
-
 def _load_checkpoint(path):
-    """Read a scan state, raising CheckpointError if the file holds none."""
+    """Read a scan state, raising CheckpointError if the file holds none for this code."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -403,24 +370,29 @@ def _load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path} cannot be read ({exc.strerror})") from None
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path} is not JSON ({exc})") from None
-    if not isinstance(raw, dict) or set(raw) != {"completed", "last_combo", "found", "total"}:
+    if isinstance(raw, dict) and "last_combo" in raw:
+        raise CheckpointError(f"checkpoint {path} is in the old last_combo format; start a new one")
+    if not isinstance(raw, dict) or set(raw) != {"completed", "found", "total", "version", "data"}:
         raise CheckpointError(
-            f"checkpoint {path} must be an object with completed, last_combo, found and total"
+            f"checkpoint {path} must be an object with completed, found, total, version and data"
         )
-    completed, combo = raw["completed"], raw["last_combo"]
+    completed, found = raw["completed"], raw["found"]
     if not (
         type(completed) is int
         and 0 <= completed <= TOTAL_TWELVE_SETS
         and type(raw["total"]) is int
         and raw["total"] == TOTAL_TWELVE_SETS
-        and _is_int_list(raw["found"])
-        and _is_int_list(combo)
-        and len(combo) == (SET_SIZE if completed else 0)
-        and combo == sorted(set(combo))
-        and all(0 <= c < 30 for c in combo)
+        and isinstance(found, list)
+        and all(type(mask) is int for mask in found)
     ):
         raise CheckpointError(f"checkpoint {path} does not hold a scan state of the C(30,12) sets")
-    return SearchState(completed=completed, last_combo=tuple(combo), found=raw["found"])
+    if raw["version"] != __version__:
+        raise CheckpointError(
+            f"checkpoint {path} was written by madness {raw['version']}, not {__version__}"
+        )
+    if raw["data"] != data_hash():
+        raise CheckpointError(f"checkpoint {path} was written for other cube data ({raw['data']})")
+    return SearchState(completed=completed, found=found)
 
 
 def _store_checkpoint(path, state):
@@ -430,9 +402,10 @@ def _store_checkpoint(path, state):
             json.dump(
                 {
                     "completed": state.completed,
-                    "last_combo": list(state.last_combo),
                     "found": state.found,
                     "total": state.total,
+                    "version": __version__,
+                    "data": data_hash(),
                 },
                 fh,
             )
@@ -441,65 +414,38 @@ def _store_checkpoint(path, state):
         raise CheckpointError(f"checkpoint {path} cannot be written ({exc.strerror})") from None
 
 
-def exhaustive_search(
-    checkpoint_path=None,
-    budget_combinations=None,
-    budget_seconds=None,
-    chunk_size=250_000,
-    tableau=None,
-):
+def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_seconds=None):
     """Scan 12-sets for universality, resumably.
 
     Returns a SearchState; ``finished`` tells whether the space is exhausted
     (otherwise a budget ran out and the checkpoint records the resume
-    point).  With no budget the full scan takes a few minutes.
+    point).  The scan stops after exactly ``budget_combinations`` sets, or
+    before the first chunk that starts after ``budget_seconds``.  With no
+    budget the full scan takes about half a minute.
     """
-    tableau = tableau or build_tableau()
     closed = _buildable_closure()
-    bits = _slot_bits_by_target()
-    state = None
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = _load_checkpoint(checkpoint_path)
-        if state.finished:
-            return state
-    if state is None:
-        state = SearchState(completed=0, last_combo=(), found=[])
+    else:
+        state = SearchState(completed=0, found=[])
 
-    start = state.last_combo if state.completed else None
-    stream = _combinations_from(start)
-    deadline = time.monotonic() + budget_seconds if budget_seconds else None
-    spent = 0
+    stop = state.total
+    if budget_combinations is not None:
+        stop = min(stop, state.completed + budget_combinations)
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
-    while True:
-        if budget_combinations is not None and spent >= budget_combinations:
-            break
+    while state.completed < stop:
         if deadline is not None and time.monotonic() >= deadline:
             break
-        take = chunk_size
-        if budget_combinations is not None:
-            take = min(take, budget_combinations - spent)
-        chunk = list(itertools.islice(stream, take))
-        if not chunk:
-            break
-        ids_matrix = np.asarray(chunk, dtype=np.int64)
-        alive = np.arange(len(chunk))
+        end = min(stop, state.completed + _CHUNK_SIZE)
+        rows = combination_rows(30, SET_SIZE, np.arange(state.completed, end))
         for t in range(30):
-            row = bits[t]
-            masks = np.zeros(len(alive), dtype=np.uint32)
-            sub = ids_matrix[alive]
-            for col in range(SET_SIZE):
-                masks |= row[sub[:, col]]
-            alive = alive[closed[masks]]
-            if len(alive) == 0:
+            rows = rows[closed[_slot_masks(rows, t)]]
+            if len(rows) == 0:
                 break
-        for index in alive:
-            mask = 0
-            for c in chunk[index]:
-                mask |= 1 << int(c)
-            state.found.append(mask)
-        state.completed += len(chunk)
-        state.last_combo = chunk[-1]
-        spent += len(chunk)
+        bits = np.int64(1) << rows.astype(np.int64)
+        state.found.extend(np.bitwise_or.reduce(bits, axis=1).tolist())
+        state.completed = end
         if checkpoint_path:
             _store_checkpoint(checkpoint_path, state)
 

@@ -368,10 +368,10 @@ def test_criterion_10_structural_invariants():
 
 @pytest.mark.skipif(
     os.environ.get("MADNESS_FULL_SCAN") != "1",
-    reason="full C(30,12) scan takes ~2 minutes; set MADNESS_FULL_SCAN=1 to run",
+    reason="full C(30,12) scan takes ~30 seconds; set MADNESS_FULL_SCAN=1 to run",
 )
 def test_criterion_11_exhaustive_twelve_set_scan():
-    state = exhaustive_search(chunk_size=500_000)
+    state = exhaustive_search()
     assert state.finished
     assert state.completed == 86_493_225
     assert sorted(state.found) == sorted(s.mask for s in conjecture_sets())

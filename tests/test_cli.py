@@ -245,14 +245,14 @@ def test_sample_validation(capsys):
 def test_search_budget_and_resume(tmp_path, capsys):
     checkpoint = str(tmp_path / "scan.json")
     code, out, err = run(
-        capsys, "search", "--budget", "20000", "--chunk", "10000",
+        capsys, "search", "--budget", "20000",
         "--checkpoint", checkpoint,
     )
     assert code == 4
     assert "scanned 20000 of 86493225" in out
     assert "resume" in err
     code, out, _ = run(
-        capsys, "search", "--budget", "10000", "--chunk", "10000",
+        capsys, "search", "--budget", "10000",
         "--checkpoint", checkpoint,
     )
     assert code == 4
@@ -262,7 +262,7 @@ def test_search_budget_and_resume(tmp_path, capsys):
 def test_search_writes_its_report(tmp_path, capsys):
     checkpoint, report = str(tmp_path / "scan.json"), tmp_path / "report.json"
     code, _, err = run(
-        capsys, "search", "--budget", "20000", "--chunk", "10000",
+        capsys, "search", "--budget", "20000",
         "--checkpoint", checkpoint, "--format", "json", "--out", str(report),
     )
     assert code == 4
@@ -283,6 +283,19 @@ def test_malformed_checkpoint_is_a_validation_error(content, tmp_path, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: checkpoint ")
+
+
+def test_old_format_checkpoint_is_a_validation_error(tmp_path, capsys):
+    # completed and last_combo disagree: resuming this file used to report
+    # "scanned 12" and exit 4 on every run.
+    checkpoint = tmp_path / "scan.json"
+    checkpoint.write_text(json.dumps({
+        "completed": 12, "last_combo": list(range(18, 30)), "found": [], "total": 86493225,
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "search", "--checkpoint", str(checkpoint))
+    assert code == 2
+    assert out == ""
+    assert err == "error: checkpoint %s is in the old last_combo format; start a new one\n" % checkpoint
 
 
 def test_out_into_missing_directory_fails_before_computing(tmp_path, capsys, monkeypatch):

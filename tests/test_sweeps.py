@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from madness import sweeps
 from madness.cubes import build_tableau, mirror_name
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
@@ -27,6 +28,7 @@ from madness.sweeps import (
     InvalidRuleError,
     buildable_mask_table,
     buildable_targets,
+    combination_rows,
     count_max_collections,
     distribution_buildable,
     distribution_for_target,
@@ -37,6 +39,7 @@ from madness.sweeps import (
     slot_table,
     solution_values,
 )
+from madness.universal import conjecture_sets
 
 
 def ids_of_mask(mask):
@@ -46,6 +49,30 @@ def ids_of_mask(mask):
 def test_collection_totals():
     assert TOTAL_COLLECTIONS == comb(30, 8)
     assert USABLE_COLLECTIONS == comb(21, 8)
+
+
+@pytest.mark.parametrize("k", range(8, 13))
+def test_combination_rows_match_itertools_at_every_rank(k):
+    rows = combination_rows(12, k, np.arange(comb(12, k)))
+    assert rows.dtype == np.uint8
+    assert rows.tolist() == [list(c) for c in itertools.combinations(range(12), k)]
+
+
+def test_combination_rows_of_the_twelve_sets():
+    # Ranks 0 and 5,000,000 (a benchmark scan leg's end), 10,236,518 (the
+    # first universal set) and the last, against one pass of itertools.
+    ranks = [0, 5_000_000, 10_236_518]
+    stream = itertools.combinations(range(30), 12)
+    expected, position = [], 0
+    for rank in ranks:
+        expected.append(list(next(itertools.islice(stream, rank - position, None))))
+        position = rank + 1
+    ranks.append(comb(30, 12) - 1)
+    expected.append(list(range(18, 30)))
+    assert combination_rows(30, 12, ranks).tolist() == expected
+    first_universal = min(ids_of_mask(c.mask) for c in conjecture_sets())
+    assert expected[2] == list(first_universal)
+    assert "combination_rows" in sweeps.__all__
 
 
 def test_slot_table_census():

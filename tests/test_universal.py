@@ -6,8 +6,9 @@ from math import comb
 import numpy as np
 import pytest
 
+from madness import __version__
 from madness.cubes import build_tableau, mirror_name
-from madness.reports import EXPECTED_SUBSET_BUILD, EXPECTED_UNIVERSAL_SETS
+from madness.reports import EXPECTED_SUBSET_BUILD, EXPECTED_UNIVERSAL_SETS, data_hash
 from madness.universal import (
     SET_SIZE,
     TOTAL_TWELVE_SETS,
@@ -199,17 +200,14 @@ def test_orbit_report():
 
 def test_search_budget_and_resume(tmp_path):
     path = str(tmp_path / "scan.json")
-    first = exhaustive_search(checkpoint_path=path, budget_combinations=30_000,
-                              chunk_size=10_000)
+    first = exhaustive_search(checkpoint_path=path, budget_combinations=30_000)
     assert not first.finished
     assert first.completed == 30_000
     assert first.found == []
-    second = exhaustive_search(checkpoint_path=path, budget_combinations=30_000,
-                               chunk_size=10_000)
+    second = exhaustive_search(checkpoint_path=path, budget_combinations=30_000)
     assert second.completed == 60_000
-    fresh = exhaustive_search(budget_combinations=60_000, chunk_size=20_000)
+    fresh = exhaustive_search(budget_combinations=60_000)
     assert fresh.completed == second.completed
-    assert fresh.last_combo == second.last_combo
     assert fresh.found == second.found
 
 
@@ -219,16 +217,30 @@ def test_search_time_budget(tmp_path):
     state = exhaustive_search(checkpoint_path=path, budget_seconds=-1.0)
     assert not state.finished
     assert state.completed == 0
-    resumed = exhaustive_search(checkpoint_path=path, budget_combinations=5_000,
-                                chunk_size=5_000)
+    resumed = exhaustive_search(checkpoint_path=path, budget_combinations=5_000)
     assert resumed.completed == 5_000
+
+
+def test_zero_second_budget_stops_before_the_first_chunk():
+    assert exhaustive_search(budget_seconds=0, budget_combinations=1_000).completed == 0
+
+
+def test_resume_from_a_rank_finds_the_first_universal_set(tmp_path):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(dict(GOOD_CHECKPOINT, completed=10_236_000)), encoding="utf-8")
+    state = exhaustive_search(checkpoint_path=str(path), budget_combinations=1_000)
+    assert state.completed == 10_237_000
+    # The first universal set in lexicographic order of cube ids, rank 10,236,518.
+    first = min(conjecture_sets(), key=lambda c: build_tableau().ids_of_mask(c.mask))
+    assert state.found == [first.mask]
 
 
 GOOD_CHECKPOINT = {
     "completed": 12,
-    "last_combo": list(range(SET_SIZE - 1)) + [22],
     "found": [],
     "total": TOTAL_TWELVE_SETS,
+    "version": __version__,
+    "data": data_hash(),
 }
 
 
@@ -239,9 +251,9 @@ GOOD_CHECKPOINT = {
     {"total": 1000},
     {"found": [1.5]},
     {"found": None},
-    {"last_combo": [0, 1, 2]},
-    {"last_combo": list(range(SET_SIZE - 1)) + [30]},
-    {"last_combo": list(reversed(range(SET_SIZE)))},
+    {"version": "0.0.0"},
+    {"data": "0" * 16},
+    {"last_combo": list(range(SET_SIZE))},
     {"extra": 1},
 ])
 def test_malformed_checkpoint_is_rejected(change, tmp_path):
