@@ -10,7 +10,7 @@ handles the cache, --check, rendering and the exit code in one place.
 Reports print as text tables by default; --format csv/json with --out PATH
 writes byte-deterministic files (no timestamps or timings inside).  Heavy
 sweeps cache their payloads under --cache-dir (or $MADNESS_CACHE_DIR),
-keyed by command, version, cube-data hash and parameters.
+keyed by command, version, source hash, cube-data hash and parameters.
 """
 
 from __future__ import annotations

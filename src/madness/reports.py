@@ -3,9 +3,9 @@
 Output files are byte-deterministic: CSV and JSON payloads never contain
 timestamps or timings (the text report prints timing to the terminal only).
 Cached results are keyed by command name, package version, a hash of the
-cube data, and the parameters, so a repeat invocation returns instantly and
-a new version or a change to the underlying cube data invalidates every
-cache entry.
+package's source files, a hash of the cube data, and the parameters, so a
+repeat invocation returns instantly and a new version, a code change or a
+change to the underlying cube data invalidates every cache entry.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import __version__
 from .cubes import build_tableau
@@ -83,6 +84,18 @@ def data_hash(tableau=None):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+@lru_cache(maxsize=1)
+def _source_hash():
+    """Stable hash of the package's own .py files, read once per process."""
+    directory = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Header identifying a report: tool, data, command and parameters."""
@@ -122,7 +135,7 @@ def render_text(fieldnames, rows):
 
 
 class ReportCache:
-    """JSON payload cache in a directory, keyed by (command, version, data, params)."""
+    """JSON payload cache in a directory, keyed by (command, version, source, data, params)."""
 
     def __init__(self, directory):
         self.directory = directory
@@ -131,6 +144,7 @@ class ReportCache:
         entry = {
             "command": command,
             "version": __version__,
+            "source": _source_hash(),
             "data": data_hash(tableau),
             "params": params,
         }

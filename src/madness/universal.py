@@ -139,15 +139,32 @@ def _slot_bits_by_target():
     return bits
 
 
-def _slot_masks(ids_matrix, target):
-    """Slot mask of each row of cube ids for one target: the kernel of every count."""
-    return np.bitwise_or.reduce(_slot_bits_by_target()[target][ids_matrix], axis=1)
+@lru_cache(maxsize=1)
+def _slot_lookup():
+    """(30, 3, 1024) uint32: per target, the slot mask of each 10-bit piece of a cube set."""
+    bits = _slot_bits_by_target().reshape(30, 3, 10)
+    lookup = np.zeros((30, 3, 1024), dtype=np.uint32)
+    for b in range(10):
+        lookup[:, :, 1 << b:2 << b] = lookup[:, :, :1 << b] | bits[:, :, b:b + 1]
+    return lookup
+
+
+def _slot_masks(sets, target):
+    """Slot masks of cube-id bitmasks (uint32) for one target: the kernel of every count."""
+    lookup = _slot_lookup()[target]
+    return lookup[0][sets & 1023] | lookup[1][sets >> 10 & 1023] | lookup[2][sets >> 20]
+
+
+def _bitmasks(ids_matrix):
+    """Cube-id bitmasks (uint32) of rows of cube ids."""
+    return np.bitwise_or.reduce(np.uint32(1) << np.asarray(ids_matrix, dtype=np.uint32), axis=1)
 
 
 def _counts_for_id_matrix(ids_matrix):
     """Buildable counts for rows of cube ids, all rows at once."""
     closed = _buildable_closure()
-    return sum(closed[_slot_masks(ids_matrix, t)].astype(np.int64) for t in range(30))
+    sets = _bitmasks(ids_matrix)
+    return sum(closed[_slot_masks(sets, t)].astype(np.int64) for t in range(30))
 
 
 def _check_size(ids):
@@ -340,14 +357,77 @@ def orbit_and_stabilizer(candidates=None, tableau=None):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive scan of all C(30,12) sets.  Each chunk of consecutive
-# lexicographic ranks is unranked into rows of cube ids and filtered target
-# by target with numpy, so almost every row dies within the first few
-# targets.  A checkpoint file records the rank to resume from, the sets
-# found so far, and the version and cube data that wrote it.
+# Exhaustive scan of all C(30,12) sets, one prefix block at a time.  A block
+# is every 12-set sharing a 5-cube prefix a1<...<a5 (a5 <= 22); its 7-cube
+# suffixes, in lexicographic order, are the last C(29 - a5, 7) entries of one
+# table of the 7-subsets of 5..29.  For the first few targets the suffix slot
+# masks are precomputed, so a block is filtered by ORing the prefix's mask
+# into a slice of them and looking each up in the upward closure, keeping
+# only the survivors.  The survivors of all blocks in a step of at least
+# 250,000 sets are pooled as cube bitmasks and filtered by the other targets
+# together; almost every set dies within the first few targets.  Blocks
+# follow lexicographic order, so the number of sets scanned is the rank of
+# the next set.  After each step a checkpoint file records that rank, the
+# sets found so far, and the version and cube data that wrote it.
 # ---------------------------------------------------------------------------
 
-_CHUNK_SIZE = 250_000
+_PREFIX = 5                      # cubes fixed per block
+_SUFFIX = SET_SIZE - _PREFIX     # cubes varying within a block
+_MASK_COLUMNS = 4                # targets with precomputed suffix slot masks
+_STEP = 250_000                  # sets per step at least: one checkpoint each
+
+
+@dataclass(frozen=True)
+class _ScanTables:
+    suffixes: np.ndarray      # (C(25,7),) uint32: the 7-subsets of 5..29 as cube bitmasks
+    columns: np.ndarray       # (_MASK_COLUMNS, C(25,7)) uint32: their slot masks, first targets
+    prefixes: np.ndarray      # (C(23,5),) uint32: the 5-subsets of 0..22, one per block
+    prefix_masks: np.ndarray  # (_MASK_COLUMNS, C(23,5)) uint32: their slot masks, first targets
+    starts: np.ndarray        # (C(23,5) + 1,) int64: each block's first rank, then the total
+
+
+@lru_cache(maxsize=1)
+def _scan_tables():
+    # The last prefix cube is at least 4, so every suffix is a 7-set of 5..29.
+    # Unranked a slice at a time to keep the int64 scratch small.
+    count = comb(30 - _PREFIX, _SUFFIX)
+    suffixes = np.empty(count, dtype=np.uint32)
+    for lo in range(0, count, 1 << 16):
+        ranks = np.arange(lo, min(count, lo + (1 << 16)))
+        rows = combination_rows(30 - _PREFIX, _SUFFIX, ranks) + _PREFIX
+        suffixes[lo:lo + len(rows)] = _bitmasks(rows)
+    columns = np.empty((_MASK_COLUMNS, count), dtype=np.uint32)
+    for t in range(_MASK_COLUMNS):
+        columns[t] = _slot_masks(suffixes, t)
+    top = 30 - _SUFFIX
+    prefix_rows = combination_rows(top, _PREFIX, np.arange(comb(top, _PREFIX)))
+    prefixes = _bitmasks(prefix_rows)
+    prefix_masks = np.stack([_slot_masks(prefixes, t) for t in range(_MASK_COLUMNS)])
+    sizes = np.array([comb(29 - a, _SUFFIX) for a in range(top)], dtype=np.int64)[prefix_rows[:, -1]]
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    return _ScanTables(suffixes, columns, prefixes, prefix_masks, starts)
+
+
+def _scan_step(tables, begin, end):
+    """Bitmasks of the universal sets of ranks begin..end-1, in rank order."""
+    closed = _buildable_closure()
+    pieces = []
+    block = int(np.searchsorted(tables.starts, begin, side="right")) - 1
+    while tables.starts[block] < end:
+        start, stop = int(tables.starts[block]), int(tables.starts[block + 1])
+        # The block's suffixes are the last stop - start entries of the table.
+        base = len(tables.suffixes) - (stop - start)
+        lo, hi = base + max(begin, start) - start, base + min(end, stop) - start
+        prefix = tables.prefix_masks[:, block]
+        rows = np.flatnonzero(closed[tables.columns[0, lo:hi] | prefix[0]]) + lo
+        for t in range(1, _MASK_COLUMNS):
+            rows = rows[closed[tables.columns[t, rows] | prefix[t]]]
+        pieces.append(tables.suffixes[rows] | tables.prefixes[block])
+        block += 1
+    sets = np.concatenate(pieces)
+    for t in range(_MASK_COLUMNS, 30):
+        sets = sets[closed[_slot_masks(sets, t)]]
+    return sets.tolist()
 
 
 @dataclass
@@ -383,7 +463,7 @@ def _load_checkpoint(path):
         and type(raw["total"]) is int
         and raw["total"] == TOTAL_TWELVE_SETS
         and isinstance(found, list)
-        and all(type(mask) is int for mask in found)
+        and all(type(m) is int and 0 <= m < 1 << 30 and m.bit_count() == SET_SIZE for m in found)
     ):
         raise CheckpointError(f"checkpoint {path} does not hold a scan state of the C(30,12) sets")
     if raw["version"] != __version__:
@@ -420,10 +500,10 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_sec
     Returns a SearchState; ``finished`` tells whether the space is exhausted
     (otherwise a budget ran out and the checkpoint records the resume
     point).  The scan stops after exactly ``budget_combinations`` sets, or
-    before the first chunk that starts after ``budget_seconds``.  With no
-    budget the full scan takes about half a minute.
+    before the first step (at least 250,000 sets, up to a block boundary)
+    that starts after ``budget_seconds``.  With no budget the full scan
+    takes about three seconds.
     """
-    closed = _buildable_closure()
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = _load_checkpoint(checkpoint_path)
     else:
@@ -437,14 +517,11 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_sec
     while state.completed < stop:
         if deadline is not None and time.monotonic() >= deadline:
             break
-        end = min(stop, state.completed + _CHUNK_SIZE)
-        rows = combination_rows(30, SET_SIZE, np.arange(state.completed, end))
-        for t in range(30):
-            rows = rows[closed[_slot_masks(rows, t)]]
-            if len(rows) == 0:
-                break
-        bits = np.int64(1) << rows.astype(np.int64)
-        state.found.extend(np.bitwise_or.reduce(bits, axis=1).tolist())
+        tables = _scan_tables()
+        # A step runs to the first block boundary at least _STEP sets on.
+        after = np.searchsorted(tables.starts, min(state.completed + _STEP, state.total))
+        end = min(stop, int(tables.starts[after]))
+        state.found.extend(_scan_step(tables, state.completed, end))
         state.completed = end
         if checkpoint_path:
             _store_checkpoint(checkpoint_path, state)

@@ -16,7 +16,6 @@ verified table gives 449,580; the published one gives 407,442.
 """
 
 import itertools
-import os
 import random
 from collections import Counter
 
@@ -366,10 +365,6 @@ def test_criterion_10_structural_invariants():
         )
 
 
-@pytest.mark.skipif(
-    os.environ.get("MADNESS_FULL_SCAN") != "1",
-    reason="full C(30,12) scan takes ~30 seconds; set MADNESS_FULL_SCAN=1 to run",
-)
 def test_criterion_11_exhaustive_twelve_set_scan():
     state = exhaustive_search()
     assert state.finished

@@ -210,6 +210,14 @@ def test_cache_entry_of_another_version_misses(tmp_path, monkeypatch):
     assert cache.load("table2", {}) is None
 
 
+def test_cache_entry_of_other_source_code_misses(tmp_path, monkeypatch):
+    cache = ReportCache(str(tmp_path))
+    cache.store("table2", {}, {"counts": {}})
+    assert cache.load("table2", {}) == {"counts": {}}
+    monkeypatch.setattr(reports, "_source_hash", lambda: "0" * 16)
+    assert cache.load("table2", {}) is None
+
+
 def test_sample_csv_deterministic(tmp_path, capsys):
     argv = ("sample", "--k", "12", "--n", "50", "--seed", "3", "--format", "csv")
     code, out, _ = run(capsys, *argv)
@@ -283,6 +291,20 @@ def test_malformed_checkpoint_is_a_validation_error(content, tmp_path, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: checkpoint ")
+
+
+def test_checkpoint_with_a_foreign_mask_is_a_validation_error(tmp_path, capsys):
+    # -1 and 7 are not 12-cube sets: resuming this file used to list a
+    # 30-cube and a 3-cube "universal set" and exit 4.
+    checkpoint = tmp_path / "scan.json"
+    checkpoint.write_text(json.dumps({
+        "completed": 12, "found": [-1, 7], "total": 86493225,
+        "version": madness.__version__, "data": reports.data_hash(),
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "search", "--budget", "0", "--checkpoint", str(checkpoint), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: checkpoint %s does not hold a scan state of the C(30,12) sets\n" % checkpoint
 
 
 def test_old_format_checkpoint_is_a_validation_error(tmp_path, capsys):

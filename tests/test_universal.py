@@ -6,9 +6,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from madness import __version__
+from madness import __version__, universal
 from madness.cubes import build_tableau, mirror_name
 from madness.reports import EXPECTED_SUBSET_BUILD, EXPECTED_UNIVERSAL_SETS, data_hash
+from madness.sweeps import combination_rows
 from madness.universal import (
     SET_SIZE,
     TOTAL_TWELVE_SETS,
@@ -251,6 +252,9 @@ GOOD_CHECKPOINT = {
     {"total": 1000},
     {"found": [1.5]},
     {"found": None},
+    {"found": [-1]},
+    {"found": [7]},
+    {"found": [1 << 30]},
     {"version": "0.0.0"},
     {"data": "0" * 16},
     {"last_combo": list(range(SET_SIZE))},
@@ -263,6 +267,76 @@ def test_malformed_checkpoint_is_rejected(change, tmp_path):
         exhaustive_search(checkpoint_path=str(path), budget_combinations=0)
     path.write_text(json.dumps(GOOD_CHECKPOINT), encoding="utf-8")
     assert exhaustive_search(checkpoint_path=str(path), budget_combinations=0).completed == 12
+
+
+def _reference_scan(begin, end):
+    """Universal sets among ranks begin..end-1: every set against all 30 targets.
+
+    Unranks each set and ORs the slot bits of its 12 cubes per target, with
+    no prefix blocks, precomputed columns or bitmask lookups.
+    """
+    rows = combination_rows(30, SET_SIZE, np.arange(begin, end))
+    bits, closed = universal._slot_bits_by_target(), universal._buildable_closure()
+    keep = np.ones(len(rows), dtype=bool)
+    for t in range(30):
+        keep &= closed[np.bitwise_or.reduce(bits[t][rows], axis=1)]
+    return [sum(1 << int(c) for c in row) for row in rows[keep]]
+
+
+def _lexicographic_rank(ids, n=30):
+    """Rank of a sorted combination of range(n) among those of its size."""
+    rank, k = 0, len(ids)
+    for i, c in enumerate(ids):
+        low = ids[i - 1] + 1 if i else 0
+        rank += sum(comb(n - 1 - v, k - 1 - i) for v in range(low, c))
+    return rank
+
+
+def _scan_window(tmp_path, begin, end):
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(dict(GOOD_CHECKPOINT, completed=begin)), encoding="utf-8")
+    return exhaustive_search(checkpoint_path=str(path), budget_combinations=end - begin)
+
+
+@pytest.mark.parametrize("permissive", [False, True])
+@pytest.mark.parametrize("begin, end", [
+    (0, 3_000),
+    (480_700 - 2_000, 480_700 + 2_000),              # the end of the first, largest block
+    (10_236_000, 10_240_000),                        # the first universal set
+    (TOTAL_TWELVE_SETS - 3_000, TOTAL_TWELVE_SETS),  # the one-set blocks at the end
+])
+def test_block_kernel_matches_the_reference_scan(begin, end, permissive, tmp_path, monkeypatch):
+    if permissive:
+        # Universal sets are too rare to show a skipped set or target; with a
+        # closure that passes 90 % of slot masks a few percent of all sets
+        # pass every target, so every stage and block edge shows in ``found``.
+        closure = np.random.default_rng(7).random(1 << 21) < 0.9
+        monkeypatch.setattr(universal, "_buildable_closure", lambda: closure)
+    expected = _reference_scan(begin, end)
+    assert len(expected) > 50 if permissive else len(expected) <= 1
+    state = _scan_window(tmp_path, begin, end)
+    assert state.completed == end
+    assert state.found == expected
+
+
+def test_block_kernel_finds_each_universal_set_from_inside_its_block(tmp_path):
+    tableau = build_tableau()
+    for candidate in conjecture_sets(tableau):
+        rank = _lexicographic_rank(tableau.ids_of_mask(candidate.mask))
+        assert tuple(combination_rows(30, SET_SIZE, [rank])[0]) == tableau.ids_of_mask(candidate.mask)
+        begin, end = max(0, rank - 500), min(TOTAL_TWELVE_SETS, rank + 500)
+        state = _scan_window(tmp_path, begin, end)
+        assert state.found == _reference_scan(begin, end) == [candidate.mask]
+
+
+def test_budgets_that_split_a_block_match_one_run(tmp_path):
+    path = str(tmp_path / "scan.json")
+    exhaustive_search(checkpoint_path=path, budget_combinations=5_000_000)
+    split = exhaustive_search(checkpoint_path=path, budget_combinations=5_236_519)
+    fresh = exhaustive_search(budget_combinations=10_236_519)
+    assert split.completed == fresh.completed == 10_236_519
+    assert split.found == fresh.found
+    assert len(fresh.found) == 1
 
 
 def test_search_space_size():
