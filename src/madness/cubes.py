@@ -29,7 +29,6 @@ from functools import cached_property, lru_cache
 __all__ = [
     "COLORS",
     "FACE_LETTERS",
-    "FACE_COUNT",
     "OPPOSITE_FACE",
     "ROTATIONS",
     "ROTATION_SET",
@@ -66,7 +65,6 @@ COLORS = (1, 2, 3, 4, 5, 6)
 # Face indices.  U/D on the z axis, N/S on the y axis, E/W on the x axis.
 U, D, N, E, S, W = range(6)
 FACE_LETTERS = "UDNESW"
-FACE_COUNT = 6
 OPPOSITE_FACE = (D, U, S, W, N, E)
 
 _FACE_DIRECTION = {
@@ -199,8 +197,9 @@ def canonical_coloring(coloring):
 # negative, i.e. when i has an even number of set bits.  For odd popcount the
 # last two faces are swapped.  (Check the all-plus corner 7: from outside,
 # E -> U -> N is clockwise.)  Reversing the triple would read every corner
-# with the opposite chirality; the tableau bootstrap below tries the flipped
-# convention if the primary one fails to match the reference data.
+# with the opposite chirality, and the reference data would then name every
+# coloring after its mirror; so the tableau bootstrap accepts this reading
+# convention only.
 # ---------------------------------------------------------------------------
 
 
@@ -211,7 +210,6 @@ _CORNER_FACES = tuple(
     (x, y, z) if bin(i).count("1") % 2 == 0 else (x, z, y)
     for i, (x, y, z) in enumerate(CELL_FACES)
 )
-_CORNER_FACES_FLIPPED = tuple(tuple(reversed(order)) for order in _CORNER_FACES)
 
 
 def canonical_corner(triple):
@@ -247,19 +245,18 @@ def _all_corner_numbers():
 ALL_CORNER_NUMBERS = _all_corner_numbers()
 
 
-def corners_in_read_order(coloring, flipped=False):
+def corners_in_read_order(coloring):
     """The eight corner numbers of a coloring, indexed by corner 0..7."""
     _check_coloring(coloring)
-    faces = _CORNER_FACES_FLIPPED if flipped else _CORNER_FACES
     return tuple(
         canonical_corner((coloring[f0], coloring[f1], coloring[f2]))
-        for f0, f1, f2 in faces
+        for f0, f1, f2 in _CORNER_FACES
     )
 
 
-def corner_numbers(coloring, flipped=False):
+def corner_numbers(coloring):
     """The corner-number set of a coloring (eight distinct values)."""
-    return frozenset(corners_in_read_order(coloring, flipped))
+    return frozenset(corners_in_read_order(coloring))
 
 
 def mirror_name(name):
@@ -419,14 +416,12 @@ class Tableau:
     Ids 0..29 follow tableau reading order (Ab, Ac, Ad, Ae, Af, Ba, Bc, ...).
     """
 
-    def __init__(self, cubes, corner_read_flipped):
+    def __init__(self, cubes):
         self.cubes = tuple(cubes)
-        self.corner_read_flipped = corner_read_flipped
         self.by_name = {c.name: c for c in self.cubes}
         # Every one of the 720 face colorings, not only the canonical ones,
         # so that recoloring is one lookup.
         self.by_coloring = {rotate(c.coloring, p): c for c in self.cubes for p in ROTATIONS}
-        self.by_corner_set = {c.corner_set: c for c in self.cubes}
 
     def cube(self, key):
         """Look up a cube by name, id or Cube instance."""
@@ -502,19 +497,19 @@ def _generate_cube_classes():
     return classes
 
 
-def _match_reference(classes, flipped):
-    """Name each canonical coloring via its corner set, or return None."""
+def _match_reference(classes):
+    """Name each canonical coloring via its corner set."""
     by_set = {frozenset(v): k for k, v in REFERENCE_CORNERS.items()}
     if len(by_set) != 30:
         raise TableauBuildError("reference corner rows are not pairwise distinct")
     named = {}
     for canon in classes:
-        corners = corners_in_read_order(canon, flipped)
-        if len(set(corners)) != 8:
-            return None
+        corners = corners_in_read_order(canon)
         name = by_set.get(frozenset(corners))
-        if name is None or name in named:
-            return None
+        if len(set(corners)) != 8 or name is None or name in named:
+            raise TableauBuildError(
+                f"coloring {canon} matches no unclaimed reference corner set"
+            )
         named[name] = (canon, corners)
     return named
 
@@ -544,27 +539,18 @@ def build_tableau():
     """Generate the 30 cubes from scratch and bind them to their names.
 
     The 720 face bijections are canonicalized into rotation classes; each
-    class is matched to a reference row by its corner set.  If the primary
-    clockwise reading convention leaves any class unmatched, the flipped
-    convention is tried once; a second failure aborts.
+    class is matched to a reference row by its corner set, read clockwise.
+    A class left unmatched raises TableauBuildError.
     """
     classes = _generate_cube_classes()
     if len(classes) != 30 or set(classes.values()) != {24}:
         raise TableauBuildError(
             f"expected 30 rotation classes of size 24, got {len(classes)}"
         )
-    flipped = False
-    named = _match_reference(classes, flipped)
-    if named is None:
-        flipped = True
-        named = _match_reference(classes, flipped)
-    if named is None:
-        raise TableauBuildError(
-            "generated corner sets match the reference under neither chirality"
-        )
+    named = _match_reference(classes)
     cubes = [
         Cube(name=name, id=i, coloring=named[name][0], corners=named[name][1])
         for i, name in enumerate(CUBE_NAMES)
     ]
     _validate(cubes)
-    return Tableau(cubes, corner_read_flipped=flipped)
+    return Tableau(cubes)

@@ -5,7 +5,9 @@ timestamps or timings (the text report prints timing to the terminal only).
 Cached results are keyed by command name, package version, a hash of the
 package's source files, a hash of the cube data, and the parameters, so a
 repeat invocation returns instantly and a new version, a code change or a
-change to the underlying cube data invalidates every cache entry.
+change to the underlying cube data invalidates every cache entry.  Each
+entry also holds a sha256 of its payload, so an entry edited after it was
+written is discarded and recomputed like an unreadable one.
 """
 
 from __future__ import annotations
@@ -152,6 +154,10 @@ class ReportCache:
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         return os.path.join(self.directory, f"{command}-{digest}.json"), key
 
+    @staticmethod
+    def _digest(payload):
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
     def load(self, command, params, tableau=None):
         path, key = self._path(command, params, tableau)
         if not os.path.exists(path):
@@ -161,6 +167,8 @@ class ReportCache:
                 stored = json.load(fh)
             if not isinstance(stored, dict) or stored.get("key") != key:
                 raise ValueError("not an entry for this key")
+            if stored.get("sha256") != self._digest(stored["payload"]):
+                raise ValueError("payload does not match its digest")
             return stored["payload"]
         except (ValueError, KeyError, OSError) as exc:
             log.warning("discarding unreadable cache file %s (%s)", path, exc)
@@ -173,8 +181,9 @@ class ReportCache:
     def store(self, command, params, payload, tableau=None):
         os.makedirs(self.directory, exist_ok=True)
         path, key = self._path(command, params, tableau)
+        entry = {"key": key, "payload": payload, "sha256": self._digest(payload)}
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"key": key, "payload": payload}, fh, sort_keys=True)
+            json.dump(entry, fh, sort_keys=True)
         os.replace(tmp, path)
         return path

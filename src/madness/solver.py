@@ -129,11 +129,6 @@ class TargetGraph:
     cube_of_slot: tuple            # slot -> id
     unusable_ids: frozenset
 
-    @property
-    def unusable_names(self):
-        t = build_tableau()
-        return t.names(self.unusable_ids)
-
     def usable_ids(self):
         return tuple(i for i in range(30) if self.roles[i] != ROLE_UNUSABLE)
 

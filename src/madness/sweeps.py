@@ -15,6 +15,11 @@ cheap remap of slot masks to cube masks, also done with numpy.
 unranks lexicographic k-combinations into uint8 rows, for the slot subsets
 here and for the subset histograms and the C(30,12) scan of the universal
 module.
+
+``buildable_collections`` is the solver-only oracle: it tries each usable
+8-subset of some cubes with ``solution_number`` and never reads the slot
+table.  The direct distribution, ``buildable_targets`` and the direct
+checks of the universal module all run through it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .solver import (
     SLOT_ENDPOINTS,
     TARGET_SLOT,
     VERTEX_COUNT,
+    as_ids,
     build_target_graph,
     classify_edges,
     solution_number,
@@ -50,6 +56,7 @@ __all__ = [
     "InvalidRuleError",
     "VerificationError",
     "combination_rows",
+    "buildable_collections",
     "slot_table",
     "solution_values",
     "distribution_for_target",
@@ -79,12 +86,10 @@ class VerificationError(RuntimeError):
 class SlotTable:
     """Solution numbers of all 8-subsets of the 21 abstract slots.
 
-    ``table`` maps a 21-bit slot mask to its solution number (uint8, zero
-    for masks never touched); ``nonzero_masks``/``nonzero_values`` list the
-    133,680 buildable subsets.
+    ``nonzero_masks`` (21-bit slot masks) and ``nonzero_values`` (their
+    solution numbers) list the 133,680 buildable subsets.
     """
 
-    table: np.ndarray
     nonzero_masks: np.ndarray
     nonzero_values: np.ndarray
 
@@ -193,9 +198,7 @@ def slot_table():
     masks = np.zeros(np.count_nonzero(buildable), dtype=np.uint32)
     for slots in combos[buildable].T:
         masks |= np.uint32(1) << slots.astype(np.uint32)
-    table = np.zeros(1 << SLOT_COUNT, dtype=np.uint8)
-    table[masks] = values[buildable]
-    return SlotTable(table=table, nonzero_masks=masks, nonzero_values=values[buildable])
+    return SlotTable(nonzero_masks=masks, nonzero_values=values[buildable])
 
 
 @dataclass(frozen=True)
@@ -238,22 +241,28 @@ def distribution_for_target(target):
     return SolutionDistribution(target=graph.target.name, counts=slot_table().distribution())
 
 
-def distribution_for_target_direct(target):
-    """Same distribution by classifying each usable 8-set of real cubes.
+def buildable_collections(cube_ids, target, tableau=None):
+    """Yield (ids, solution number) for each 8-subset of ``cube_ids`` that builds ``target``.
 
-    Slow path kept deliberately independent of the slot table; collections
-    with an unusable cube are skipped because their solution number is 0
-    (their incidence matrix has a zero column).
+    The solver-only oracle, independent of the slot table, in lexicographic
+    order of ids.  Subsets with an unusable cube are skipped: their solution
+    number is 0 (their incidence matrix has a zero column).
     """
-    tableau = build_tableau()
+    tableau = tableau or build_tableau()
     graph = build_target_graph(target, tableau)
-    usable = graph.usable_ids()
-    counts = Counter()
+    usable = sorted(set(cube_ids) - graph.unusable_ids)
     for combo in itertools.combinations(usable, 8):
-        value = solution_number(combo, target, tableau)
+        value = solution_number(combo, graph.target, tableau)
         if value:
-            counts[value] += 1
-    return SolutionDistribution(target=graph.target.name, counts=dict(counts))
+            yield combo, value
+
+
+def distribution_for_target_direct(target):
+    """Same distribution by classifying each usable 8-set of real cubes."""
+    tableau = build_tableau()
+    name = tableau.cube(target).name
+    counts = Counter(value for _, value in buildable_collections(range(30), name, tableau))
+    return SolutionDistribution(target=name, counts=dict(counts))
 
 
 @lru_cache(maxsize=None)
@@ -294,8 +303,9 @@ def distribution_buildable():
 def buildable_targets(collection, tableau=None):
     """Names of the targets this collection can build (at most 5)."""
     tableau = tableau or build_tableau()
+    ids = as_ids(collection, tableau)
     names = frozenset(
-        c.name for c in tableau if solution_number(collection, c, tableau) > 0
+        c.name for c in tableau if next(buildable_collections(ids, c, tableau), None)
     )
     if len(names) > 5:
         raise VerificationError("a collection cannot build more than 5 targets")
@@ -467,8 +477,6 @@ def five_target_record(rule, tableau=None, verify=True):
     collection, targets = _apply_rule(rule)
     numbers = {t: solution_number(collection, t, tableau) for t in targets}
     if verify:
-        if any(v == 0 for v in numbers.values()):
-            raise VerificationError(f"rule {rule} produced an unbuildable target")
         actual = buildable_targets(collection, tableau)
         if actual != frozenset(targets):
             raise VerificationError(

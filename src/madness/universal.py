@@ -34,8 +34,8 @@ from .cubes import (
     permutation_cycle_type,
 )
 from .reports import data_hash
-from .solver import SLOT_COUNT, build_target_graph, solution_number
-from .sweeps import VerificationError, combination_rows, slot_table
+from .solver import SLOT_COUNT, as_ids, build_target_graph
+from .sweeps import VerificationError, buildable_collections, combination_rows, slot_table
 
 __all__ = [
     "SET_SIZE",
@@ -167,38 +167,25 @@ def _counts_for_id_matrix(ids_matrix):
     return sum(closed[_slot_masks(sets, t)].astype(np.int64) for t in range(30))
 
 
-def _check_size(ids):
+def _set_ids(cube_set, tableau):
+    """Sorted ids of a cube set (names, ids or a bitmask) of at least 8 distinct cubes."""
+    ids = as_ids(cube_set, tableau, size=None)
     if len(ids) < 8:
         raise SetSizeError(f"a cube set needs at least 8 cubes, got {len(ids)}")
+    return ids
 
 
 def buildable_count(cube_set, tableau=None):
     """How many of the 30 targets some 8-subset of ``cube_set`` builds."""
-    tableau = tableau or build_tableau()
-    ids = tuple(sorted(tableau.cube(k).id for k in cube_set)) if not isinstance(cube_set, int) else tableau.ids_of_mask(cube_set)
-    if len(set(ids)) != len(ids):
-        raise ValueError("cube set contains a repeated cube")
-    _check_size(ids)
+    ids = _set_ids(cube_set, tableau)
     return int(_counts_for_id_matrix(np.array([ids]))[0])
 
 
 def buildable_count_direct(cube_set, tableau=None):
     """Slow oracle: try every 8-subset per target through the solver."""
     tableau = tableau or build_tableau()
-    ids = tuple(sorted(tableau.cube(k).id for k in cube_set))
-    _check_size(ids)
-    count = 0
-    for target in tableau:
-        graph = build_target_graph(target, tableau)
-        usable = [i for i in ids if graph.roles[i] != 0]
-        if len(usable) < 8:
-            continue
-        if any(
-            solution_number(combo, target, tableau) > 0
-            for combo in itertools.combinations(usable, 8)
-        ):
-            count += 1
-    return count
+    ids = _set_ids(cube_set, tableau)
+    return sum(1 for target in tableau if next(buildable_collections(ids, target, tableau), None))
 
 
 @dataclass(frozen=True)
@@ -214,23 +201,19 @@ class TargetAnalysis:
 def per_target_analysis(candidate, tableau=None):
     """Buildable collections within a candidate set, for each of the 30 targets."""
     tableau = tableau or build_tableau()
-    member_ids = [tableau.cube(n).id for n in candidate.names]
+    member_ids = tableau.ids(candidate.names)
     analyses = []
     for target in tableau:
         graph = build_target_graph(target, tableau)
-        usable = [i for i in member_ids if graph.roles[i] != 0]
-        unusable = [i for i in member_ids if graph.roles[i] == 0]
-        collections = []
-        for combo in itertools.combinations(sorted(usable), 8):
-            value = solution_number(combo, target, tableau)
-            if value:
-                collections.append((tableau.names(combo), value))
         analyses.append(
             TargetAnalysis(
                 target=target.name,
                 in_set=target.id in member_ids,
-                unusable_members=tableau.names(unusable),
-                collections=tuple(collections),
+                unusable_members=tableau.names(graph.unusable_ids.intersection(member_ids)),
+                collections=tuple(
+                    (tableau.names(combo), value)
+                    for combo, value in buildable_collections(member_ids, target, tableau)
+                ),
             )
         )
     return analyses
@@ -327,7 +310,6 @@ def orbit_and_stabilizer(candidates=None, tableau=None):
     tableau = tableau or build_tableau()
     candidates = candidates or conjecture_sets(tableau)
     member_sets = [frozenset(tableau.cube(n).id for n in c.names) for c in candidates]
-    orbit = set()
     images_of_first = set()
     stab_orders = []
     stab_types = []
@@ -502,8 +484,13 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_sec
     point).  The scan stops after exactly ``budget_combinations`` sets, or
     before the first step (at least 250,000 sets, up to a block boundary)
     that starts after ``budget_seconds``.  With no budget the full scan
-    takes about three seconds.
+    takes about three seconds.  A negative budget raises ValueError before
+    the checkpoint is read; a budget of 0 scans nothing.
     """
+    if budget_combinations is not None and budget_combinations < 0:
+        raise ValueError(f"a budget of combinations must be at least 0, got {budget_combinations}")
+    if budget_seconds is not None and not budget_seconds >= 0:  # NaN too
+        raise ValueError(f"a budget of seconds must be at least 0, got {budget_seconds}")
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = _load_checkpoint(checkpoint_path)
     else:

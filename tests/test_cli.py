@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import madness
-from madness import reports
+from madness import cli, reports
 from madness.cli import main
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
@@ -144,16 +145,28 @@ def test_table2_check(tmp_path, capsys):
     assert lines[-1].startswith("5,360,0.0001")
 
 
-def test_five_targets_check(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    code, out, _ = run(
-        capsys, "five-targets", "--check", "--cache-dir", cache, "--format", "csv",
-    )
+def test_five_targets_check(tmp_path, capsys, monkeypatch):
+    argv = ("five-targets", "--check", "--cache-dir", str(tmp_path / "cache"), "--format", "csv")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     lines = out.strip().split("\n")
     assert len(lines) == 361
     assert lines[0].startswith("cube1,cube2")
     assert any("Db" in line and "De" in line for line in lines[1:])
+    # The rule was compared with the census when the payload was computed;
+    # a cache hit must not run the census again.
+    monkeypatch.setattr(cli, "distribution_buildable", lambda: pytest.fail("census run on a cache hit"))
+    assert run(capsys, *argv) == (0, out, "")
+
+
+def test_five_targets_rule_census_disagreement_exits_3(tmp_path, capsys, monkeypatch):
+    dist, five_masks = cli.distribution_buildable()
+    monkeypatch.setattr(cli, "distribution_buildable", lambda: (dist, five_masks[1:]))
+    cache = tmp_path / "cache"
+    code, out, err = run(capsys, "five-targets", "--cache-dir", str(cache))
+    assert (code, out) == (3, "")
+    assert err.startswith("verification failed: ") and err.count("\n") == 1
+    assert list(cache.glob("*")) == []
 
 
 def test_universal_check_and_out_dir(tmp_path, capsys):
@@ -187,18 +200,35 @@ def test_out_files_byte_identical_across_cache_hit(tmp_path, capsys):
 
 
 def test_corrupted_cache_is_recovered(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    assert run(capsys, "table1", "--cache-dir", cache)[0] == 0
-    (entry,) = os.listdir(cache)
-    # Not JSON, and JSON that is not an object: both are discarded and recomputed.
-    for content in ("not json {", "[1,2]"):
-        with open(os.path.join(cache, entry), "w", encoding="utf-8") as fh:
-            fh.write(content)
-        code, out, _ = run(capsys, "table1", "--check", "--cache-dir", cache, "--format", "json")
+    # Not JSON, JSON that is not an object, and a payload edited under its
+    # own key (a wrong count; a count that is not a number): each entry is
+    # discarded and recomputed.
+    edits = [
+        ("table1", EXPECTED_SOLUTION_DISTRIBUTION, lambda text: "not json {"),
+        ("table1", EXPECTED_SOLUTION_DISTRIBUTION, lambda text: "[1,2]"),
+        ("table1", EXPECTED_SOLUTION_DISTRIBUTION, lambda text: text.replace("93000", "93001")),
+        (
+            "table2",
+            EXPECTED_BUILDABLE_DISTRIBUTION,
+            lambda text: re.sub(r'"counts": \{[^}]*\}', '"counts": {"0": "x"}', text),
+        ),
+    ]
+    for command, expected, edit in edits:
+        cache = str(tmp_path / command)
+        if not os.path.isdir(cache):
+            assert run(capsys, command, "--cache-dir", cache)[0] == 0
+        (entry,) = os.listdir(cache)
+        path = os.path.join(cache, entry)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert edit(text) != text
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(edit(text))
+        code, out, _ = run(capsys, command, "--check", "--cache-dir", cache, "--format", "json")
         assert code == 0
         counts = json.loads(out)["payload"]["counts"]
-        assert {int(k): v for k, v in counts.items()} == EXPECTED_SOLUTION_DISTRIBUTION
-        with open(os.path.join(cache, entry), encoding="utf-8") as fh:
+        assert {int(k): v for k, v in counts.items()} == expected
+        with open(path, encoding="utf-8") as fh:
             assert json.load(fh)["payload"]["counts"] == counts
 
 
@@ -280,6 +310,21 @@ def test_search_writes_its_report(tmp_path, capsys):
     assert doc["payload"] == {
         "completed": 20000, "total": 86493225, "finished": False, "found": [],
     }
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--budget", "-5"), ("--budget-seconds", "-5"), ("--budget-seconds", "nan")]
+)
+def test_bad_budget_is_a_validation_error(flag, value, tmp_path, capsys):
+    # Rejected before the checkpoint is read: a malformed one is left as it is.
+    # A NaN deadline would never pass, so it would ignore the time budget.
+    checkpoint = tmp_path / "scan.json"
+    checkpoint.write_text("[1,2]", encoding="utf-8")
+    code, out, err = run(capsys, "search", flag, value, "--checkpoint", str(checkpoint))
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: a budget of ") and value in err
+    assert checkpoint.read_text(encoding="utf-8") == "[1,2]"
 
 
 @pytest.mark.parametrize("content", ["[1,2]", '{"completed": "x"}'])

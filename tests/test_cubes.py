@@ -109,7 +109,6 @@ def test_tableau_bootstrap():
     assert len(t) == 30
     assert tuple(c.name for c in t) == CUBE_NAMES
     assert tuple(c.id for c in t) == tuple(range(30))
-    assert t.corner_read_flipped is False
     for cube in t:
         assert cube.coloring == canonical_coloring(cube.coloring)
         assert cube.corners == corners_in_read_order(cube.coloring)

@@ -214,8 +214,8 @@ def test_search_budget_and_resume(tmp_path):
 
 def test_search_time_budget(tmp_path):
     path = str(tmp_path / "scan.json")
-    # an already-expired deadline: the scan must stop before the first chunk
-    state = exhaustive_search(checkpoint_path=path, budget_seconds=-1.0)
+    # a zero budget is expired at once: the scan must stop before the first step
+    state = exhaustive_search(checkpoint_path=path, budget_seconds=0)
     assert not state.finished
     assert state.completed == 0
     resumed = exhaustive_search(checkpoint_path=path, budget_combinations=5_000)
