@@ -403,6 +403,19 @@ def test_sample_count_must_be_positive(n, capsys):
     assert err == "error: number of samples n must be at least 1, got %s\n" % n
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+        # an allocation this size is refused at once, touching no memory
+        ("--n", str(10**15), "1000000000000000 samples of 12 cubes do not fit in memory"),
+    ],
+)
+def test_sample_bad_seed_or_size_is_one_line(flag, value, message, capsys):
+    code, out, err = run(capsys, "sample", "--k", "12", flag, value)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_console_script_entry_point():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -169,6 +169,45 @@ def test_sample_sets_validation():
         sample_sets(31, 5, 1)
     with pytest.raises(SampleCountError):
         sample_sets(12, 0, 1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        sample_sets(12, 5, -1)
+
+
+def _reference_sample(k, seed, index):
+    """The stream sample_sets reproduces: numpy's generator, one integers() draw per position."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    ids = list(range(30))
+    for i in range(k):
+        j = int(rng.integers(i, 30))
+        ids[i], ids[j] = ids[j], ids[i]
+    return sorted(ids[:k])
+
+
+@pytest.mark.parametrize("k", [8, 12, 29, 30])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 1, 2**64 + 5, 2**130 + 11])
+def test_sample_sets_matches_numpy_stream(k, seed):
+    # multi-word seeds, and run entropy longer than the pool of four words
+    expected = [_reference_sample(k, seed, index) for index in range(150)]
+    assert sample_sets(k, 150, seed).tolist() == expected
+
+
+def test_sample_sets_redrawn_row():
+    # numpy rejects the first draw of this row and draws again
+    row = sample_sets(12, 10053, 64)[10052].tolist()
+    assert row == _reference_sample(12, 64, 10052)
+    assert row == [0, 1, 4, 8, 9, 13, 14, 18, 19, 21, 26, 28]
+
+
+def test_sample_sets_across_a_block_edge():
+    samples = sample_sets(12, 65537, 3)
+    assert np.array_equal(samples[:10], sample_sets(12, 10, 3))
+    assert samples[65536].tolist() == _reference_sample(12, 3, 65536)
+    # indices past 2**32 add a second spawn-key word
+    seed_words = universal._words(3) + [0, 0, 0]
+    index = np.arange(2**32, 2**32 + 4, dtype=np.uint64)
+    block, redraw = universal._sample_block(12, seed_words, index)
+    assert not redraw.any()
+    assert block.tolist() == [_reference_sample(12, 3, int(i)) for i in index]
 
 
 def test_sample_distribution_statistics():
