@@ -135,6 +135,11 @@ def run_report(report, args):
     params = report.params(args)
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError("--out directory %s does not exist" % os.path.dirname(args.out))
+    if args.out and os.path.isdir(args.out):
+        raise ValueError("--out %s is a directory" % args.out)
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ValueError("--out-dir %s is not a directory" % out_dir)
     cache = None
     if report.cached and not args.no_cache:
         cache = ReportCache(args.cache_dir or _default_cache_dir())
@@ -148,10 +153,10 @@ def run_report(report, args):
         if failure:
             print("check FAILED: %s" % failure, file=sys.stderr)
             return EXIT_VERIFICATION
-    if getattr(args, "out_dir", None):
-        os.makedirs(args.out_dir, exist_ok=True)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
         for name, body in report.files(payload).items():
-            _write(os.path.join(args.out_dir, name), body)
+            _write(os.path.join(out_dir, name), body)
     _write(args.out, _render(report, args, params, payload))
     if args.format == "text" and not args.out:
         print("computed in %.2fs" % (time.monotonic() - started))

@@ -11,6 +11,15 @@ each corner's adjacency as an 8-bit row, closed under reachability, read
 off as components, trees and solution numbers.  Per-target work is then a
 cheap remap of slot masks to cube masks, also done with numpy.
 
+Table 2 counts, for each collection, how many targets it builds.  The 30
+targets' cube masks are sorted into one array, so each collection that some
+target builds is a run of equal masks, of length L at most 5.  With
+r_0 = len(masks) and r_j = #{i : masks[i + j] == masks[i]}, a run of length
+L adds max(0, L - j) to r_j.  The second difference of that hinge picks out
+the runs of length exactly j: there are r_(j-1) - 2 r_j + r_(j+1) of them,
+the distinct masks number r_0 - r_1, and r_5 = 0 says that no collection
+builds six targets.
+
 ``combination_rows`` is the package's one combination enumerator: it
 unranks lexicographic k-combinations into uint8 rows, for the slot subsets
 here and for the subset histograms and the C(30,12) scan of the universal
@@ -265,17 +274,55 @@ def distribution_for_target_direct(target):
     return SolutionDistribution(target=name, counts=dict(counts))
 
 
-@lru_cache(maxsize=None)
+def _subset_or_table(bits):
+    """OR of every subset of the last axis of ``bits``: (..., b) -> (..., 2**b).
+
+    Entry m of a row is the OR of the row's ``bits[i]`` over the set bits i
+    of m, built by doubling.  Pieces of a mask index these tables, so a remap
+    of many masks costs one take and one OR per piece.
+    """
+    width = bits.shape[-1]
+    table = np.zeros(bits.shape[:-1] + (1 << width,), dtype=bits.dtype)
+    for b in range(width):
+        table[..., 1 << b : 2 << b] = table[..., : 1 << b] | bits[..., b : b + 1]
+    return table
+
+
+_SLOT_PIECE = 7    # the 21 slot bits, as three 7-bit pieces
+
+
+def _cube_masks(targets):
+    """(len(targets), 133,680) uint32: the cube masks of the buildable slot masks.
+
+    Targets are given by name, id or Cube.  Row t remaps the slot table's
+    nonzero masks through target t's ``cube_of_slot``: each 21-bit slot mask
+    is cut into three 7-slot pieces, each piece looked up in a 128-entry
+    table of cube bits, and the three looked-up values ORed into the row in
+    place.
+    """
+    tableau = build_tableau()
+    slots = slot_table().nonzero_masks
+    # As intp, the pieces index every row's tables with no cast per lookup.
+    pieces = [
+        ((slots >> (_SLOT_PIECE * i)) & ((1 << _SLOT_PIECE) - 1)).astype(np.intp)
+        for i in range(3)
+    ]
+    cube_bits = np.uint32(1) << np.array(
+        [build_target_graph(t, tableau).cube_of_slot for t in targets],
+        dtype=np.uint32,
+    )
+    lookup = _subset_or_table(cube_bits.reshape(-1, 3, _SLOT_PIECE))
+    masks = np.empty((len(targets), len(slots)), dtype=np.uint32)
+    for row, tables in zip(masks, lookup):
+        np.take(tables[0], pieces[0], out=row)
+        row |= tables[1][pieces[1]]
+        row |= tables[2][pieces[2]]
+    return masks
+
+
 def buildable_mask_table(target_name):
     """(cube masks, solution numbers) of all buildable collections for one target."""
-    graph = build_target_graph(target_name)
-    st = slot_table()
-    shifts = np.asarray(graph.cube_of_slot, dtype=np.uint32)
-    masks = np.zeros(st.nonzero_masks.shape, dtype=np.uint32)
-    for slot in range(SLOT_COUNT):
-        present = (st.nonzero_masks >> np.uint32(slot)) & np.uint32(1)
-        masks |= present << shifts[slot]
-    return masks, st.nonzero_values
+    return _cube_masks([target_name])[0], slot_table().nonzero_values
 
 
 def distribution_buildable():
@@ -284,29 +331,42 @@ def distribution_buildable():
     Returns (distribution dict count -> collections, five-target cube masks
     sorted ascending).  A collection's buildable count is how many of the 30
     targets it can build; the five-target masks are the maximum achievers.
+    All 30 targets' cube masks are sorted in one array, in place; the runs
+    of equal masks are the collections, and the run-count identity of the
+    module docstring reads the distribution off five shifted compares.
     """
-    tableau = build_tableau()
-    all_masks = np.concatenate(
-        [buildable_mask_table(c.name)[0] for c in tableau]
-    )
-    masks, per_mask = np.unique(all_masks, return_counts=True)
-    top = int(per_mask.max())
-    if top > 5:
+    masks = _cube_masks(build_tableau()).ravel()
+    masks.sort()
+    repeats = [len(masks)] + [
+        int(np.count_nonzero(masks[j:] == masks[:-j])) for j in range(1, 6)
+    ]
+    if repeats[5]:
+        starts = np.flatnonzero(np.concatenate(([True], masks[1:] != masks[:-1])))
+        top = int(np.diff(np.append(starts, len(masks))).max())
         raise VerificationError(f"a collection builds {top} targets; expected at most 5")
-    values, counts = np.unique(per_mask, return_counts=True)
-    distribution = {int(v): int(c) for v, c in zip(values, counts)}
-    distribution[0] = TOTAL_COLLECTIONS - len(masks)
-    five_masks = masks[per_mask == 5]
-    return distribution, np.sort(five_masks)
+    repeats.append(0)
+    distribution = {}
+    for j in range(1, 6):
+        exactly = repeats[j - 1] - 2 * repeats[j] + repeats[j + 1]
+        if exactly:
+            distribution[j] = exactly
+    distribution[0] = TOTAL_COLLECTIONS - (repeats[0] - repeats[1])
+    return distribution, masks[:-4][masks[4:] == masks[:-4]]
+
+
+def _target_numbers(ids, tableau):
+    """Target name -> solution number, for each target the 8 cubes ``ids`` build."""
+    numbers = {}
+    for c in tableau:
+        for _, value in buildable_collections(ids, c, tableau):
+            numbers[c.name] = value
+    return numbers
 
 
 def buildable_targets(collection, tableau=None):
     """Names of the targets this collection can build (at most 5)."""
     tableau = tableau or build_tableau()
-    ids = as_ids(collection, tableau)
-    names = frozenset(
-        c.name for c in tableau if next(buildable_collections(ids, c, tableau), None)
-    )
+    names = frozenset(_target_numbers(as_ids(collection, tableau), tableau))
     if len(names) > 5:
         raise VerificationError("a collection cannot build more than 5 targets")
     return names
@@ -475,13 +535,17 @@ def five_target_record(rule, tableau=None, verify=True):
     """Instantiate one rule and (optionally) verify it solves as promised."""
     tableau = tableau or build_tableau()
     collection, targets = _apply_rule(rule)
-    numbers = {t: solution_number(collection, t, tableau) for t in targets}
     if verify:
-        actual = buildable_targets(collection, tableau)
-        if actual != frozenset(targets):
+        # One solver pass over all 30 targets both checks the promise and
+        # gives the promised targets' solution numbers.
+        found = _target_numbers(as_ids(collection, tableau), tableau)
+        if set(found) != set(targets):
             raise VerificationError(
-                f"rule {rule} promises targets {targets}, engine finds {sorted(actual)}"
+                f"rule {rule} promises targets {targets}, engine finds {sorted(found)}"
             )
+        numbers = {t: found[t] for t in targets}
+    else:
+        numbers = {t: solution_number(collection, t, tableau) for t in targets}
     return FiveTargetRecord(
         rule=rule,
         collection=collection,

@@ -35,7 +35,13 @@ from .cubes import (
 )
 from .reports import data_hash
 from .solver import SLOT_COUNT, as_ids, build_target_graph
-from .sweeps import VerificationError, buildable_collections, combination_rows, slot_table
+from .sweeps import (
+    VerificationError,
+    _subset_or_table,
+    buildable_collections,
+    combination_rows,
+    slot_table,
+)
 
 __all__ = [
     "SET_SIZE",
@@ -142,11 +148,7 @@ def _slot_bits_by_target():
 @lru_cache(maxsize=1)
 def _slot_lookup():
     """(30, 3, 1024) uint32: per target, the slot mask of each 10-bit piece of a cube set."""
-    bits = _slot_bits_by_target().reshape(30, 3, 10)
-    lookup = np.zeros((30, 3, 1024), dtype=np.uint32)
-    for b in range(10):
-        lookup[:, :, 1 << b:2 << b] = lookup[:, :, :1 << b] | bits[:, :, b:b + 1]
-    return lookup
+    return _subset_or_table(_slot_bits_by_target().reshape(30, 3, 10))
 
 
 def _slot_masks(sets, target):

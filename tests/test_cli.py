@@ -385,6 +385,29 @@ def test_unwritable_out_is_a_validation_error(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def _compute_nothing(*args):
+    raise AssertionError("computed before checking the output paths")
+
+
+def test_out_that_is_a_directory_fails_before_computing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("madness.cli.distribution_buildable", _compute_nothing)
+    cache = tmp_path / "cache"
+    code, out, err = run(capsys, "table2", "--out", str(tmp_path), "--cache-dir", str(cache))
+    assert (code, out, err) == (2, "", "error: --out %s is a directory\n" % tmp_path)
+    assert not cache.exists()
+
+
+def test_out_dir_that_is_a_file_fails_before_computing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("madness.cli.conjecture_sets", _compute_nothing)
+    cache = tmp_path / "cache"
+    out_dir = tmp_path / "reports"
+    out_dir.write_text("not a directory\n")
+    code, out, err = run(capsys, "universal", "--out-dir", str(out_dir), "--cache-dir", str(cache))
+    assert (code, out, err) == (2, "", "error: --out-dir %s is not a directory\n" % out_dir)
+    assert not cache.exists()
+    assert out_dir.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("where", ["", "missing/scan.json"], ids=["directory", "missing-directory"])
 def test_unusable_checkpoint_path_is_a_validation_error(where, tmp_path, capsys):
     checkpoint = tmp_path / where

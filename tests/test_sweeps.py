@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -17,6 +18,7 @@ from madness.solver import (
     SLOT_COUNT,
     SLOT_ENDPOINTS,
     TARGET_SLOT,
+    build_target_graph,
     classify_edges,
     solution_number,
     solution_number_formula,
@@ -130,6 +132,71 @@ def test_buildable_mask_table_spot_checks():
         mask = sum(1 << i for i in ids)
         expect = solution_number(ids, "Ba", t)
         assert (mask in lookup) == (expect > 0)
+
+
+def test_buildable_mask_table_matches_the_per_slot_remap():
+    slots = slot_table().nonzero_masks
+    for target in build_tableau():
+        shifts = np.asarray(build_target_graph(target).cube_of_slot, dtype=np.uint32)
+        expected = np.zeros(slots.shape, dtype=np.uint32)
+        for slot in range(SLOT_COUNT):
+            expected |= ((slots >> np.uint32(slot)) & np.uint32(1)) << shifts[slot]
+        masks, values = buildable_mask_table(target.name)
+        assert masks.dtype == np.uint32
+        assert np.array_equal(masks, expected), target.name
+        assert values is slot_table().nonzero_values
+
+
+def _unique_reference(masks):
+    """distribution_buildable's result by np.unique over the planted masks."""
+    values, per_mask = np.unique(masks, return_counts=True)
+    lengths, collections = np.unique(per_mask, return_counts=True)
+    distribution = {int(k): int(c) for k, c in zip(lengths, collections)}
+    distribution[0] = TOTAL_COLLECTIONS - len(values)
+    return distribution, values[per_mask == 5]
+
+
+def _plant(monkeypatch, rng, repeats):
+    """Make the remap kernel return shuffled masks, mask i repeated repeats[i] times."""
+    values = rng.choice(1 << 30, size=len(repeats), replace=False).astype(np.uint32)
+    planted = np.repeat(values, repeats)
+    rng.shuffle(planted)
+    monkeypatch.setattr(sweeps, "_cube_masks", lambda targets: planted[None, :].copy())
+    return planted
+
+
+@pytest.mark.parametrize(
+    "choices", [(1, 2, 3, 4, 5), (1, 3, 5), (2, 4), (5,)], ids=["all", "odd", "even", "five"]
+)
+def test_run_counting_matches_np_unique(choices, monkeypatch):
+    rng = np.random.default_rng(len(choices))
+    repeats = rng.choice(choices, size=4000)
+    repeats[: len(choices)] = choices    # every choice occurs
+    planted = _plant(monkeypatch, rng, repeats)
+    expected_distribution, expected_five = _unique_reference(planted)
+    distribution, five_masks = distribution_buildable()
+    assert distribution == expected_distribution
+    assert five_masks.dtype == np.uint32
+    assert np.array_equal(five_masks, expected_five)
+
+
+def test_six_targets_is_a_verification_error(monkeypatch):
+    rng = np.random.default_rng(6)
+    _plant(monkeypatch, rng, [1, 6, 3, 2])
+    with pytest.raises(sweeps.VerificationError, match="builds 6 targets"):
+        distribution_buildable()
+
+
+def test_distribution_buildable_memory_peak():
+    slot_table()
+    build_tableau()
+    tracemalloc.start()
+    try:
+        distribution_buildable()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, "peak %.1f MB" % (peak / 2**20)
 
 
 def test_buildable_count_distribution():
