@@ -7,6 +7,8 @@ exhausted before completion.
 
 Every command is a :class:`Report` spec run by :func:`run_report`, which
 handles the cache, --check, rendering and the exit code in one place.
+Each compute imports the numpy modules (sweeps, universal) it calls, so
+``cubes`` and ``solve`` never import numpy.
 Reports print as text tables by default; --format csv/json with --out PATH
 writes byte-deterministic files (no timestamps or timings inside).  Heavy
 sweeps cache their payloads under --cache-dir (or $MADNESS_CACHE_DIR),
@@ -25,7 +27,7 @@ from typing import Callable
 
 from . import __version__, reports
 from .cubes import UnknownCubeError, build_tableau
-from .reports import Envelope, ReportCache
+from .reports import Envelope, ReportCache, VerificationError
 from .solver import (
     as_ids,
     enumerate_arrangements,
@@ -33,22 +35,6 @@ from .solver import (
     solution_number,
     solution_number_permanent,
     solution_number_prime_scan,
-)
-from .sweeps import (
-    VerificationError,
-    distribution_buildable,
-    distribution_for_target,
-    distribution_for_target_direct,
-    five_target_records,
-)
-from .universal import (
-    buildable_count,
-    conjecture_sets,
-    exhaustive_search,
-    orbit_and_stabilizer,
-    per_target_analysis,
-    sample_distribution,
-    subset_build_distribution,
 )
 
 EXIT_OK = 0
@@ -258,6 +244,8 @@ SOLVE = Report(params=_solve_params, compute=_solve_compute, rows=_solve_rows)
 
 
 def _table1_compute(args, params):
+    from .sweeps import distribution_for_target, distribution_for_target_direct
+
     direct = distribution_for_target_direct if args.direct else distribution_for_target
     dist = direct(args.target)
     return {
@@ -286,6 +274,8 @@ TABLE1 = Report(
 
 
 def _table2_compute(args, params):
+    from .sweeps import distribution_buildable
+
     dist, five_masks = distribution_buildable()
     return {
         "counts": {str(k): v for k, v in sorted(dist.items())},
@@ -325,6 +315,8 @@ TABLE2 = Report(
 
 def _five_targets_compute(args, params):
     """The rule's records, checked against the census once per computed payload."""
+    from .sweeps import distribution_buildable, five_target_records
+
     records = five_target_records()
     tableau = build_tableau()
     sweep = {tableau.names_of_mask(int(m)) for m in distribution_buildable()[1]}
@@ -376,6 +368,14 @@ FIVE_TARGETS = Report(
 
 
 def _universal_compute(args, params):
+    from .universal import (
+        buildable_count,
+        conjecture_sets,
+        orbit_and_stabilizer,
+        per_target_analysis,
+        subset_build_distribution,
+    )
+
     tableau = build_tableau()
     candidates = conjecture_sets(tableau)
     report = orbit_and_stabilizer(candidates, tableau)
@@ -459,6 +459,8 @@ UNIVERSAL = Report(
 
 
 def _sample_compute(args, params):
+    from .universal import sample_distribution
+
     stats, counts = sample_distribution(params["k"], params["n"], params["seed"])
     histogram = {str(k): v for k, v in stats.histogram.items()}
     return dict(asdict(stats), histogram=histogram, counts=[int(c) for c in counts])
@@ -488,6 +490,8 @@ SAMPLE = Report(
 
 
 def _search_compute(args, params):
+    from .universal import exhaustive_search
+
     state = exhaustive_search(
         checkpoint_path=args.checkpoint,
         budget_combinations=args.budget,

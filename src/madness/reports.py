@@ -1,4 +1,7 @@
-"""Rendering, expected-value tables, and result caching.
+"""Rendering, expected-value tables, result caching, and VerificationError.
+
+Like ``cubes`` and ``solver``, this module needs no numpy, so the commands
+built on those three alone (``cubes``, ``solve``) never import it.
 
 Output files are byte-deterministic: CSV and JSON payloads never contain
 timestamps or timings (the text report prints timing to the terminal only).
@@ -12,12 +15,14 @@ written is discarded and recomputed like an unreadable one.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import logging
 import os
+import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,9 +40,11 @@ __all__ = [
     "EXPECTED_UNIVERSAL_SETS",
     "Envelope",
     "ReportCache",
+    "VerificationError",
     "data_hash",
     "render_csv",
     "render_text",
+    "write_json",
 ]
 
 # Expected values for --check.  Note the solution-number distribution: the
@@ -74,6 +81,10 @@ EXPECTED_SUBSET_BUILD = {
 EXPECTED_FIVE_TARGET_COUNT = 360
 EXPECTED_MAX_COLLECTIONS = 81
 EXPECTED_UNIVERSAL_SETS = 10
+
+
+class VerificationError(RuntimeError):
+    """A cross-check between independent computations failed."""
 
 
 def data_hash(tableau=None):
@@ -181,9 +192,22 @@ class ReportCache:
     def store(self, command, params, payload, tableau=None):
         os.makedirs(self.directory, exist_ok=True)
         path, key = self._path(command, params, tableau)
-        entry = {"key": key, "payload": payload, "sha256": self._digest(payload)}
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
-        os.replace(tmp, path)
+        write_json(path, {"key": key, "payload": payload, "sha256": self._digest(payload)})
         return path
+
+
+def write_json(path, obj):
+    """Write ``obj`` as sorted-key JSON to ``path`` through a temporary file of its own.
+
+    Concurrent writers of one path never share a temporary file, each
+    replace is atomic, and a failed write leaves no temporary file behind.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

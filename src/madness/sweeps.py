@@ -42,6 +42,7 @@ from math import comb
 import numpy as np
 
 from .cubes import COLUMN_LETTERS, ROW_LETTERS, build_tableau, mirror_name
+from .reports import VerificationError
 from .solver import (
     DIAGONAL_PAIRS,
     SLOT_COUNT,
@@ -85,10 +86,6 @@ USABLE_COLLECTIONS = 203490        # C(21, 8)
 
 class InvalidRuleError(ValueError):
     """A five-target rule violating the 3-column/4-row shape constraints."""
-
-
-class VerificationError(RuntimeError):
-    """A cross-check between independent computations failed."""
 
 
 @dataclass(frozen=True)
@@ -291,28 +288,32 @@ def _subset_or_table(bits):
 _SLOT_PIECE = 7    # the 21 slot bits, as three 7-bit pieces
 
 
-def _cube_masks(targets):
-    """(len(targets), 133,680) uint32: the cube masks of the buildable slot masks.
-
-    Targets are given by name, id or Cube.  Row t remaps the slot table's
-    nonzero masks through target t's ``cube_of_slot``: each 21-bit slot mask
-    is cut into three 7-slot pieces, each piece looked up in a 128-entry
-    table of cube bits, and the three looked-up values ORed into the row in
-    place.
-    """
+@lru_cache(maxsize=1)
+def _cube_of_slot():
+    """(30, 21) read-only: row t is target t's ``cube_of_slot``, the cube id in each slot."""
     tableau = build_tableau()
+    table = np.array([build_target_graph(t, tableau).cube_of_slot for t in tableau])
+    table.flags.writeable = False
+    return table
+
+
+def _cube_masks(target_ids):
+    """(len(target_ids), 133,680) uint32: the cube masks of the buildable slot masks.
+
+    Row t remaps the slot table's nonzero masks through target t's row of
+    ``_cube_of_slot``: each 21-bit slot mask is cut into three 7-slot pieces,
+    each piece looked up in a 128-entry table of cube bits, and the three
+    looked-up values ORed into the row in place.
+    """
     slots = slot_table().nonzero_masks
     # As intp, the pieces index every row's tables with no cast per lookup.
     pieces = [
         ((slots >> (_SLOT_PIECE * i)) & ((1 << _SLOT_PIECE) - 1)).astype(np.intp)
         for i in range(3)
     ]
-    cube_bits = np.uint32(1) << np.array(
-        [build_target_graph(t, tableau).cube_of_slot for t in targets],
-        dtype=np.uint32,
-    )
+    cube_bits = np.uint32(1) << _cube_of_slot()[target_ids].astype(np.uint32)
     lookup = _subset_or_table(cube_bits.reshape(-1, 3, _SLOT_PIECE))
-    masks = np.empty((len(targets), len(slots)), dtype=np.uint32)
+    masks = np.empty((len(lookup), len(slots)), dtype=np.uint32)
     for row, tables in zip(masks, lookup):
         np.take(tables[0], pieces[0], out=row)
         row |= tables[1][pieces[1]]
@@ -322,7 +323,7 @@ def _cube_masks(targets):
 
 def buildable_mask_table(target_name):
     """(cube masks, solution numbers) of all buildable collections for one target."""
-    return _cube_masks([target_name])[0], slot_table().nonzero_values
+    return _cube_masks([build_tableau().cube(target_name).id])[0], slot_table().nonzero_values
 
 
 def distribution_buildable():
@@ -335,7 +336,7 @@ def distribution_buildable():
     of equal masks are the collections, and the run-count identity of the
     module docstring reads the distribution off five shifted compares.
     """
-    masks = _cube_masks(build_tableau()).ravel()
+    masks = _cube_masks(range(30)).ravel()
     masks.sort()
     repeats = [len(masks)] + [
         int(np.count_nonzero(masks[j:] == masks[:-j])) for j in range(1, 6)

@@ -22,7 +22,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -33,10 +33,10 @@ from .cubes import (
     build_tableau,
     permutation_cycle_type,
 )
-from .reports import data_hash
+from .reports import VerificationError, data_hash, write_json
 from .solver import SLOT_COUNT, as_ids, build_target_graph
 from .sweeps import (
-    VerificationError,
+    _cube_of_slot,
     _subset_or_table,
     buildable_collections,
     combination_rows,
@@ -134,14 +134,9 @@ def _buildable_closure():
 @lru_cache(maxsize=1)
 def _slot_bits_by_target():
     """30x30 uint32: for target t and cube id c, the slot bit or 0 if unusable."""
-    tableau = build_tableau()
     bits = np.zeros((30, 30), dtype=np.uint32)
-    for t in tableau:
-        graph = build_target_graph(t, tableau)
-        for c in range(30):
-            slot = graph.slot_of_cube[c]
-            if slot >= 0:
-                bits[t.id, c] = np.uint32(1) << np.uint32(slot)
+    slot_bits = np.uint32(1) << np.arange(SLOT_COUNT, dtype=np.uint32)
+    bits[np.arange(30)[:, None], _cube_of_slot()] = slot_bits
     return bits
 
 
@@ -587,20 +582,14 @@ def _load_checkpoint(path):
 
 
 def _store_checkpoint(path, state):
-    tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "completed": state.completed,
-                    "found": state.found,
-                    "total": state.total,
-                    "version": __version__,
-                    "data": data_hash(),
-                },
-                fh,
-            )
-        os.replace(tmp, path)
+        write_json(path, {
+            "completed": state.completed,
+            "found": state.found,
+            "total": state.total,
+            "version": __version__,
+            "data": data_hash(),
+        })
     except OSError as exc:
         raise CheckpointError(f"checkpoint {path} cannot be written ({exc.strerror})") from None
 
@@ -613,13 +602,14 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_sec
     point).  The scan stops after exactly ``budget_combinations`` sets, or
     before the first step (at least 250,000 sets, up to a block boundary)
     that starts after ``budget_seconds``.  With no budget the full scan
-    takes about three seconds.  A negative budget raises ValueError before
-    the checkpoint is read; a budget of 0 scans nothing.
+    takes about three seconds.  A negative budget, or a time budget that is
+    not finite, raises ValueError before the checkpoint is read; a budget of
+    0 scans nothing.
     """
     if budget_combinations is not None and budget_combinations < 0:
         raise ValueError(f"a budget of combinations must be at least 0, got {budget_combinations}")
-    if budget_seconds is not None and not budget_seconds >= 0:  # NaN too
-        raise ValueError(f"a budget of seconds must be at least 0, got {budget_seconds}")
+    if budget_seconds is not None and not 0 <= budget_seconds < inf:  # NaN too
+        raise ValueError(f"a budget of seconds must be finite and at least 0, got {budget_seconds}")
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = _load_checkpoint(checkpoint_path)
     else:

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import madness
-from madness import cli, reports
+from madness import reports, sweeps, universal
 from madness.cli import main
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
@@ -155,13 +156,13 @@ def test_five_targets_check(tmp_path, capsys, monkeypatch):
     assert any("Db" in line and "De" in line for line in lines[1:])
     # The rule was compared with the census when the payload was computed;
     # a cache hit must not run the census again.
-    monkeypatch.setattr(cli, "distribution_buildable", lambda: pytest.fail("census run on a cache hit"))
+    monkeypatch.setattr(sweeps, "distribution_buildable", lambda: pytest.fail("census run on a cache hit"))
     assert run(capsys, *argv) == (0, out, "")
 
 
 def test_five_targets_rule_census_disagreement_exits_3(tmp_path, capsys, monkeypatch):
-    dist, five_masks = cli.distribution_buildable()
-    monkeypatch.setattr(cli, "distribution_buildable", lambda: (dist, five_masks[1:]))
+    dist, five_masks = sweeps.distribution_buildable()
+    monkeypatch.setattr(sweeps, "distribution_buildable", lambda: (dist, five_masks[1:]))
     cache = tmp_path / "cache"
     code, out, err = run(capsys, "five-targets", "--cache-dir", str(cache))
     assert (code, out) == (3, "")
@@ -248,6 +249,43 @@ def test_cache_entry_of_other_source_code_misses(tmp_path, monkeypatch):
     assert cache.load("table2", {}) is None
 
 
+_BIG_PAYLOAD = {"blob": "x" * (1 << 20)}
+
+
+def _store_repeatedly(directory, start, stores):
+    """One writer of the concurrent-store test: the same 1 MB entry, over and over."""
+    cache = ReportCache(directory)
+    start.wait(timeout=60)
+    for _ in range(stores):
+        cache.store("table2", {}, _BIG_PAYLOAD)
+
+
+def test_concurrent_stores_of_one_entry_all_succeed(tmp_path):
+    # Runs sharing a cache directory store the same entries.  More writers
+    # than cores, all on one key: no store may fail, and the entry loads back.
+    context = multiprocessing.get_context("spawn")
+    workers = 4
+    start = context.Barrier(workers)
+    procs = [
+        context.Process(target=_store_repeatedly, args=(str(tmp_path), start, 50))
+        for _ in range(workers)
+    ]
+    for p in procs:
+        p.start()
+    try:
+        for p in procs:
+            p.join(timeout=120)
+            assert not p.is_alive()
+    finally:
+        for p in procs:
+            if p.is_alive():
+                p.terminate()
+                p.join(timeout=10)
+    assert [p.exitcode for p in procs] == [0] * workers
+    assert ReportCache(str(tmp_path)).load("table2", {}) == _BIG_PAYLOAD
+    assert [f.name for f in tmp_path.iterdir() if f.suffix == ".tmp"] == []
+
+
 def test_sample_csv_deterministic(tmp_path, capsys):
     argv = ("sample", "--k", "12", "--n", "50", "--seed", "3", "--format", "csv")
     code, out, _ = run(capsys, *argv)
@@ -313,11 +351,13 @@ def test_search_writes_its_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--budget", "-5"), ("--budget-seconds", "-5"), ("--budget-seconds", "nan")]
+    "flag, value",
+    [("--budget", "-5"), ("--budget-seconds", "-5"), ("--budget-seconds", "nan"), ("--budget-seconds", "inf")],
 )
 def test_bad_budget_is_a_validation_error(flag, value, tmp_path, capsys):
     # Rejected before the checkpoint is read: a malformed one is left as it is.
-    # A NaN deadline would never pass, so it would ignore the time budget.
+    # A NaN deadline would never pass, so it would ignore the time budget; an
+    # infinite one would head the report as a bare Infinity, which is not JSON.
     checkpoint = tmp_path / "scan.json"
     checkpoint.write_text("[1,2]", encoding="utf-8")
     code, out, err = run(capsys, "search", flag, value, "--checkpoint", str(checkpoint))
@@ -369,7 +409,7 @@ def test_out_into_missing_directory_fails_before_computing(tmp_path, capsys, mon
     def compute_nothing(target):
         raise AssertionError("table1 computed before checking --out")
 
-    monkeypatch.setattr("madness.cli.distribution_for_target", compute_nothing)
+    monkeypatch.setattr(sweeps, "distribution_for_target", compute_nothing)
     out = tmp_path / "missing" / "x.txt"
     code, stdout, err = run(capsys, "table1", "--no-cache", "--out", str(out))
     assert code == 2
@@ -390,7 +430,7 @@ def _compute_nothing(*args):
 
 
 def test_out_that_is_a_directory_fails_before_computing(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("madness.cli.distribution_buildable", _compute_nothing)
+    monkeypatch.setattr(sweeps, "distribution_buildable", _compute_nothing)
     cache = tmp_path / "cache"
     code, out, err = run(capsys, "table2", "--out", str(tmp_path), "--cache-dir", str(cache))
     assert (code, out, err) == (2, "", "error: --out %s is a directory\n" % tmp_path)
@@ -398,7 +438,7 @@ def test_out_that_is_a_directory_fails_before_computing(tmp_path, capsys, monkey
 
 
 def test_out_dir_that_is_a_file_fails_before_computing(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("madness.cli.conjecture_sets", _compute_nothing)
+    monkeypatch.setattr(universal, "conjecture_sets", _compute_nothing)
     cache = tmp_path / "cache"
     out_dir = tmp_path / "reports"
     out_dir.write_text("not a directory\n")
@@ -462,6 +502,23 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["solution_number"] == 16
+
+
+def test_single_collection_commands_do_not_import_numpy():
+    # cubes, solver, reports and cli are the numpy-free core; the package
+    # loads each exported name on first use.
+    script = "\n".join([
+        "import sys",
+        "from madness import cli",
+        "assert cli.main(['cubes']) == 0",
+        "assert cli.main(['solve', '--target', 'Ba', '--cubes', %r, '--interior', '--arrangements']) == 0"
+        % CANONICAL,
+        "assert 'numpy' not in sys.modules, 'numpy imported'",
+        "import madness",
+        "assert madness.distribution_buildable is madness.sweeps.distribution_buildable",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(
