@@ -17,8 +17,8 @@ _EXPORTS = {
     ),
     "solver": (
         "TargetGraph", "build_target_graph", "classify", "enumerate_arrangements",
-        "interior_matching_count", "orient_cube", "solution_number",
-        "solution_number_permanent", "solution_number_prime_scan",
+        "interior_matching_count", "solution_number", "solution_number_permanent",
+        "solution_number_prime_scan",
     ),
     "sweeps": (
         "FiveTargetRecord", "FiveTargetRule", "buildable_targets", "count_max_collections",

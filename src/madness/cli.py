@@ -573,7 +573,9 @@ def build_parser():
 
     p = add("table1", TABLE1, "solution-number distribution over all collections")
     p.add_argument("--target", default="Ba", help="target cube (default Ba; all targets agree)")
-    p.add_argument("--direct", action="store_true", help="slow independent enumeration instead of the slot table")
+    p.add_argument("--direct", action="store_true",
+                   help="classify every usable 8-set by the target-graph formula, not the slot table "
+                   "(slower; the same corner model)")
 
     add("table2", TABLE2, "buildable-target distribution over all collections")
 

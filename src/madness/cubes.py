@@ -29,9 +29,7 @@ from functools import cached_property, lru_cache
 __all__ = [
     "COLORS",
     "FACE_LETTERS",
-    "OPPOSITE_FACE",
     "ROTATIONS",
-    "ROTATION_SET",
     "CELL_FACES",
     "ALL_CORNER_NUMBERS",
     "CUBE_NAMES",
@@ -65,7 +63,6 @@ COLORS = (1, 2, 3, 4, 5, 6)
 # Face indices.  U/D on the z axis, N/S on the y axis, E/W on the x axis.
 U, D, N, E, S, W = range(6)
 FACE_LETTERS = "UDNESW"
-OPPOSITE_FACE = (D, U, S, W, N, E)
 
 _FACE_DIRECTION = {
     U: (0, 0, 1),
@@ -162,7 +159,6 @@ def _rotation_permutations():
 
 
 ROTATIONS = _rotation_permutations()
-ROTATION_SET = frozenset(ROTATIONS)
 
 
 def rotate(coloring, perm):
@@ -334,20 +330,6 @@ class Cube:
     @cached_property
     def corner_set(self):
         return frozenset(self.corners)
-
-    @cached_property
-    def _corner_index(self):
-        return {corner: i for i, corner in enumerate(self.corners)}
-
-    def corner_position(self, corner):
-        """The geometric corner index 0..7 where ``corner`` sits."""
-        try:
-            return self._corner_index[corner]
-        except KeyError:
-            raise InvalidCornerError(f"cube {self.name} has no corner {corner}") from None
-
-    def has_corner(self, corner):
-        return corner in self._corner_index
 
     @property
     def row(self):

@@ -49,12 +49,12 @@ __all__ = [
 
 # Expected values for --check.  Note the solution-number distribution: the
 # published table puts the counts for 4, 6 and 8 ways under the wrong rows.
-# The permanent and the arrangement listing agree with the keying below, but
-# they read the same corner numbers as the formula, so they do not settle it.
-# A count from face colorings and rotations alone does: summed over all
-# collections, the solution number counts the injective cell -> cube maps in
-# which every cube fits its cell, and there are 449,580 of those for Ba.  The
-# table below gives sum s * n(s) = 449,580; the published keying gives 407,442.
+# The sweep that computes the table reads corner numbers, so it cannot settle
+# the keying on its own.  A count from face colorings and rotations alone
+# does: summed over all collections, the solution number counts the
+# injective cell -> cube maps in which every cube fits its cell, and there
+# are 449,580 of those for Ba.  The table below gives sum s * n(s) = 449,580;
+# the published keying gives 407,442.
 EXPECTED_SOLUTION_DISTRIBUTION = {
     2: 93000,
     4: 15987,

@@ -18,11 +18,16 @@ decides everything: any tree component other than the target's own free
 placement kills the count, and otherwise every component contributes a
 factor of 2, giving 2^(n-1) * (k+1) when T is in W (n components, the unique
 tree among them having k edges) and 2^n when it is not and no component is a
-tree.  Two slower counting routes are provided as oracles: the permanent of
-the corner/cube incidence matrix, and a scan of products of primes assigned
-to the cubes.  They are independent of the graph formula, but not of the
-corner-number model: both read which cube has which corner through
-``Cube.has_corner``, as the target graph does.
+tree.  Two slower counting routes are provided as oracles, and neither reads
+a corner number.  Both start from faces: a cube fits block cell v when one of
+its 24 rotations shows the target's colors on the three exterior faces of
+that cell, and a solution is an injective cell -> cube map in which every
+cube fits its cell.  One route counts those maps by a dynamic program over
+the cubes used (the permanent of the cell/cube fit matrix), the other by a
+scan of products of primes assigned to the cubes.  The arrangement listing
+takes its cubes and orientations from the same face table, so the three-way
+check compares the corner-number model of the target graph with the face
+model.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from functools import lru_cache
 from .cubes import (
     CELL_FACES,
     FACE_LETTERS,
-    OPPOSITE_FACE,
-    ROTATION_SET,
+    ROTATIONS,
     Cube,
     build_tableau,
     rotate,
@@ -49,7 +53,6 @@ __all__ = [
     "TARGET_SLOT",
     "SLOT_ENDPOINTS",
     "CollectionSizeError",
-    "OrientationError",
     "TargetGraph",
     "ComponentSummary",
     "SubgraphSummary",
@@ -60,13 +63,8 @@ __all__ = [
     "classify_edges",
     "solution_number_formula",
     "solution_number",
-    "incidence_matrix",
-    "permanent",
     "solution_number_permanent",
-    "corner_count_vector",
     "solution_number_prime_scan",
-    "corner_frame",
-    "orient_cube",
     "enumerate_arrangements",
     "interior_matching_count",
 ]
@@ -110,10 +108,6 @@ ROLE_TARGET = 2
 
 class CollectionSizeError(ValueError):
     """A collection whose size is not 8 where 8 is required."""
-
-
-class OrientationError(ValueError):
-    """No rotation of the cube fits the requested corner frame."""
 
 
 @dataclass(frozen=True)
@@ -241,6 +235,8 @@ def as_ids(collection, tableau=None, size=8):
     """Normalize a collection to a sorted id tuple, checking size and dups."""
     tableau = tableau or build_tableau()
     if isinstance(collection, int):
+        if not 0 <= collection < 1 << 30:
+            raise ValueError(f"cube mask out of range: {collection}")
         ids = tableau.ids_of_mask(collection)
     else:
         ids = tuple(sorted(tableau.cube(k).id for k in collection))
@@ -351,77 +347,80 @@ def solution_number(collection, target, tableau=None):
 
 
 # ---------------------------------------------------------------------------
-# Oracle 1: permanent of the corner/cube incidence matrix.  Row i marks the
-# cubes having block corner i of the target; a solution is a system of
-# distinct representatives, so the solution number is the permanent.
+# The face model.  A cube fits block cell v of a target when one of its 24
+# rotations shows the target's colors on the exterior faces CELL_FACES[v].
+# The two oracles and the arrangement listing read only this table, never a
+# corner number, so they check the target graph instead of restating it.
 # ---------------------------------------------------------------------------
 
 
-def incidence_matrix(collection, target, tableau=None):
-    """0/1 matrix: rows block corners of the target, columns collection cubes."""
-    tableau = tableau or build_tableau()
-    ids = as_ids(collection, tableau)
-    t = tableau.cube(target)
-    return [
-        [1 if tableau.cubes[j].has_corner(corner) else 0 for j in ids]
-        for corner in t.corners
-    ]
+@lru_cache(maxsize=1)
+def _placement_table():
+    """(cell, colors on its exterior faces) -> ((cube id, oriented coloring), ...).
+
+    Each of the 8 cells shows one of 120 ordered color triples, and each of
+    the 960 keys is shown by 6 cubes, in id order, each in one rotation.
+    """
+    table = {}
+    for cube in build_tableau():
+        for perm in ROTATIONS:
+            oriented = rotate(cube.coloring, perm)
+            for v, faces in enumerate(CELL_FACES):
+                fits = table.setdefault((v, tuple(oriented[f] for f in faces)), [])
+                # A cube's rotations are listed together, so a repeat is adjacent.
+                if fits and fits[-1][0] == cube.id:
+                    raise AssertionError(f"{cube.name} fits cell {v} in two rotations")
+                fits.append((cube.id, oriented))
+    return {key: tuple(fits) for key, fits in table.items()}
 
 
-def permanent(matrix):
-    """Permanent of a small square matrix by subset dynamic programming."""
-    n = len(matrix)
-    dp = [0] * (1 << n)
-    dp[0] = 1
-    for mask in range(1, 1 << n):
-        j = bin(mask).count("1") - 1
-        total = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            if matrix[i][j]:
-                total += dp[mask ^ low]
-            rest ^= low
-        dp[mask] = total
-    return dp[-1]
+def _cell_fits(target, tableau):
+    """The placement-table entry of each block cell of ``target``, cell by cell."""
+    coloring = tableau.cube(target).coloring
+    table = _placement_table()
+    return [table[v, tuple(coloring[f] for f in faces)] for v, faces in enumerate(CELL_FACES)]
+
+
+# ---------------------------------------------------------------------------
+# Oracle 1: the permanent of the cell/cube fit matrix, counted cell by cell.
+# After cell v, ``ways`` maps each set of cubes used on cells 0..v to the
+# number of injective maps of those cells onto it.
+# ---------------------------------------------------------------------------
 
 
 def solution_number_permanent(collection, target, tableau=None):
-    return permanent(incidence_matrix(collection, target, tableau))
+    tableau = tableau or build_tableau()
+    members = set(as_ids(collection, tableau))
+    ways = {0: 1}
+    for fits in _cell_fits(target, tableau):
+        bits = [1 << i for i, _ in fits if i in members]
+        grown = {}
+        for used, n in ways.items():
+            for bit in bits:
+                if not used & bit:
+                    grown[used | bit] = grown.get(used | bit, 0) + n
+        ways = grown
+    return sum(ways.values())
 
 
 # ---------------------------------------------------------------------------
 # Oracle 2: prime products.  Assign the j-th cube of the collection the j-th
-# of the first 8 primes.  For each block corner of the target, list the
-# primes of the cubes having that corner; a solution picks one prime per
-# corner, all distinct, which happens exactly when the product of the picks
-# is divisible by the primorial 2*3*...*19.
+# of the first 8 primes.  For each block cell of the target, list the primes
+# of the cubes that fit it; a solution picks one prime per cell, all
+# distinct, which happens exactly when the product of the picks is divisible
+# by the primorial 2*3*...*19.
 # ---------------------------------------------------------------------------
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 _PRIMORIAL = 9699690
 
 
-def corner_count_vector(collection, target, tableau=None):
-    """Per block corner: (corner number, multiplicity, primes of its cubes)."""
-    tableau = tableau or build_tableau()
-    ids = as_ids(collection, tableau)
-    t = tableau.cube(target)
-    entries = []
-    for corner in t.corners:
-        primes = tuple(
-            _PRIMES[j] for j, i in enumerate(ids) if tableau.cubes[i].has_corner(corner)
-        )
-        entries.append((corner, len(primes), primes))
-    return tuple(entries)
-
-
 def solution_number_prime_scan(collection, target, tableau=None):
-    entries = corner_count_vector(collection, target, tableau)
-    if any(m == 0 for _, m, _ in entries):
-        return 0
-    prime_lists = [primes for _, _, primes in entries]
+    tableau = tableau or build_tableau()
+    prime_of = dict(zip(as_ids(collection, tableau), _PRIMES))
+    prime_lists = [
+        [prime_of[i] for i, _ in fits if i in prime_of] for fits in _cell_fits(target, tableau)
+    ]
     count = 0
     for picks in itertools.product(*prime_lists):
         product = 1
@@ -430,49 +429,6 @@ def solution_number_prime_scan(collection, target, tableau=None):
         if product % _PRIMORIAL == 0:
             count += 1
     return count
-
-
-# ---------------------------------------------------------------------------
-# Orientation.  Block cell i shows three exterior faces; a cube placed there
-# must show its copy of the target's corner i on them, color for color.  The
-# face mapping is forced by the colors, so the rotation is found
-# algebraically and only verified against the rotation group.
-# ---------------------------------------------------------------------------
-
-
-def corner_frame(target, vertex, tableau=None):
-    """The exterior (face, required color) triple of block cell ``vertex``."""
-    tableau = tableau or build_tableau()
-    t = tableau.cube(target)
-    return tuple((f, t.coloring[f]) for f in CELL_FACES[vertex])
-
-
-def orient_cube(cube, corner, frame):
-    """Rotate ``cube`` so that ``corner`` meets the frame face for face.
-
-    ``frame`` is a triple of (face index, color) pairs as produced by
-    :func:`corner_frame`.  Raises InvalidCornerError if the cube lacks the
-    corner and OrientationError if no rotation fits, which cannot happen for
-    frames cut from a real target.
-    """
-    position = cube.corner_position(corner)  # InvalidCornerError if absent
-    source_faces = {cube.coloring[f]: f for f in CELL_FACES[position]}
-    src_of = [-1] * 6
-    for face, color in frame:
-        try:
-            g = source_faces[color]
-        except KeyError:
-            raise OrientationError(
-                f"corner {corner} of {cube.name} does not show color {color}"
-            ) from None
-        src_of[face] = g
-        src_of[OPPOSITE_FACE[face]] = OPPOSITE_FACE[g]
-    perm = tuple(src_of)
-    if perm not in ROTATION_SET:
-        raise OrientationError(
-            f"no rotation of {cube.name} shows corner {corner} on the frame"
-        )
-    return rotate(cube.coloring, perm)
 
 
 @dataclass(frozen=True)
@@ -498,13 +454,12 @@ def enumerate_arrangements(collection, target, tableau=None):
     Order is by the sequence (cube id at cell 0, cube id at cell 1, ...).
     """
     tableau = tableau or build_tableau()
-    ids = as_ids(collection, tableau)
+    members = set(as_ids(collection, tableau))
     t = tableau.cube(target)
     candidates = [
-        tuple(i for i in ids if tableau.cubes[i].has_corner(corner))
-        for corner in t.corners
+        [(i, oriented) for i, oriented in fits if i in members]
+        for fits in _cell_fits(t, tableau)
     ]
-    frames = [corner_frame(t, v, tableau) for v in range(VERTEX_COUNT)]
     arrangements = []
     chosen = []
     used = set()
@@ -517,16 +472,16 @@ def enumerate_arrangements(collection, target, tableau=None):
                         vertex=v,
                         corner=t.corners[v],
                         cube=tableau.cubes[i].name,
-                        coloring=orient_cube(tableau.cubes[i], t.corners[v], frames[v]),
+                        coloring=oriented,
                     )
-                    for v, i in enumerate(chosen)
+                    for v, (i, oriented) in enumerate(chosen)
                 )
             )
             return
-        for i in candidates[vertex]:
+        for i, oriented in candidates[vertex]:
             if i not in used:
                 used.add(i)
-                chosen.append(i)
+                chosen.append((i, oriented))
                 extend(vertex + 1)
                 chosen.pop()
                 used.remove(i)

@@ -252,7 +252,7 @@ def buildable_collections(cube_ids, target, tableau=None):
 
     The solver-only oracle, independent of the slot table, in lexicographic
     order of ids.  Subsets with an unusable cube are skipped: their solution
-    number is 0 (their incidence matrix has a zero column).
+    number is 0 (that cube supplies no corner of the target).
     """
     tableau = tableau or build_tableau()
     graph = build_target_graph(target, tableau)

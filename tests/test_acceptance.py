@@ -6,13 +6,16 @@ target puzzle and compares it at the stated (exact or ±0.1) tolerance, so a
 
 Criterion 1 records an erratum.  The published solution-number table puts
 its counts for 4, 6 and 8 ways under the wrong rows.  The test keeps the
-published table as a record and pins the verified one.  The verdict does not
-rest on the engine alone, nor on the permanent or the arrangement listing,
-which read the same corner numbers (``Cube.has_corner``) as the engine.  It
-rests on a count taken from face colorings and rotations only: the number of
-ways to put a fitting cube into each block cell, all eight distinct, is
-449,580, and that must equal the sum of s * n(s) over the table.  The
-verified table gives 449,580; the published one gives 407,442.
+published table as a record and pins the verified one.  The table comes from
+the engine's corner-number model; the verdict rests on a count this file
+takes itself, from face colorings and rotations only, without the solver:
+the number of ways to put a fitting cube into each block cell, all eight
+distinct, is 449,580, and that must equal the sum of s * n(s) over the
+table.  The verified table gives 449,580; the published one gives 407,442.
+
+Criterion 4 uses the same face rule, keeping each fitting rotation, to
+search every placement for every target: the one collection that also
+matches on all interior faces is the mirror's row and column, in 2 ways.
 """
 
 import itertools
@@ -109,13 +112,14 @@ PUBLISHED_SAMPLE_STATS = {
 }
 
 
-def _face_level_placements(target_name):
-    """Injective maps from the 8 block cells to cubes that fit their cells.
+def _face_level_fits(target_name):
+    """Per block cell, the (cube id, rotated coloring) pairs that fit it.
 
     A cube fits cell i when some rotation shows the target's colors on the
     three exterior faces of that cell: E/W by bit 2 of i, N/S by bit 1 and
     U/D by bit 0.  Only face colorings and rotations are read, never corner
-    numbers or the solver, so the count is independent of both.
+    numbers or the solver, so what follows from these fits is independent
+    of both.
     """
     tableau = build_tableau()
     target = tableau.cube(target_name).coloring
@@ -123,20 +127,67 @@ def _face_level_placements(target_name):
     for i in range(8):
         faces = (E if i & 4 else W, N if i & 2 else S, U if i & 1 else D)
         shown = tuple(target[f] for f in faces)
-        fits.append({
-            cube.id
+        fit = [
+            (cube.id, rotated)
             for cube in tableau
-            for r in ROTATIONS
-            if tuple(rotate(cube.coloring, r)[f] for f in faces) == shown
-        })
+            for rotated in (rotate(cube.coloring, r) for r in ROTATIONS)
+            if tuple(rotated[f] for f in faces) == shown
+        ]
+        assert len({cube_id for cube_id, _ in fit}) == len(fit), "a cube fits a cell twice"
+        fits.append(fit)
+    return fits
+
+
+def _face_level_placements(target_name):
+    """Injective maps from the 8 block cells to cubes that fit their cells."""
     placements = Counter({frozenset(): 1})
-    for fit in fits:
+    for fit in _face_level_fits(target_name):
         grown = Counter()
         for used, ways in placements.items():
-            for cube_id in fit - used:
-                grown[used | {cube_id}] += ways
+            for cube_id, _ in fit:
+                if cube_id not in used:
+                    grown[used | {cube_id}] += ways
         placements = grown
     return sum(placements.values())
+
+
+# Interior contacts, from the cell bits alone: along each axis, the cell with
+# the axis bit clear touches its neighbor with its plus face (E, N, U), the
+# neighbor touches back with its minus face (W, S, D).
+_CONTACTS = tuple(
+    (i, i | bit, plus, minus)
+    for bit, plus, minus in ((4, E, W), (2, N, S), (1, U, D))
+    for i in range(8)
+    if not i & bit
+)
+
+
+def _interior_matching_collections(target_name):
+    """Collection -> number of placements that also match every interior face.
+
+    A backtracking search over the face-level fits, cell by cell, pruned at
+    the first interior contact whose two faces differ.
+    """
+    fits = _face_level_fits(target_name)
+    found = Counter()
+    chosen = []
+
+    def extend(cell):
+        if cell == 8:
+            found[frozenset(cube_id for cube_id, _ in chosen)] += 1
+            return
+        for cube_id, rotated in fits[cell]:
+            if any(cube_id == used for used, _ in chosen):
+                continue
+            if all(
+                chosen[a][1][fa] == rotated[fb] for a, b, fa, fb in _CONTACTS if b == cell
+            ):
+                chosen.append((cube_id, rotated))
+                extend(cell + 1)
+                chosen.pop()
+
+    extend(0)
+    return found
 
 
 def _weighted_total(table):
@@ -212,6 +263,9 @@ def test_criterion_04_interior_matching_for_all_targets():
         assert len(ids) == 8
         assert solution_number(ids, target, tableau) == 16
         assert interior_matching_count(ids, target, tableau) == 2
+        # Over every placement of every collection, this set is the only one
+        # that matches on all interior faces, and it does so in exactly 2 ways.
+        assert _interior_matching_collections(target.name) == {frozenset(ids): 2}
 
 
 def test_criterion_05_maximum_solution_census_for_ba():

@@ -223,12 +223,3 @@ def test_tableau_lookup_errors_and_masks():
     assert t.names_of_mask(mask) == names
     with pytest.raises(ValueError):
         t.mask(("Ac", "Ac"))
-
-
-def test_cube_corner_positions():
-    t = build_tableau()
-    for cube in t:
-        for i, corner in enumerate(cube.corners):
-            assert cube.corner_position(corner) == i
-        with pytest.raises(InvalidCornerError):
-            cube.corner_position(reverse_corner(cube.corners[0]))

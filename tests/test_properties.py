@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from madness.cubes import all_color_permutations, build_tableau
-from madness.solver import build_target_graph, solution_number
+from madness.solver import build_target_graph, solution_number, solution_number_permanent
 from madness.universal import buildable_count, sample_sets
 
 TABLEAU = build_tableau()
@@ -39,7 +39,10 @@ def test_solution_number_is_invariant_under_recoloring(perm, case):
     target, ids = case
     table = TABLEAU.recolor_id_table(perm)
     image = sorted(table[c] for c in ids)
-    assert solution_number(image, table[target], TABLEAU) == solution_number(ids, target, TABLEAU)
+    expected = solution_number(ids, target, TABLEAU)
+    assert solution_number(image, table[target], TABLEAU) == expected
+    # the face route on the recolored input against the corner route on the original
+    assert solution_number_permanent(image, table[target], TABLEAU) == expected
 
 
 @settings(max_examples=80, deadline=None, database=None)

@@ -1,8 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
-from madness.cubes import all_color_permutations, build_tableau, corner_numbers
+from madness.cubes import (
+    CELL_FACES,
+    Tableau,
+    all_color_permutations,
+    build_tableau,
+    corner_numbers,
+    corners_in_read_order,
+)
 from madness.solver import (
     ADJACENT_PAIRS,
     DIAGONAL_PAIRS,
@@ -14,17 +22,14 @@ from madness.solver import (
     build_target_graph,
     classify,
     classify_edges,
-    corner_count_vector,
-    corner_frame,
     enumerate_arrangements,
-    incidence_matrix,
     interior_matching_count,
-    orient_cube,
-    permanent,
     solution_number,
     solution_number_formula,
     solution_number_permanent,
     solution_number_prime_scan,
+    _cell_fits,
+    _placement_table,
 )
 
 CANONICAL_BA = ("Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb", "Fb")
@@ -204,38 +209,56 @@ def test_oracles_agree_on_usable_collections():
             assert solution_number_prime_scan(ids, target, t) == a
 
 
-def test_permanent_basics():
-    identity = [[1 if i == j else 0 for j in range(8)] for i in range(8)]
-    assert permanent(identity) == 1
-    shifted = [[1 if j == (i + 3) % 8 else 0 for j in range(8)] for i in range(8)]
-    assert permanent(shifted) == 1
-    assert permanent([[1, 1], [1, 1]]) == 2
-    assert permanent([[1, 1, 1], [1, 1, 1], [1, 1, 1]]) == 6
-    zeros = [row[:] for row in identity]
-    zeros[4] = [0] * 8
-    assert permanent(zeros) == 0
-
-
-def test_incidence_matrix_structure():
+def test_placement_table_matches_the_corner_model():
     t = build_tableau()
-    m = incidence_matrix(CANONICAL_BA, "Ba", t)
-    assert all(sum(row) == 2 for row in m)            # every corner on two cubes
-    cols = list(zip(*m))
-    assert all(sum(col) == 2 for col in cols)         # every diagonal cube has two corners
-    vector = corner_count_vector(CANONICAL_BA, "Ba", t)
-    assert [m_i for _, m_i, _ in vector] == [sum(row) for row in m]
-    with_target = tuple(sorted(as_ids(CANONICAL_BA, t)[:7] + (t.cube("Ba").id,)))
-    m2 = incidence_matrix(with_target, "Ba", t)
-    target_col = as_ids(with_target, t).index(t.cube("Ba").id)
-    assert sum(list(zip(*m2))[target_col]) == 8
+    assert len(_placement_table()) == 960
+    for target in t:
+        for v, fits in enumerate(_cell_fits(target, t)):
+            corner = target.corners[v]
+            assert [i for i, _ in fits] == sorted(c.id for c in t if corner in c.corner_set)
+            assert len(fits) == 6
+            for i, oriented in fits:
+                for face in CELL_FACES[v]:
+                    assert oriented[face] == target.coloring[face]
+                assert corners_in_read_order(oriented)[v] == corner
+                assert corner_numbers(oriented) == t.cubes[i].corner_set
+
+
+def test_orienting_target_on_itself_is_identity():
+    t = build_tableau()
+    for target in t:
+        for fits in _cell_fits(target, t):
+            assert dict(fits)[target.id] == target.coloring
+
+
+def test_face_routes_read_no_corner_number():
+    # With every corner number blanked, the permanent, the prime scan and the
+    # arrangements (but for their corner labels) still give the formula's
+    # answers on the real tableau: they read faces only.
+    t = build_tableau()
+    blank = Tableau([dataclasses.replace(c, corners=(0,) * 8) for c in t])
+
+    def unlabeled(arrangements):
+        return [[(p.vertex, p.cube, p.coloring) for p in a] for a in arrangements]
+
+    rng = random.Random(27)
+    for _ in range(100):
+        target = t.cube(rng.randrange(30))
+        ids = tuple(sorted(rng.sample(build_target_graph(target, t).usable_ids(), 8)))
+        expected = solution_number(ids, target, t)
+        assert solution_number_permanent(ids, target.name, blank) == expected
+        assert solution_number_prime_scan(ids, target.name, blank) == expected
+        assert unlabeled(enumerate_arrangements(ids, target.name, blank)) == unlabeled(
+            enumerate_arrangements(ids, target, t)
+        )
 
 
 def test_prime_scan_zero_multiplicity():
     # the 9 unusable cubes carry no corner of the target at all, so a
-    # collection drawn from them leaves every corner unsupplied
-    ids = ("Ab", "Bc", "Bd", "Be", "Bf", "Ca", "Da", "Ea")
-    vector = corner_count_vector(ids, "Ba")
-    assert all(m == 0 for _, m, _ in vector)
+    # collection drawn from them fits no cell
+    t = build_tableau()
+    ids = t.ids(("Ab", "Bc", "Bd", "Be", "Bf", "Ca", "Da", "Ea"))
+    assert all(set(ids).isdisjoint(i for i, _ in fits) for fits in _cell_fits("Ba", t))
     assert solution_number_prime_scan(ids, "Ba") == 0
     assert solution_number_permanent(ids, "Ba") == 0
 
@@ -247,37 +270,10 @@ def test_collection_validation():
         as_ids(("Ac", "Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb"))
 
 
-def test_orient_cube_shows_the_corner():
-    t = build_tableau()
-    target = t.cube("Ba")
-    ae = t.cube("Ae")
-    vertex = target.corners.index(162)
-    frame = corner_frame(target, vertex, t)
-    oriented = orient_cube(ae, 162, frame)
-    for face, color in frame:
-        assert oriented[face] == color
-    assert corner_numbers(oriented) == ae.corner_set
-
-
-def test_orient_cube_errors():
-    t = build_tableau()
-    ae = t.cube("Ae")
-    frame = corner_frame(t.cube("Ba"), 0, t)
-    from madness.cubes import InvalidCornerError
-
-    with pytest.raises(InvalidCornerError):
-        orient_cube(ae, 999, frame)
-    with pytest.raises(InvalidCornerError):
-        orient_cube(ae, 143, frame)  # a corner Ae does not have
-
-
-def test_orienting_target_on_itself_is_identity():
-    t = build_tableau()
-    for target in t:
-        for vertex in range(8):
-            frame = corner_frame(target, vertex, t)
-            oriented = orient_cube(target, target.corners[vertex], frame)
-            assert oriented == target.coloring
+def test_mask_beyond_thirty_cubes_is_rejected():
+    mask = build_tableau().mask(CANONICAL_BA)
+    with pytest.raises(ValueError, match="out of range"):
+        solution_number(mask | 1 << 30, "Ba")
 
 
 def test_arrangements_match_target_face_for_face():
@@ -286,8 +282,8 @@ def test_arrangements_match_target_face_for_face():
     for arrangement in enumerate_arrangements(CANONICAL_BA, "Ba", t):
         assert len({p.cube for p in arrangement}) == 8
         for p in arrangement:
-            for face, color in corner_frame(target, p.vertex, t):
-                assert p.coloring[face] == color
+            for face in CELL_FACES[p.vertex]:
+                assert p.coloring[face] == target.coloring[face]
 
 
 def test_arrangements_in_lexicographic_order():

@@ -90,6 +90,12 @@ def test_buildable_count_validation():
         buildable_count(("Ab", "Ab", "Ac", "Ad", "Ae", "Af", "Ba", "Ca"))
 
 
+@pytest.mark.parametrize("mask", [(1 << 40) | 0xFFF, -1])
+def test_buildable_count_rejects_masks_beyond_thirty_cubes(mask):
+    with pytest.raises(ValueError, match="out of range"):
+        buildable_count(mask)
+
+
 def test_random_twelve_sets_are_rarely_universal():
     conjecture_masks = {s.mask for s in conjecture_sets()}
     rng = random.Random(43)
