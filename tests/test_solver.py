@@ -209,14 +209,46 @@ def test_oracles_agree_on_usable_collections():
             assert solution_number_prime_scan(ids, target, t) == a
 
 
-def test_placement_table_matches_the_corner_model():
+def _fit_matrix(collection, target, t):
+    """Cell-by-cube 0/1 matrix: row v, column j is 1 iff cube j fits cell v."""
+    ids = as_ids(collection, t)
+    return [[int(i in {k for k, _ in fits}) for i in ids] for fits in _cell_fits(target, t)]
+
+
+def test_incidence_matrix_structure():
     t = build_tableau()
+    m = _fit_matrix(CANONICAL_BA, "Ba", t)
+    assert all(sum(row) == 2 for row in m)            # every corner on two cubes
+    cols = list(zip(*m))
+    assert all(sum(col) == 2 for col in cols)         # every diagonal cube has two corners
+    with_target = tuple(sorted(as_ids(CANONICAL_BA, t)[:7] + (t.cube("Ba").id,)))
+    m2 = _fit_matrix(with_target, "Ba", t)
+    target_col = as_ids(with_target, t).index(t.cube("Ba").id)
+    assert sum(list(zip(*m2))[target_col]) == 8
+    # The face-level table agrees with the corner model on every target:
+    # cell v of the target is fitted by exactly the 6 cubes carrying its corner.
     assert len(_placement_table()) == 960
     for target in t:
         for v, fits in enumerate(_cell_fits(target, t)):
             corner = target.corners[v]
             assert [i for i, _ in fits] == sorted(c.id for c in t if corner in c.corner_set)
             assert len(fits) == 6
+
+
+def test_orient_cube_shows_the_corner():
+    t = build_tableau()
+    target = t.cube("Ba")
+    ae = t.cube("Ae")
+    vertex = target.corners.index(162)
+    oriented = dict(_cell_fits(target, t)[vertex])[ae.id]
+    for face in CELL_FACES[vertex]:
+        assert oriented[face] == target.coloring[face]
+    assert corner_numbers(oriented) == ae.corner_set
+    # Every fitting cube, for all 30 targets x 8 cells, is oriented to show
+    # the target's colors on the cell's exterior faces and the cell's corner.
+    for target in t:
+        for v, fits in enumerate(_cell_fits(target, t)):
+            corner = target.corners[v]
             for i, oriented in fits:
                 for face in CELL_FACES[v]:
                     assert oriented[face] == target.coloring[face]
