@@ -163,7 +163,7 @@ ROTATIONS = _rotation_permutations()
 
 def rotate(coloring, perm):
     """Apply a face permutation from ROTATIONS to a face 6-tuple."""
-    return tuple(coloring[perm[g]] for g in range(6))
+    return tuple(map(coloring.__getitem__, perm))
 
 
 def _check_coloring(coloring):
@@ -401,9 +401,11 @@ class Tableau:
     def __init__(self, cubes):
         self.cubes = tuple(cubes)
         self.by_name = {c.name: c for c in self.cubes}
-        # Every one of the 720 face colorings, not only the canonical ones,
-        # so that recoloring is one lookup.
-        self.by_coloring = {rotate(c.coloring, p): c for c in self.cubes for p in ROTATIONS}
+
+    @cached_property
+    def by_coloring(self):
+        """Each of the 720 face colorings -> its cube, so that recoloring is one lookup."""
+        return {rotate(c.coloring, p): c for c in self.cubes for p in ROTATIONS}
 
     def cube(self, key):
         """Look up a cube by name, id or Cube instance."""
@@ -471,11 +473,22 @@ class Tableau:
 
 
 def _generate_cube_classes():
-    """Canonical coloring -> class size, over all 720 face bijections."""
+    """Canonical coloring -> class size: the rotation orbits of the 720 face bijections.
+
+    Each bijection not yet seen is expanded into its orbit under ROTATIONS,
+    keyed by the orbit's least coloring.  An orbit that meets one already
+    recorded means ROTATIONS is not a group, and raises TableauBuildError.
+    """
     classes = {}
+    seen = set()
     for colors in itertools.permutations(COLORS):
-        canon = canonical_coloring(colors)
-        classes[canon] = classes.get(canon, 0) + 1
+        if colors in seen:
+            continue
+        orbit = {rotate(colors, p) for p in ROTATIONS}
+        if not seen.isdisjoint(orbit):
+            raise TableauBuildError(f"the rotation orbit of {colors} overlaps another orbit")
+        seen |= orbit
+        classes[min(orbit)] = len(orbit)
     return classes
 
 
@@ -520,14 +533,17 @@ def _validate(cubes):
 def build_tableau():
     """Generate the 30 cubes from scratch and bind them to their names.
 
-    The 720 face bijections are canonicalized into rotation classes; each
-    class is matched to a reference row by its corner set, read clockwise.
-    A class left unmatched raises TableauBuildError.
+    The 720 face bijections are split into rotation orbits, one walk over
+    them with 24 rotations per new orbit.  The orbits are disjoint, so 30 of
+    size 24 partition all 720.  Each class is matched to a reference row by
+    its corner set, read clockwise.  A class left unmatched raises
+    TableauBuildError.
     """
     classes = _generate_cube_classes()
-    if len(classes) != 30 or set(classes.values()) != {24}:
+    sizes = sorted(set(classes.values()))
+    if len(classes) != 30 or sizes != [24]:
         raise TableauBuildError(
-            f"expected 30 rotation classes of size 24, got {len(classes)}"
+            f"expected 30 rotation classes of size 24, got {len(classes)} of sizes {sizes}"
         )
     named = _match_reference(classes)
     cubes = [

@@ -6,10 +6,12 @@ slots defined in the solver module (12 adjacent-pair slots, 4x2 diagonal
 slots, 1 target slot).  Collections containing an unusable cube have
 solution number 0, so a single classification of the C(21,8) = 203,490
 slot subsets decides the solution number of every collection for every
-target.  That classification is one numpy census over all subsets at once:
-each corner's adjacency as an 8-bit row, closed under reachability, read
-off as components, trees and solution numbers.  Per-target work is then a
-cheap remap of slot masks to cube masks, also done with numpy.
+target.  That classification is one numpy census on packed words: each
+subset's eight corner rows sit in the bytes of one uint64, folded together
+from its slots' words down the lexicographic combination tree, closed
+under reachability by eight Warshall steps on the word, and read off as
+components, trees and solution numbers by byte arithmetic.  Per-target work
+is then a cheap remap of slot masks to cube masks, also done with numpy.
 
 Table 2 counts, for each collection, how many targets it builds.  The 30
 targets' cube masks are sorted into one array, so each collection that some
@@ -21,9 +23,8 @@ the distinct masks number r_0 - r_1, and r_5 = 0 says that no collection
 builds six targets.
 
 ``combination_rows`` is the package's one combination enumerator: it
-unranks lexicographic k-combinations into uint8 rows, for the slot subsets
-here and for the subset histograms and the C(30,12) scan of the universal
-module.
+unranks lexicographic k-combinations into uint8 rows, for the subset
+histograms and the C(30,12) scan of the universal module.
 
 ``buildable_collections`` is the solver-only oracle: it tries each usable
 8-subset of some cubes with ``solution_number`` and never reads the slot
@@ -104,33 +105,6 @@ class SlotTable:
         return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-# ---------------------------------------------------------------------------
-# The slot census.  A corner's row is a uint8 with bit u set when corner u is
-# joined to it.  Packing the 8 rows of one slot into a little-endian uint64,
-# corner v in byte v, lets 8 ORs (adds) build the rows (degrees) of a whole
-# combination; no byte carries, since no corner has degree above 5.
-# ---------------------------------------------------------------------------
-
-_WORD = np.dtype("<u8")
-_CENSUS_BLOCK = 1 << 15    # combinations per census step, to bound memory
-_CORNER_BITS = np.uint8(1) << np.arange(VERTEX_COUNT, dtype=np.uint8)
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _slot_words():
-    """(neighbour, degree) words of each slot; the target slot has no edge."""
-    neighbours = np.zeros((SLOT_COUNT, VERTEX_COUNT), dtype=np.uint8)
-    degrees = np.zeros((SLOT_COUNT, VERTEX_COUNT), dtype=np.uint8)
-    for slot, (u, v) in enumerate(SLOT_ENDPOINTS):
-        neighbours[slot, u] |= 1 << v
-        neighbours[slot, v] |= 1 << u
-        degrees[slot, [u, v]] += 1
-    return neighbours.view(_WORD).ravel(), degrees.view(_WORD).ravel()
-
-
-_NEIGHBOUR_WORDS, _DEGREE_WORDS = _slot_words()
-
-
 def combination_rows(n, k, ranks):
     """The k-combinations of range(n) at lexicographic ``ranks``, as uint8 rows.
 
@@ -151,39 +125,144 @@ def combination_rows(n, k, ranks):
     return rows
 
 
-def _census(combos):
-    """Solution numbers of slot combinations, one row of 8 ascending slots each.
+# ---------------------------------------------------------------------------
+# The slot census, on packed words.  Each combination of slots carries a
+# neighbour word (a little-endian uint64 whose byte v has bit u set when
+# corner u is joined to corner v, and bit v itself), a weight word (byte v is
+# 16 plus the degree of v; no degree exceeds 5) and its slot mask.  They are
+# its slots' words folded by OR, add and OR, down the lexicographic
+# combination tree: the j-combinations starting at slot a are a's words
+# folded into the last C(20 - a, j - 1) rows of the (j - 1)-combinations.
+# The six-slot level is kept, and each 8-combination is a two-slot prefix
+# folded into one of its tails.  Then, per block of combinations:
+#   - Warshall step k ORs row k into each row holding bit k.  The rows stay
+#     symmetric, so those are the rows of the corners in row k: one lookup of
+#     byte k in _JOIN.  After 8 steps row v is v's component.
+#   - Byte v of the sum over u of (bit u of row v) * (weight of u) is 16 *
+#     vertices + degree sum of v's component.  The component is a tree when
+#     degree sum + 2 == 2 * vertices (a degree sum of 16 carries, and fails
+#     the test as it must), and v is its root when row v has no lower bit.
+#   - Adding 0x7F to a byte below 0x80 sets its high bit unless the byte is
+#     0; the flags are summed into the top byte by one multiply.
+# ---------------------------------------------------------------------------
 
-    The rule of solution_number_formula over classify_edges, for every row at
-    once.  Warshall's algorithm closes each corner's row under reachability;
-    a corner is its component's root when it reaches no lower corner, the
-    component's vertex count is the popcount of the root's row, and its edge
-    count is half its degree sum.
+_WORD = np.dtype("<u8")
+_BLOCK = 1 << 15    # combinations per census step at most; holds the longest tail, C(19,6)
+
+
+def _bytes(value):
+    """``value`` in every byte of a word."""
+    return np.uint64(value * 0x0101010101010101)
+
+
+_BELOW = np.uint64(sum(((1 << v) - 1) << 8 * v for v in range(VERTEX_COUNT)))
+_JOIN = np.array(
+    [sum(row << 8 * v for v in range(VERTEX_COUNT) if row >> v & 1) for row in range(256)],
+    dtype=_WORD,
+)
+_FOLDS = (np.bitwise_or, np.add, np.bitwise_or)    # neighbour, weight, mask
+# The words of no slot: each corner joined to itself, weight 16, no slot bit.
+_EMPTY_WORDS = (np.uint64(sum(1 << 9 * v for v in range(VERTEX_COUNT))), _bytes(16), np.uint32(0))
+
+
+def _slot_words():
+    """(neighbour, degree, mask) words of each slot; the target slot has no edge."""
+    neighbours = np.zeros((SLOT_COUNT, VERTEX_COUNT), dtype=np.uint8)
+    degrees = np.zeros((SLOT_COUNT, VERTEX_COUNT), dtype=np.uint8)
+    for slot, (u, v) in enumerate(SLOT_ENDPOINTS):
+        neighbours[slot, u] |= 1 << v
+        neighbours[slot, v] |= 1 << u
+        degrees[slot, [u, v]] += 1
+    masks = np.uint32(1) << np.arange(SLOT_COUNT, dtype=np.uint32)
+    return neighbours.view(_WORD).ravel(), degrees.view(_WORD).ravel(), masks
+
+
+_SLOT_WORDS = _slot_words()
+
+
+def _suffix_words(depth):
+    """The folded words of the ``depth``-combinations of the slots, lexicographic."""
+    level = _SLOT_WORDS
+    for j in range(2, depth + 1):
+        folded = tuple(np.empty(comb(SLOT_COUNT, j), dtype=w.dtype) for w in level)
+        at = 0
+        for a in range(SLOT_COUNT - j + 1):
+            size = comb(SLOT_COUNT - 1 - a, j - 1)
+            for fold, slot, tail, out in zip(_FOLDS, _SLOT_WORDS, level, folded):
+                fold(tail[-size:], slot[a], out=out[at : at + size])
+            at += size
+        level = folded
+    return level
+
+
+def _combination_blocks():
+    """(neighbour, weight, mask) words of the C(21,8) combinations, in blocks.
+
+    The blocks follow lexicographic order.  Their arrays are views of one
+    buffer, overwritten by the next block.
     """
-    adjacency = np.zeros(len(combos), dtype=_WORD)
-    degree = np.zeros(len(combos), dtype=_WORD)
-    for slots in combos.T:
-        adjacency |= _NEIGHBOUR_WORDS[slots]
-        degree += _DEGREE_WORDS[slots]
-    reach = adjacency.view(np.uint8).reshape(-1, VERTEX_COUNT) | _CORNER_BITS
-    degree = degree.view(np.uint8).reshape(-1, VERTEX_COUNT)
+    suffix = _suffix_words(6)
+    block = tuple(np.empty(_BLOCK, dtype=w.dtype) for w in suffix)
+    at = 0
+    for a, b in itertools.combinations(range(SLOT_COUNT - 6), 2):
+        size = comb(SLOT_COUNT - 1 - b, 6)
+        if at + size > _BLOCK:
+            yield tuple(w[:at] for w in block)
+            at = 0
+        for fold, empty, slot, tail, out in zip(_FOLDS, _EMPTY_WORDS, _SLOT_WORDS, suffix, block):
+            fold(tail[-size:], fold(fold(empty, slot[a]), slot[b]), out=out[at : at + size])
+        at += size
+    yield tuple(w[:at] for w in block)
+
+
+def _zero_bytes(word, out):
+    """How many bytes of each word are 0, into ``out``; every byte must be below 0x80."""
+    np.add(word, _bytes(0x7F), out=out)
+    out |= word
+    out >>= 7
+    out &= _bytes(1)
+    out *= _bytes(1)
+    out >>= 56
+    return np.subtract(VERTEX_COUNT, out, out=out)
+
+
+def _solution_numbers(reach, weights, masks, work, out):
+    """Solution numbers of one block of combinations, from their words, into ``out``.
+
+    The rule of solution_number_formula over classify_edges, for every
+    combination at once.  ``reach`` is overwritten, and ``work`` holds four
+    scratch words per combination.
+    """
+    scratch, sums, components, tree_vertices = work[:, : len(reach)]
+    rows = reach.view(np.uint8).reshape(-1, VERTEX_COUNT)
     for k in range(VERTEX_COUNT):
-        reach |= ((reach >> k) & 1) * reach[:, k : k + 1]
-    vertices = _POPCOUNT[reach]
-    degree_sum = np.zeros_like(reach)
-    for v in range(VERTEX_COUNT):
-        degree_sum += ((reach >> v) & 1) * degree[:, v : v + 1]
-    root = (reach & (_CORNER_BITS - 1)) == 0
-    tree = root & (degree_sum + 2 == 2 * vertices)
-    components = root.sum(axis=1, dtype=np.uint8)
-    trees = tree.sum(axis=1, dtype=np.uint8)
-    tree_vertices = (vertices * tree).sum(axis=1, dtype=np.uint8)
-    # The values selected never exceed 16, so uint8 arithmetic is exact there.
-    return np.where(
-        combos[:, -1] == TARGET_SLOT,
-        np.where(trees == 1, (1 << (components - 1)) * tree_vertices, 0),
-        np.where(trees == 0, 1 << components, 0),
-    ).astype(np.uint8)
+        # A byte indexes the 256 rows of _JOIN, so no index needs a check.
+        np.take(_JOIN, rows[:, k], out=scratch, mode="wrap")
+        reach |= scratch
+    sums[:] = 0
+    weight = weights.view(np.uint8).reshape(-1, VERTEX_COUNT)
+    for u in range(VERTEX_COUNT):
+        np.right_shift(reach, u, out=scratch)
+        scratch &= _bytes(1)
+        scratch *= weight[:, u]
+        sums += scratch
+    # Byte v of ``reach`` becomes 0 when v is its component's root, and byte
+    # v of ``sums`` (degree sum + 2) ^ (2 * vertices): 0 when v's component
+    # is a tree.
+    reach &= _BELOW
+    np.right_shift(sums, 3, out=scratch)
+    scratch &= _bytes(0x1E)
+    sums &= _bytes(0x0F)
+    sums += _bytes(2)
+    sums ^= scratch
+    _zero_bytes(reach, components)
+    _zero_bytes(sums, tree_vertices)
+    reach |= sums
+    trees = _zero_bytes(reach, scratch)
+    # The values kept never exceed 16, so the uint8 cast is exact there.
+    target = masks >> TARGET_SLOT
+    scale = np.where(target, tree_vertices, 1)
+    np.multiply(trees == target, scale << (components - target), out=out, casting="unsafe")
 
 
 @lru_cache(maxsize=1)
@@ -191,20 +270,21 @@ def slot_table():
     """Classify every 8-subset of slots once; shared by all sweeps.
 
     The census runs over all C(21,8) combinations in lexicographic order,
-    in blocks of ``_CENSUS_BLOCK`` rows, so ``nonzero_masks`` ascends in
-    that order.  It gives the same numbers as classify_edges with
+    in blocks of at most ``_BLOCK``, so ``nonzero_masks`` ascends in that
+    order.  It gives the same numbers as classify_edges with
     solution_number_formula on every subset (the tests compare all of them).
     """
-    combos = combination_rows(SLOT_COUNT, 8, np.arange(USABLE_COLLECTIONS))
-    values = np.concatenate([
-        _census(combos[start : start + _CENSUS_BLOCK])
-        for start in range(0, len(combos), _CENSUS_BLOCK)
-    ])
+    masks = np.empty(USABLE_COLLECTIONS, dtype=np.uint32)
+    values = np.empty(USABLE_COLLECTIONS, dtype=np.uint8)
+    work = np.empty((4, _BLOCK), dtype=_WORD)
+    at = 0
+    for reach, weights, block_masks in _combination_blocks():
+        end = at + len(reach)
+        masks[at:end] = block_masks
+        _solution_numbers(reach, weights, block_masks, work, values[at:end])
+        at = end
     buildable = values > 0
-    masks = np.zeros(np.count_nonzero(buildable), dtype=np.uint32)
-    for slots in combos[buildable].T:
-        masks |= np.uint32(1) << slots.astype(np.uint32)
-    return SlotTable(nonzero_masks=masks, nonzero_values=values[buildable])
+    return SlotTable(nonzero_masks=masks[buildable], nonzero_values=values[buildable])
 
 
 @dataclass(frozen=True)
@@ -326,6 +406,17 @@ def buildable_mask_table(target_name):
     return _cube_masks([build_tableau().cube(target_name).id])[0], slot_table().nonzero_values
 
 
+_RUN_CHUNK = 1 << 18    # masks per shifted compare, to bound the scratch
+
+
+def _shifted_equal(masks, j):
+    """Yield (lo, masks[lo + j : hi + j] == masks[lo : hi]) over chunks lo..hi of ``masks``."""
+    end = len(masks) - j
+    for lo in range(0, end, _RUN_CHUNK):
+        hi = min(end, lo + _RUN_CHUNK)
+        yield lo, masks[lo + j : hi + j] == masks[lo:hi]
+
+
 def distribution_buildable():
     """Distribution of the buildable-target count over all C(30,8) collections.
 
@@ -339,7 +430,8 @@ def distribution_buildable():
     masks = _cube_masks(range(30)).ravel()
     masks.sort()
     repeats = [len(masks)] + [
-        int(np.count_nonzero(masks[j:] == masks[:-j])) for j in range(1, 6)
+        sum(int(np.count_nonzero(equal)) for _, equal in _shifted_equal(masks, j))
+        for j in range(1, 6)
     ]
     if repeats[5]:
         starts = np.flatnonzero(np.concatenate(([True], masks[1:] != masks[:-1])))
@@ -352,7 +444,9 @@ def distribution_buildable():
         if exactly:
             distribution[j] = exactly
     distribution[0] = TOTAL_COLLECTIONS - (repeats[0] - repeats[1])
-    return distribution, masks[:-4][masks[4:] == masks[:-4]]
+    return distribution, np.concatenate(
+        [masks[lo : lo + len(equal)][equal] for lo, equal in _shifted_equal(masks, 4)]
+    )
 
 
 def _target_numbers(ids, tableau):

@@ -116,18 +116,39 @@ def conjecture_sets(tableau=None):
 # ---------------------------------------------------------------------------
 # Buildability index: for every subset of the 21 slots, can some 8-subset of
 # it build the target?  Seeded with the nonzero 8-subsets of the slot
-# classification and closed upward with a subset-sum sweep over the bits.
+# classification and closed upward one bit at a time.  Read as little-endian
+# uint64 words, the table holds the masks m..m+7 (m a multiple of 8) in the
+# bytes of one word, byte j for m + j: slot bits 0-2 close inside each word
+# with a shift by 8, 16 and 32 bits, and bits 3-20 with an OR of halves.
 # ---------------------------------------------------------------------------
+
+_CLOSURE_CHUNK = 1 << 13    # words per in-word step, to bound the scratch
+_IN_WORD = tuple(
+    (8 << bit, np.uint64(keep))
+    for bit, keep in enumerate((0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000))
+)
 
 
 @lru_cache(maxsize=1)
 def _buildable_closure():
-    st = slot_table()
     closed = np.zeros(1 << SLOT_COUNT, dtype=bool)
-    closed[st.nonzero_masks] = True
-    for bit in range(SLOT_COUNT):
-        view = closed.reshape(-1, 2, 1 << bit)
-        view[:, 1, :] |= view[:, 0, :]
+    closed[slot_table().nonzero_masks] = True
+    words = closed.view("<u8")
+    scratch = np.empty(_CLOSURE_CHUNK, dtype=words.dtype)
+    for lo in range(0, len(words), _CLOSURE_CHUNK):
+        chunk = words[lo : lo + _CLOSURE_CHUNK]
+        for shift, keep in _IN_WORD:
+            np.left_shift(chunk, shift, out=scratch)
+            scratch &= keep
+            chunk |= scratch
+    for bit in range(3, SLOT_COUNT):
+        halves = words.reshape(-1, 2, 1 << (bit - 3))
+        if halves.shape[2] < 8:
+            # numpy runs each short row as its own inner loop: go by columns.
+            for column in range(halves.shape[2]):
+                halves[:, 1, column] |= halves[:, 0, column]
+        else:
+            halves[:, 1] |= halves[:, 0]
     return closed
 
 
@@ -495,16 +516,16 @@ class _ScanTables:
 @lru_cache(maxsize=1)
 def _scan_tables():
     # The last prefix cube is at least 4, so every suffix is a 7-set of 5..29.
-    # Unranked a slice at a time to keep the int64 scratch small.
+    # Unranked and masked a slice at a time to keep the scratch small.
     count = comb(30 - _PREFIX, _SUFFIX)
     suffixes = np.empty(count, dtype=np.uint32)
-    for lo in range(0, count, 1 << 16):
-        ranks = np.arange(lo, min(count, lo + (1 << 16)))
-        rows = combination_rows(30 - _PREFIX, _SUFFIX, ranks) + _PREFIX
-        suffixes[lo:lo + len(rows)] = _bitmasks(rows)
     columns = np.empty((_MASK_COLUMNS, count), dtype=np.uint32)
-    for t in range(_MASK_COLUMNS):
-        columns[t] = _slot_masks(suffixes, t)
+    for lo in range(0, count, 1 << 16):
+        hi = min(count, lo + (1 << 16))
+        rows = combination_rows(30 - _PREFIX, _SUFFIX, np.arange(lo, hi)) + _PREFIX
+        suffixes[lo:hi] = _bitmasks(rows)
+        for t in range(_MASK_COLUMNS):
+            columns[t, lo:hi] = _slot_masks(suffixes[lo:hi], t)
     top = 30 - _SUFFIX
     prefix_rows = combination_rows(top, _PREFIX, np.arange(comb(top, _PREFIX)))
     prefixes = _bitmasks(prefix_rows)

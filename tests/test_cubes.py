@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from madness import cubes
 from madness.cubes import (
     ALL_CORNER_NUMBERS,
     COLORS,
@@ -11,6 +13,7 @@ from madness.cubes import (
     ROTATIONS,
     InvalidColoringError,
     InvalidCornerError,
+    TableauBuildError,
     UnknownCubeError,
     all_color_permutations,
     build_tableau,
@@ -114,6 +117,32 @@ def test_tableau_bootstrap():
         assert cube.corners == corners_in_read_order(cube.coloring)
         assert len(cube.corner_set) == 8
         assert cube.corner_set == frozenset(REFERENCE_CORNERS[cube.name])
+
+
+def test_rotation_orbits_partition_the_face_bijections():
+    classes = cubes._generate_cube_classes()
+    assert len(classes) == 30 and set(classes.values()) == {24}
+    bijections = list(itertools.permutations(COLORS))
+    assert Counter(canonical_coloring(c) for c in bijections) == classes
+    orbits = [{rotate(key, p) for p in ROTATIONS} for key in classes]
+    assert all(min(orbit) == key for orbit, key in zip(orbits, classes))
+    assert sum(len(orbit) for orbit in orbits) == 720
+    assert set().union(*orbits) == set(bijections)
+
+
+@pytest.mark.parametrize("dropped", [0, 23])
+def test_tableau_bootstrap_rejects_an_incomplete_rotation_set(monkeypatch, dropped):
+    # Without one rotation the orbits have 23 members or overlap.
+    rotations = ROTATIONS[:dropped] + ROTATIONS[dropped + 1 :]
+    build_tableau.cache_clear()
+    try:
+        monkeypatch.setattr(cubes, "ROTATIONS", rotations)
+        with pytest.raises(TableauBuildError):
+            build_tableau()
+    finally:
+        monkeypatch.undo()
+        build_tableau.cache_clear()
+    assert len(build_tableau()) == 30
 
 
 def test_published_corner_sets():

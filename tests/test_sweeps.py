@@ -99,6 +99,17 @@ def test_slot_table_matches_union_find_on_every_subset():
     assert np.array_equal(st.nonzero_values, np.asarray(values, dtype=np.uint8))
 
 
+def test_slot_table_memory_peak():
+    slot_table.cache_clear()
+    tracemalloc.start()
+    try:
+        slot_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, "peak %.1f MB" % (peak / 2**20)
+
+
 def test_solution_values():
     assert solution_values() == (2, 4, 6, 8, 10, 12, 16)
 

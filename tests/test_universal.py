@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -9,7 +10,8 @@ import pytest
 from madness import __version__, universal
 from madness.cubes import build_tableau, mirror_name
 from madness.reports import EXPECTED_SUBSET_BUILD, EXPECTED_UNIVERSAL_SETS, data_hash
-from madness.sweeps import combination_rows
+from madness.solver import SLOT_COUNT
+from madness.sweeps import combination_rows, slot_table
 from madness.universal import (
     SET_SIZE,
     TOTAL_TWELVE_SETS,
@@ -81,6 +83,34 @@ def test_buildable_count_monotone_under_growth():
             if last is not None:
                 assert count >= last
             last = count
+
+
+def test_buildable_closure_matches_its_definition():
+    """Slot mask m is True iff some nonzero 8-subset of the slot table lies in m."""
+    closed = universal._buildable_closure()
+    nonzero = slot_table().nonzero_masks
+    masks = np.arange(1 << SLOT_COUNT, dtype=np.uint32)
+    sizes = sum((masks >> bit) & 1 for bit in range(SLOT_COUNT))
+    assert (closed.dtype, closed.shape) == (np.bool_, (1 << SLOT_COUNT,))
+    assert not closed[sizes < 8].any()
+    assert np.array_equal(np.flatnonzero(closed & (sizes == 8)), np.sort(nonzero))
+    rng = np.random.default_rng(15)
+    sample = rng.integers(0, 1 << SLOT_COUNT, size=4096, dtype=np.uint32)
+    expected = [bool(((nonzero & ~m) == 0).any()) for m in sample]
+    assert closed[sample].tolist() == expected
+    assert 0 < sum(expected) < len(expected)
+
+
+def test_buildable_closure_memory_peak():
+    slot_table()
+    universal._buildable_closure.cache_clear()
+    tracemalloc.start()
+    try:
+        universal._buildable_closure()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20, "peak %.2f MB" % (peak / 2**20)
 
 
 def test_buildable_count_validation():
