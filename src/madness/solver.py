@@ -18,16 +18,19 @@ decides everything: any tree component other than the target's own free
 placement kills the count, and otherwise every component contributes a
 factor of 2, giving 2^(n-1) * (k+1) when T is in W (n components, the unique
 tree among them having k edges) and 2^n when it is not and no component is a
-tree.  Two slower counting routes are provided as oracles, and neither reads
-a corner number.  Both start from faces: a cube fits block cell v when one of
-its 24 rotations shows the target's colors on the three exterior faces of
-that cell, and a solution is an injective cell -> cube map in which every
-cube fits its cell.  One route counts those maps by a dynamic program over
-the cubes used (the permanent of the cell/cube fit matrix), the other by a
-scan of products of primes assigned to the cubes.  The arrangement listing
-takes its cubes and orientations from the same face table, so the three-way
-check compares the corner-number model of the target graph with the face
-model.
+tree.  Read as a bipartite graph of corners and cubes, the solution number
+counts perfect matchings, so the collections with a nonzero count are the
+bases of a rank-8 transversal matroid on the cubes: an edge cube fits its two
+corners, the target cube all eight.  Two slower counting routes are
+provided as oracles, and neither reads a corner number.  Both start from
+faces: a cube fits block cell v when one of its 24 rotations shows the
+target's colors on the three exterior faces of that cell, and a solution is
+an injective cell -> cube map in which every cube fits its cell.  One route
+counts those maps by a dynamic program over the cubes used (the permanent of
+the cell/cube fit matrix), the other by a scan of products of primes
+assigned to the cubes.  The arrangement listing takes its cubes and
+orientations from the same face table, so the three-way check compares the
+corner-number model of the target graph with the face model.
 """
 
 from __future__ import annotations

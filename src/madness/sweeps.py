@@ -22,9 +22,11 @@ the runs of length exactly j: there are r_(j-1) - 2 r_j + r_(j+1) of them,
 the distinct masks number r_0 - r_1, and r_5 = 0 says that no collection
 builds six targets.
 
-``combination_rows`` is the package's one combination enumerator: it
-unranks lexicographic k-combinations into uint8 rows, for the subset
-histograms and the C(30,12) scan of the universal module.
+``combination_rows`` unranks lexicographic k-combinations into uint8 rows,
+for the subset histograms of the universal module and for the tests.  Whole
+levels of combinations are built instead by folding per-element words down
+the combination tree (``_combination_words``): the slot census here and the
+tables of the C(30,12) scan.
 
 ``buildable_collections`` is the solver-only oracle: it tries each usable
 8-subset of some cubes with ``solution_number`` and never reads the slot
@@ -180,19 +182,28 @@ def _slot_words():
 _SLOT_WORDS = _slot_words()
 
 
-def _suffix_words(depth):
-    """The folded words of the ``depth``-combinations of the slots, lexicographic."""
-    level = _SLOT_WORDS
-    for j in range(2, depth + 1):
-        folded = tuple(np.empty(comb(SLOT_COUNT, j), dtype=w.dtype) for w in level)
-        at = 0
-        for a in range(SLOT_COUNT - j + 1):
-            size = comb(SLOT_COUNT - 1 - a, j - 1)
-            for fold, slot, tail, out in zip(_FOLDS, _SLOT_WORDS, level, folded):
-                fold(tail[-size:], slot[a], out=out[at : at + size])
-            at += size
-        level = folded
-    return level
+def _combination_words(words, folds, k):
+    """The folded words of the k-combinations of n elements, in lexicographic order.
+
+    The last axis of each array of ``words`` runs over the n elements; a
+    combination's word is its elements' words folded by the matching ufunc of
+    ``folds``, along the same axis of the result.  Each array is folded on its
+    own, so only two of its levels are ever held at once.
+    """
+    n = words[0].shape[-1]
+    combined = []
+    for fold, element in zip(folds, words):
+        level = element
+        for j in range(2, k + 1):
+            folded = np.empty(element.shape[:-1] + (comb(n, j),), dtype=element.dtype)
+            at = 0
+            for a in range(n - j + 1):
+                size = comb(n - 1 - a, j - 1)
+                fold(level[..., -size:], element[..., a : a + 1], out=folded[..., at : at + size])
+                at += size
+            level = folded
+        combined.append(level)
+    return tuple(combined)
 
 
 def _combination_blocks():
@@ -201,7 +212,7 @@ def _combination_blocks():
     The blocks follow lexicographic order.  Their arrays are views of one
     buffer, overwritten by the next block.
     """
-    suffix = _suffix_words(6)
+    suffix = _combination_words(_SLOT_WORDS, _FOLDS, 6)
     block = tuple(np.empty(_BLOCK, dtype=w.dtype) for w in suffix)
     at = 0
     for a, b in itertools.combinations(range(SLOT_COUNT - 6), 2):

@@ -11,6 +11,11 @@ on cube names through the tableau), each with a stabilizer of order 72.
 Buildability queries reduce to the sweep machinery: a target is buildable
 from a set iff the slot mask of the set's usable cubes contains a nonzero
 8-subset, which is one lookup in an upward-closed table built here once.
+In matroid terms each target is a transversal matroid of rank 8 on the
+cubes (a cube fits the corners it can supply), its bases are the 8-cube
+collections with a nonzero solution number, and a set builds the target
+iff it spans that matroid (Hall's theorem).  So a universal set is one that
+spans all 30 matroids, and the upward-closed table is the spanning family.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .cubes import (
 from .reports import VerificationError, data_hash, write_json
 from .solver import SLOT_COUNT, as_ids, build_target_graph
 from .sweeps import (
+    _combination_words,
     _cube_of_slot,
     _subset_or_table,
     buildable_collections,
@@ -116,17 +122,12 @@ def conjecture_sets(tableau=None):
 # ---------------------------------------------------------------------------
 # Buildability index: for every subset of the 21 slots, can some 8-subset of
 # it build the target?  Seeded with the nonzero 8-subsets of the slot
-# classification and closed upward one bit at a time.  Read as little-endian
-# uint64 words, the table holds the masks m..m+7 (m a multiple of 8) in the
-# bytes of one word, byte j for m + j: slot bits 0-2 close inside each word
-# with a shift by 8, 16 and 32 bits, and bits 3-20 with an OR of halves.
+# classification, the bases, and closed upward.  A spanning set contains a
+# basis through any independent set inside it, and slots 0-7 (eight edges on
+# all eight corners, with one cycle) are a basis: so the closure may leave
+# bits 0-7 out and close over bits 8-20 alone.  Read as uint64 words, slot
+# bit b >= 3 steps 2^(b - 3) words, and each bit closes with an OR of halves.
 # ---------------------------------------------------------------------------
-
-_CLOSURE_CHUNK = 1 << 13    # words per in-word step, to bound the scratch
-_IN_WORD = tuple(
-    (8 << bit, np.uint64(keep))
-    for bit, keep in enumerate((0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000))
-)
 
 
 @lru_cache(maxsize=1)
@@ -134,21 +135,9 @@ def _buildable_closure():
     closed = np.zeros(1 << SLOT_COUNT, dtype=bool)
     closed[slot_table().nonzero_masks] = True
     words = closed.view("<u8")
-    scratch = np.empty(_CLOSURE_CHUNK, dtype=words.dtype)
-    for lo in range(0, len(words), _CLOSURE_CHUNK):
-        chunk = words[lo : lo + _CLOSURE_CHUNK]
-        for shift, keep in _IN_WORD:
-            np.left_shift(chunk, shift, out=scratch)
-            scratch &= keep
-            chunk |= scratch
-    for bit in range(3, SLOT_COUNT):
+    for bit in range(8, SLOT_COUNT):
         halves = words.reshape(-1, 2, 1 << (bit - 3))
-        if halves.shape[2] < 8:
-            # numpy runs each short row as its own inner loop: go by columns.
-            for column in range(halves.shape[2]):
-                halves[:, 1, column] |= halves[:, 0, column]
-        else:
-            halves[:, 1] |= halves[:, 0]
+        halves[:, 1] |= halves[:, 0]
     return closed
 
 
@@ -487,21 +476,25 @@ def orbit_and_stabilizer(candidates=None, tableau=None):
 # Exhaustive scan of all C(30,12) sets, one prefix block at a time.  A block
 # is every 12-set sharing a 5-cube prefix a1<...<a5 (a5 <= 22); its 7-cube
 # suffixes, in lexicographic order, are the last C(29 - a5, 7) entries of one
-# table of the 7-subsets of 5..29.  For the first few targets the suffix slot
-# masks are precomputed, so a block is filtered by ORing the prefix's mask
-# into a slice of them and looking each up in the upward closure, keeping
-# only the survivors.  The survivors of all blocks in a step of at least
-# 250,000 sets are pooled as cube bitmasks and filtered by the other targets
-# together; almost every set dies within the first few targets.  Blocks
-# follow lexicographic order, so the number of sets scanned is the rank of
-# the next set.  After each step a checkpoint file records that rank, the
-# sets found so far, and the version and cube data that wrote it.
+# table of the 7-subsets of 5..29.  The tables are folded by OR down the
+# lexicographic combination tree from each cube's words: its bit, and its
+# slot bits in the first few targets.  A block is filtered over contiguous
+# slices of its suffixes, at most _CHUNK at a time: for each of those targets
+# the prefix's slot mask is ORed into the suffix column and looked up in the
+# upward closure, the tests are ANDed, and the suffixes are compressed
+# once.  The survivors of all blocks in a step of at least 250,000 sets are
+# pooled as cube bitmasks and filtered by the other targets together; almost
+# every set dies within the first few targets.  Blocks follow lexicographic
+# order, so the number of sets scanned is the rank of the next set.  After
+# each step a checkpoint file records that rank, the sets found so far, and
+# the version and cube data that wrote it.
 # ---------------------------------------------------------------------------
 
 _PREFIX = 5                      # cubes fixed per block
 _SUFFIX = SET_SIZE - _PREFIX     # cubes varying within a block
 _MASK_COLUMNS = 4                # targets with precomputed suffix slot masks
 _STEP = 250_000                  # sets per step at least: one checkpoint each
+_CHUNK = 1 << 16                 # suffixes per filter pass, to bound the scratch
 
 
 @dataclass(frozen=True)
@@ -515,22 +508,20 @@ class _ScanTables:
 
 @lru_cache(maxsize=1)
 def _scan_tables():
-    # The last prefix cube is at least 4, so every suffix is a 7-set of 5..29.
-    # Unranked and masked a slice at a time to keep the scratch small.
-    count = comb(30 - _PREFIX, _SUFFIX)
-    suffixes = np.empty(count, dtype=np.uint32)
-    columns = np.empty((_MASK_COLUMNS, count), dtype=np.uint32)
-    for lo in range(0, count, 1 << 16):
-        hi = min(count, lo + (1 << 16))
-        rows = combination_rows(30 - _PREFIX, _SUFFIX, np.arange(lo, hi)) + _PREFIX
-        suffixes[lo:hi] = _bitmasks(rows)
-        for t in range(_MASK_COLUMNS):
-            columns[t, lo:hi] = _slot_masks(suffixes[lo:hi], t)
+    cube_bits = np.uint32(1) << np.arange(30, dtype=np.uint32)
+    slot_bits = _slot_bits_by_target()[:_MASK_COLUMNS]
+    # The last prefix cube is at most 22, so every suffix is a 7-set of 5..29.
+    suffixes, columns = _combination_words(
+        (cube_bits[_PREFIX:], slot_bits[:, _PREFIX:]), (np.bitwise_or,) * 2, _SUFFIX
+    )
+    # A block holds C(29 - a5, 7) sets: the least of C(29 - a, 7) over its prefix.
     top = 30 - _SUFFIX
-    prefix_rows = combination_rows(top, _PREFIX, np.arange(comb(top, _PREFIX)))
-    prefixes = _bitmasks(prefix_rows)
-    prefix_masks = np.stack([_slot_masks(prefixes, t) for t in range(_MASK_COLUMNS)])
-    sizes = np.array([comb(29 - a, _SUFFIX) for a in range(top)], dtype=np.int64)[prefix_rows[:, -1]]
+    sizes = np.array([comb(29 - a, _SUFFIX) for a in range(top)], dtype=np.int64)
+    prefixes, prefix_masks, sizes = _combination_words(
+        (cube_bits[:top], slot_bits[:, :top], sizes),
+        (np.bitwise_or, np.bitwise_or, np.minimum),
+        _PREFIX,
+    )
     starts = np.concatenate(([0], np.cumsum(sizes)))
     return _ScanTables(suffixes, columns, prefixes, prefix_masks, starts)
 
@@ -538,6 +529,9 @@ def _scan_tables():
 def _scan_step(tables, begin, end):
     """Bitmasks of the universal sets of ranks begin..end-1, in rank order."""
     closed = _buildable_closure()
+    # Scratch for every chunk: the lookup keys, the tests passed so far, the latest test.
+    keys_buf = np.empty(_CHUNK, dtype=np.intp)
+    keep_buf, hits_buf = np.empty(_CHUNK, dtype=bool), np.empty(_CHUNK, dtype=bool)
     pieces = []
     block = int(np.searchsorted(tables.starts, begin, side="right")) - 1
     while tables.starts[block] < end:
@@ -546,10 +540,18 @@ def _scan_step(tables, begin, end):
         base = len(tables.suffixes) - (stop - start)
         lo, hi = base + max(begin, start) - start, base + min(end, stop) - start
         prefix = tables.prefix_masks[:, block]
-        rows = np.flatnonzero(closed[tables.columns[0, lo:hi] | prefix[0]]) + lo
-        for t in range(1, _MASK_COLUMNS):
-            rows = rows[closed[tables.columns[t, rows] | prefix[t]]]
-        pieces.append(tables.suffixes[rows] | tables.prefixes[block])
+        for at in range(lo, hi, _CHUNK):
+            rows = slice(at, min(hi, at + _CHUNK))
+            n = rows.stop - at
+            keys, keep, hits = keys_buf[:n], keep_buf[:n], hits_buf[:n]
+            np.bitwise_or(tables.columns[0, rows], prefix[0], out=keys)
+            closed.take(keys, out=keep)
+            for t in range(1, _MASK_COLUMNS):
+                np.bitwise_or(tables.columns[t, rows], prefix[t], out=keys)
+                keep &= closed.take(keys, out=hits)
+            piece = tables.suffixes[rows][keep]
+            piece |= tables.prefixes[block]
+            pieces.append(piece)
         block += 1
     sets = np.concatenate(pieces)
     for t in range(_MASK_COLUMNS, 30):
@@ -568,8 +570,8 @@ class SearchState:
         return self.completed >= self.total
 
 
-def _load_checkpoint(path):
-    """Read a scan state, raising CheckpointError if the file holds none for this code."""
+def _load_checkpoint(path, data):
+    """Read a scan state, raising CheckpointError if it is not one for this code and ``data``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -597,19 +599,19 @@ def _load_checkpoint(path):
         raise CheckpointError(
             f"checkpoint {path} was written by madness {raw['version']}, not {__version__}"
         )
-    if raw["data"] != data_hash():
+    if raw["data"] != data:
         raise CheckpointError(f"checkpoint {path} was written for other cube data ({raw['data']})")
     return SearchState(completed=completed, found=found)
 
 
-def _store_checkpoint(path, state):
+def _store_checkpoint(path, state, data):
     try:
         write_json(path, {
             "completed": state.completed,
             "found": state.found,
             "total": state.total,
             "version": __version__,
-            "data": data_hash(),
+            "data": data,
         })
     except OSError as exc:
         raise CheckpointError(f"checkpoint {path} cannot be written ({exc.strerror})") from None
@@ -623,16 +625,17 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_sec
     point).  The scan stops after exactly ``budget_combinations`` sets, or
     before the first step (at least 250,000 sets, up to a block boundary)
     that starts after ``budget_seconds``.  With no budget the full scan
-    takes about three seconds.  A negative budget, or a time budget that is
-    not finite, raises ValueError before the checkpoint is read; a budget of
-    0 scans nothing.
+    takes about two and a half seconds.  A negative budget, or a time budget
+    that is not finite, raises ValueError before the checkpoint is read; a
+    budget of 0 scans nothing.
     """
     if budget_combinations is not None and budget_combinations < 0:
         raise ValueError(f"a budget of combinations must be at least 0, got {budget_combinations}")
     if budget_seconds is not None and not 0 <= budget_seconds < inf:  # NaN too
         raise ValueError(f"a budget of seconds must be finite and at least 0, got {budget_seconds}")
+    data = data_hash()    # the cube-data hash every checkpoint of this call carries
     if checkpoint_path and os.path.exists(checkpoint_path):
-        state = _load_checkpoint(checkpoint_path)
+        state = _load_checkpoint(checkpoint_path, data)
     else:
         state = SearchState(completed=0, found=[])
 
@@ -651,8 +654,8 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_sec
         state.found.extend(_scan_step(tables, state.completed, end))
         state.completed = end
         if checkpoint_path:
-            _store_checkpoint(checkpoint_path, state)
+            _store_checkpoint(checkpoint_path, state, data)
 
     if checkpoint_path:
-        _store_checkpoint(checkpoint_path, state)
+        _store_checkpoint(checkpoint_path, state, data)
     return state

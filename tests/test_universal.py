@@ -10,7 +10,7 @@ import pytest
 from madness import __version__, universal
 from madness.cubes import build_tableau, mirror_name
 from madness.reports import EXPECTED_SUBSET_BUILD, EXPECTED_UNIVERSAL_SETS, data_hash
-from madness.solver import SLOT_COUNT
+from madness.solver import SLOT_COUNT, SLOT_ENDPOINTS, TARGET_SLOT, VERTEX_COUNT
 from madness.sweeps import combination_rows, slot_table
 from madness.universal import (
     SET_SIZE,
@@ -111,6 +111,39 @@ def test_buildable_closure_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 2**20, "peak %.2f MB" % (peak / 2**20)
+
+
+def _hall_spanning():
+    """Slot masks that span the target's transversal matroid, by Hall's condition.
+
+    A mask spans when it can fill all 8 corners with distinct slots, and by
+    Hall's theorem that holds iff every set X of corners meets at least |X|
+    slots of the mask that fit some corner of X.  An edge slot fits its two
+    endpoints and the target slot every corner: nothing but SLOT_ENDPOINTS
+    and TARGET_SLOT is read.  Mask m sits at row m >> 11, column m & 2047.
+    """
+    popcount = np.array([bin(v).count("1") for v in range(1 << 11)], dtype=np.uint8)
+    high, low = np.arange(1 << (SLOT_COUNT - 11)), np.arange(1 << 11)
+    spanning = np.ones((len(high), len(low)), dtype=bool)
+    for corners in range(1, 1 << VERTEX_COUNT):
+        fits = 1 << TARGET_SLOT
+        for slot, (u, v) in enumerate(SLOT_ENDPOINTS):
+            if (corners >> u | corners >> v) & 1:
+                fits |= 1 << slot
+        meets = popcount[high & fits >> 11][:, None] + popcount[low & fits & 2047]
+        spanning &= meets >= bin(corners).count("1")
+    return spanning.ravel()
+
+
+def test_buildable_closure_is_spanning_in_the_transversal_matroid():
+    """The closure is the spanning family of a rank-8 transversal matroid.
+
+    Slots 0-7 are a basis (eight slots that fill all eight corners), which
+    is what lets the closure leave slot bits 0-7 out.
+    """
+    spanning = _hall_spanning()
+    assert spanning[0xFF]    # 8 slots spanning a rank-8 matroid: a basis
+    assert np.array_equal(spanning, universal._buildable_closure())
 
 
 def test_buildable_count_validation():
@@ -297,6 +330,16 @@ def test_search_time_budget(tmp_path):
     assert resumed.completed == 5_000
 
 
+def test_search_hashes_the_cube_data_once_per_call(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(universal, "data_hash", lambda: calls.append(1) or data_hash())
+    path = tmp_path / "scan.json"
+    for _ in range(2):    # a fresh checkpoint, then a resume: several stores each
+        exhaustive_search(checkpoint_path=str(path), budget_combinations=1_000_000)
+    assert len(calls) == 2
+    assert json.loads(path.read_text(encoding="utf-8"))["data"] == data_hash()
+
+
 def test_zero_second_budget_stops_before_the_first_chunk():
     assert exhaustive_search(budget_seconds=0, budget_combinations=1_000).completed == 0
 
@@ -344,6 +387,49 @@ def test_malformed_checkpoint_is_rejected(change, tmp_path):
     assert exhaustive_search(checkpoint_path=str(path), budget_combinations=0).completed == 12
 
 
+def test_scan_tables_match_unranked_combinations():
+    """The folded scan tables equal the unranked combinations, masked one by one."""
+    columns = range(universal._MASK_COLUMNS)
+    suffix_rows = combination_rows(25, 7, np.arange(comb(25, 7))) + 5
+    prefix_rows = combination_rows(23, 5, np.arange(comb(23, 5)))
+    suffixes, prefixes = universal._bitmasks(suffix_rows), universal._bitmasks(prefix_rows)
+    sizes = [comb(29 - int(row[-1]), 7) for row in prefix_rows]
+    expected = (
+        suffixes,
+        np.stack([universal._slot_masks(suffixes, t) for t in columns]),
+        prefixes,
+        np.stack([universal._slot_masks(prefixes, t) for t in columns]),
+        np.concatenate(([0], np.cumsum(sizes))),
+    )
+    tables = universal._scan_tables()
+    got = (tables.suffixes, tables.columns, tables.prefixes, tables.prefix_masks, tables.starts)
+    for table, oracle in zip(got, expected):
+        assert table.dtype == oracle.dtype
+        assert np.array_equal(table, oracle)
+    assert tables.starts[-1] == TOTAL_TWELVE_SETS
+
+
+def test_scan_memory_peaks():
+    """Building the scan tables, and one step over the first block of 480,700 sets."""
+    universal._buildable_closure()
+    universal._slot_bits_by_target()
+    universal._slot_lookup()
+    universal._scan_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = universal._scan_tables()
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        resident = tracemalloc.get_traced_memory()[0]
+        assert universal._scan_step(tables, 0, int(tables.starts[1])) == []
+        step_peak = tracemalloc.get_traced_memory()[1] - resident
+    finally:
+        tracemalloc.stop()
+    assert tables.starts[1] == 480_700
+    assert build_peak < 13 * 2**20, "tables peak %.2f MB" % (build_peak / 2**20)
+    assert step_peak < 2 * 2**20, "step peak %.2f MB" % (step_peak / 2**20)
+
+
 def _reference_scan(begin, end):
     """Universal sets among ranks begin..end-1: every set against all 30 targets.
 
@@ -376,6 +462,7 @@ def _scan_window(tmp_path, begin, end):
 @pytest.mark.parametrize("permissive", [False, True])
 @pytest.mark.parametrize("begin, end", [
     (0, 3_000),
+    (0, 150_000),                                    # several filter chunks of the first block
     (480_700 - 2_000, 480_700 + 2_000),              # the end of the first, largest block
     (10_236_000, 10_240_000),                        # the first universal set
     (TOTAL_TWELVE_SETS - 3_000, TOTAL_TWELVE_SETS),  # the one-set blocks at the end
@@ -392,6 +479,19 @@ def test_block_kernel_matches_the_reference_scan(begin, end, permissive, tmp_pat
     state = _scan_window(tmp_path, begin, end)
     assert state.completed == end
     assert state.found == expected
+
+
+@pytest.mark.parametrize("begin, end", [
+    (0, 150_000),                                    # chunk edges inside the first block
+    (480_700 - 70_000, 480_700 + 70_000),            # a chunk edge on each side of a block edge
+])
+def test_block_kernel_keeps_every_set_when_every_mask_builds(begin, end, monkeypatch):
+    """With a closure that passes every slot mask, each rank comes out once, in order."""
+    closure = np.ones(1 << SLOT_COUNT, dtype=bool)
+    monkeypatch.setattr(universal, "_buildable_closure", lambda: closure)
+    rows = combination_rows(30, SET_SIZE, np.arange(begin, end))
+    found = universal._scan_step(universal._scan_tables(), begin, end)
+    assert found == universal._bitmasks(rows).tolist()
 
 
 def test_block_kernel_finds_each_universal_set_from_inside_its_block(tmp_path):
