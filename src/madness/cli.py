@@ -215,6 +215,11 @@ def _solve_compute(args, params):
     if args.interior:
         payload["interior_matching_count"] = interior_matching_count(cubes, target)
     if args.arrangements:
+        arrangements = enumerate_arrangements(cubes, target)
+        if len(arrangements) != value:
+            raise VerificationError(
+                "arrangement listing disagrees: formula=%d arrangements=%d" % (value, len(arrangements))
+            )
         payload["arrangements"] = [
             [
                 {
@@ -225,7 +230,7 @@ def _solve_compute(args, params):
                 }
                 for p in arrangement
             ]
-            for arrangement in enumerate_arrangements(cubes, target)
+            for arrangement in arrangements
         ]
     return payload
 

@@ -27,10 +27,13 @@ faces: a cube fits block cell v when one of its 24 rotations shows the
 target's colors on the three exterior faces of that cell, and a solution is
 an injective cell -> cube map in which every cube fits its cell.  One route
 counts those maps by a dynamic program over the cubes used (the permanent of
-the cell/cube fit matrix), the other by a scan of products of primes
-assigned to the cubes.  The arrangement listing takes its cubes and
-orientations from the same face table, so the three-way check compares the
-corner-number model of the target graph with the face model.
+the cell/cube fit matrix), the other by multiplying, cell by cell, primes
+assigned to the cubes: equal partial products are merged with their counts,
+a prime already in the product is skipped, and a full product counts when
+the primorial divides it.  The arrangement listing and the interior count
+share one search over the same face table, which tracks the cubes used as a
+bitmask, so the three-way check compares the corner-number model of the
+target graph with the face model.
 """
 
 from __future__ import annotations
@@ -379,9 +382,15 @@ def _placement_table():
 
 def _cell_fits(target, tableau):
     """The placement-table entry of each block cell of ``target``, cell by cell."""
-    coloring = tableau.cube(target).coloring
+    return _fits_of_coloring(tableau.cube(target).coloring)
+
+
+@lru_cache(maxsize=None)
+def _fits_of_coloring(coloring):
+    # Keyed by the coloring alone, so a target is looked up by its faces,
+    # never by its name or corner numbers.  There are 720 colorings at most.
     table = _placement_table()
-    return [table[v, tuple(coloring[f] for f in faces)] for v, faces in enumerate(CELL_FACES)]
+    return tuple(table[v, tuple(coloring[f] for f in faces)] for v, faces in enumerate(CELL_FACES))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +420,13 @@ def solution_number_permanent(collection, target, tableau=None):
 # of the first 8 primes.  For each block cell of the target, list the primes
 # of the cubes that fit it; a solution picks one prime per cell, all
 # distinct, which happens exactly when the product of the picks is divisible
-# by the primorial 2*3*...*19.
+# by the primorial 2*3*...*19.  The picks are multiplied in cell by cell,
+# keeping a count for each distinct partial product: picks with equal
+# products have the same futures, so they are merged.  A partial product
+# already divisible by p is not multiplied by p again, since a product with
+# a repeated prime can never reach a product of 8 distinct primes; the skip
+# drops only picks the primorial test would reject.  Each full product still
+# passes that test, and the test decides the count.
 # ---------------------------------------------------------------------------
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -421,17 +436,36 @@ _PRIMORIAL = 9699690
 def solution_number_prime_scan(collection, target, tableau=None):
     tableau = tableau or build_tableau()
     prime_of = dict(zip(as_ids(collection, tableau), _PRIMES))
-    prime_lists = [
-        [prime_of[i] for i, _ in fits if i in prime_of] for fits in _cell_fits(target, tableau)
-    ]
-    count = 0
-    for picks in itertools.product(*prime_lists):
-        product = 1
-        for p in picks:
-            product *= p
-        if product % _PRIMORIAL == 0:
-            count += 1
-    return count
+    products = {1: 1}
+    for fits in _cell_fits(target, tableau):
+        primes = [prime_of[i] for i, _ in fits if i in prime_of]
+        grown = {}
+        for product, n in products.items():
+            for p in primes:
+                if product % p:
+                    grown[product * p] = grown.get(product * p, 0) + n
+        products = grown
+    return sum(n for product, n in products.items() if product % _PRIMORIAL == 0)
+
+
+def _solution_picks(collection, target, tableau):
+    """Every solution as its 8 (cube id, oriented coloring) picks, cell by cell.
+
+    Partial solutions grow one cell at a time, each with the bitmask of the
+    cubes it uses.  Each is extended in cube-id order, so the solutions come
+    out in lexicographic order of (cube id at cell 0, cube id at cell 1, ...).
+    """
+    members = set(as_ids(collection, tableau))
+    partial = [(0, ())]
+    for fits in _cell_fits(target, tableau):
+        candidates = [(1 << pick[0], pick) for pick in fits if pick[0] in members]
+        partial = [
+            (used | bit, picks + (pick,))
+            for used, picks in partial
+            for bit, pick in candidates
+            if not used & bit
+        ]
+    return [picks for _, picks in partial]
 
 
 @dataclass(frozen=True)
@@ -457,49 +491,20 @@ def enumerate_arrangements(collection, target, tableau=None):
     Order is by the sequence (cube id at cell 0, cube id at cell 1, ...).
     """
     tableau = tableau or build_tableau()
-    members = set(as_ids(collection, tableau))
     t = tableau.cube(target)
-    candidates = [
-        [(i, oriented) for i, oriented in fits if i in members]
-        for fits in _cell_fits(t, tableau)
+    return [
+        tuple(
+            Placement(vertex=v, corner=t.corners[v], cube=tableau.cubes[i].name, coloring=oriented)
+            for v, (i, oriented) in enumerate(picks)
+        )
+        for picks in _solution_picks(collection, t, tableau)
     ]
-    arrangements = []
-    chosen = []
-    used = set()
-
-    def extend(vertex):
-        if vertex == VERTEX_COUNT:
-            arrangements.append(
-                tuple(
-                    Placement(
-                        vertex=v,
-                        corner=t.corners[v],
-                        cube=tableau.cubes[i].name,
-                        coloring=oriented,
-                    )
-                    for v, (i, oriented) in enumerate(chosen)
-                )
-            )
-            return
-        for i, oriented in candidates[vertex]:
-            if i not in used:
-                used.add(i)
-                chosen.append((i, oriented))
-                extend(vertex + 1)
-                chosen.pop()
-                used.remove(i)
-
-    extend(0)
-    return arrangements
 
 
 def interior_matching_count(collection, target, tableau=None):
     """How many solutions also match colors on all 12 interior contacts."""
-    count = 0
-    for arrangement in enumerate_arrangements(collection, target, tableau):
-        if all(
-            arrangement[a].coloring[fa] == arrangement[b].coloring[fb]
-            for a, b, fa, fb in INTERIOR_CONTACTS
-        ):
-            count += 1
-    return count
+    tableau = tableau or build_tableau()
+    return sum(
+        all(picks[a][1][fa] == picks[b][1][fb] for a, b, fa, fb in INTERIOR_CONTACTS)
+        for picks in _solution_picks(collection, target, tableau)
+    )

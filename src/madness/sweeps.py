@@ -388,27 +388,37 @@ def _cube_of_slot():
     return table
 
 
+_REMAP_CHUNK = 1 << 14    # masks remapped per pass over the targets
+
+
 def _cube_masks(target_ids):
     """(len(target_ids), 133,680) uint32: the cube masks of the buildable slot masks.
 
     Row t remaps the slot table's nonzero masks through target t's row of
     ``_cube_of_slot``: each 21-bit slot mask is cut into three 7-slot pieces,
     each piece looked up in a 128-entry table of cube bits, and the three
-    looked-up values ORed into the row in place.
+    looked-up values ORed into the row in place.  The pieces are held as
+    uint8; a chunk of them at a time is widened to the intp indices that
+    take reads, and each lookup lands in one reused scratch chunk.
     """
     slots = slot_table().nonzero_masks
-    # As intp, the pieces index every row's tables with no cast per lookup.
-    pieces = [
-        ((slots >> (_SLOT_PIECE * i)) & ((1 << _SLOT_PIECE) - 1)).astype(np.intp)
-        for i in range(3)
-    ]
+    pieces = np.stack(
+        [(slots >> (_SLOT_PIECE * i)) & ((1 << _SLOT_PIECE) - 1) for i in range(3)]
+    ).astype(np.uint8)
     cube_bits = np.uint32(1) << _cube_of_slot()[target_ids].astype(np.uint32)
     lookup = _subset_or_table(cube_bits.reshape(-1, 3, _SLOT_PIECE))
     masks = np.empty((len(lookup), len(slots)), dtype=np.uint32)
-    for row, tables in zip(masks, lookup):
-        np.take(tables[0], pieces[0], out=row)
-        row |= tables[1][pieces[1]]
-        row |= tables[2][pieces[2]]
+    scratch = np.empty(_REMAP_CHUNK, dtype=np.uint32)
+    for lo in range(0, len(slots), _REMAP_CHUNK):
+        index = pieces[:, lo : lo + _REMAP_CHUNK].astype(np.intp)
+        looked_up = scratch[: index.shape[1]]
+        # A 7-bit piece is always in range, so "clip" changes no index; it
+        # lets take write into ``out`` directly, where the default mode
+        # stages a copy.
+        for row, tables in zip(masks[:, lo : lo + _REMAP_CHUNK], lookup):
+            np.take(tables[0], index[0], out=row, mode="clip")
+            row |= np.take(tables[1], index[1], out=looked_up, mode="clip")
+            row |= np.take(tables[2], index[2], out=looked_up, mode="clip")
     return masks
 
 

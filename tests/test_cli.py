@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import madness
-from madness import reports, sweeps, universal
+from madness import cli, reports, sweeps, universal
 from madness.cli import main
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
@@ -92,6 +92,14 @@ def test_solve_arrangements_payload(capsys):
         for p in arrangement:
             assert set(p) == {"corner", "position", "cube", "faces"}
             assert set(p["faces"]) == set("UDNESW")
+
+
+def test_solve_arrangement_count_disagreement_exits_3(capsys, monkeypatch):
+    listed = cli.enumerate_arrangements
+    monkeypatch.setattr(cli, "enumerate_arrangements", lambda *a: listed(*a)[1:])
+    code, out, err = run(capsys, "solve", "--target", "Ba", "--cubes", CANONICAL, "--arrangements")
+    assert (code, out) == (3, "")
+    assert err == "verification failed: arrangement listing disagrees: formula=16 arrangements=15\n"
 
 
 def test_solve_space_separated_and_zero(capsys):

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
+from madness import solver
 from madness.cubes import (
     CELL_FACES,
+    FACE_LETTERS,
     Tableau,
     all_color_permutations,
     build_tableau,
@@ -28,6 +31,8 @@ from madness.solver import (
     solution_number_formula,
     solution_number_permanent,
     solution_number_prime_scan,
+    _PRIMES,
+    _PRIMORIAL,
     _cell_fits,
     _placement_table,
 )
@@ -283,6 +288,121 @@ def test_face_routes_read_no_corner_number():
         assert unlabeled(enumerate_arrangements(ids, target.name, blank)) == unlabeled(
             enumerate_arrangements(ids, target, t)
         )
+
+
+def _prime_scan_reference(collection, target, t):
+    """The unmerged prime scan: every pick of one prime per cell, each product tested."""
+    prime_of = dict(zip(as_ids(collection, t), _PRIMES))
+    prime_lists = [[prime_of[i] for i, _ in fits if i in prime_of] for fits in _cell_fits(target, t)]
+    count = 0
+    for picks in itertools.product(*prime_lists):
+        product = 1
+        for p in picks:
+            product *= p
+        if product % _PRIMORIAL == 0:
+            count += 1
+    return count
+
+
+def test_prime_scan_matches_the_unmerged_reference():
+    t = build_tableau()
+    rng = random.Random(28)
+    # The heavy tail: collections holding the target cube, which fits all 8
+    # cells and so multiplies the picks.
+    for target in t:
+        usable = [i for i in build_target_graph(target, t).usable_ids() if i != target.id]
+        for _ in range(4):
+            ids = tuple(sorted(rng.sample(usable, 7) + [target.id]))
+            assert solution_number_prime_scan(ids, target, t) == _prime_scan_reference(ids, target, t)
+    for _ in range(200):
+        target = t.cube(rng.randrange(30))
+        ids = tuple(sorted(rng.sample(build_target_graph(target, t).usable_ids(), 8)))
+        assert solution_number_prime_scan(ids, target, t) == _prime_scan_reference(ids, target, t)
+
+
+def test_prime_scan_skip_and_primorial_test_each_hold(monkeypatch):
+    with_target = ("Ac", "Ad", "Ae", "Af", "Ba", "Cb", "Db", "Eb")
+    expected = solution_number(with_target, "Ba")
+    assert expected > 0
+    # With a test every product passes, the repeated-prime skip alone must
+    # still keep each full pick injective ...
+    monkeypatch.setattr(solver, "_PRIMORIAL", 1)
+    assert solution_number_prime_scan(with_target, "Ba") == expected
+    # ... and with a test no product passes, nothing may be counted: the
+    # primorial test decides the count.
+    monkeypatch.setattr(solver, "_PRIMORIAL", _PRIMORIAL * 23)
+    assert solution_number_prime_scan(with_target, "Ba") == 0
+
+
+_OPPOSITE = {"U": "D", "D": "U", "N": "S", "S": "N", "E": "W", "W": "E"}
+
+
+def _brute_force_arrangements(collection, target, t):
+    """Every assignment of the 8 cubes to the 8 cells, kept when each cube fits its cell.
+
+    ``itertools.permutations`` of the sorted ids gives the assignments in
+    lexicographic order of (cube at cell 0, cube at cell 1, ...).
+    """
+    ids = as_ids(collection, t)
+    fit = {(v, i): oriented for v, fits in enumerate(_cell_fits(target, t)) for i, oriented in fits}
+    return [
+        [(v, i, fit[v, i]) for v, i in enumerate(perm)]
+        for perm in itertools.permutations(ids)
+        if all((v, i) in fit for v, i in enumerate(perm))
+    ]
+
+
+def _matches_inside(arrangement):
+    """Cells a and b = a | bit meet through the faces opposite their exterior ones on that axis."""
+    for a, _, colors_a in arrangement:
+        for axis, bit in enumerate((4, 2, 1)):
+            if not a & bit:
+                b, _, colors_b = arrangement[a | bit]
+                face_a = _OPPOSITE[FACE_LETTERS[CELL_FACES[a][axis]]]
+                face_b = _OPPOSITE[FACE_LETTERS[CELL_FACES[b][axis]]]
+                if colors_a[FACE_LETTERS.index(face_a)] != colors_b[FACE_LETTERS.index(face_b)]:
+                    return False
+    return True
+
+
+def test_arrangements_and_interior_count_match_brute_force():
+    t = build_tableau()
+    rng = random.Random(29)
+    cases = [(CANONICAL_BA, "Ba")]
+    while len(cases) < 12:
+        target = t.cube(rng.randrange(30))
+        ids = tuple(sorted(rng.sample(build_target_graph(target, t).usable_ids(), 8)))
+        cases.append((ids, target.name))
+    twelve = next(
+        (ids, target.name)
+        for target in t
+        for ids in itertools.combinations(build_target_graph(target, t).usable_ids(), 8)
+        if target.id in ids and solution_number(ids, target, t) == 12
+    )
+    cases.append(twelve)
+    numbers = [solution_number(ids, target, t) for ids, target in cases]
+    assert 16 in numbers and 12 in numbers and 0 in numbers
+    interior_counts = []
+    for ids, target in cases:
+        reference = _brute_force_arrangements(ids, target, t)
+        listed = enumerate_arrangements(ids, target, t)
+        assert [[(p.vertex, t.cube(p.cube).id, p.coloring) for p in a] for a in listed] == reference
+        interior = interior_matching_count(ids, target, t)
+        assert interior == sum(_matches_inside(a) for a in reference)
+        interior_counts.append(interior)
+    assert interior_counts[0] == 2
+
+
+def test_cell_fits_cache_equals_fresh_lookups():
+    t = build_tableau()
+    table = _placement_table()
+    blank = Tableau([dataclasses.replace(c, corners=(0,) * 8) for c in t])
+    for target in t:
+        fresh = [table[v, tuple(target.coloring[f] for f in faces)] for v, faces in enumerate(CELL_FACES)]
+        cached = _cell_fits(target, t)
+        assert list(cached) == fresh
+        assert _cell_fits(target.name, t) is cached
+        assert _cell_fits(target.name, blank) is cached
 
 
 def test_prime_scan_zero_multiplicity():

@@ -207,7 +207,7 @@ def test_distribution_buildable_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20, "peak %.1f MB" % (peak / 2**20)
+    assert peak < 18 * 2**20, "peak %.1f MB" % (peak / 2**20)
 
 
 def test_buildable_count_distribution():
