@@ -32,6 +32,7 @@ from .solver import (
     as_ids,
     enumerate_arrangements,
     interior_matching_count,
+    interior_matches,
     solution_number,
     solution_number_permanent,
     solution_number_prime_scan,
@@ -212,8 +213,6 @@ def _solve_compute(args, params):
         "solution_number": value,
         "methods": {"formula": value, "permanent": via_permanent, "prime_scan": via_primes},
     }
-    if args.interior:
-        payload["interior_matching_count"] = interior_matching_count(cubes, target)
     if args.arrangements:
         arrangements = enumerate_arrangements(cubes, target)
         if len(arrangements) != value:
@@ -232,6 +231,11 @@ def _solve_compute(args, params):
             ]
             for arrangement in arrangements
         ]
+    if args.interior:  # from the listing's colorings when there is one: no second search
+        payload["interior_matching_count"] = (
+            sum(interior_matches([p.coloring for p in a]) for a in arrangements)
+            if args.arrangements else interior_matching_count(cubes, target)
+        )
     return payload
 
 

@@ -73,6 +73,7 @@ __all__ = [
     "solution_number_prime_scan",
     "enumerate_arrangements",
     "interior_matching_count",
+    "interior_matches",
 ]
 
 VERTEX_COUNT = 8
@@ -501,10 +502,15 @@ def enumerate_arrangements(collection, target, tableau=None):
     ]
 
 
+def interior_matches(colorings):
+    """Whether 8 oriented colorings, cell by cell, match colors on all 12 interior contacts."""
+    return all(colorings[a][fa] == colorings[b][fb] for a, b, fa, fb in INTERIOR_CONTACTS)
+
+
 def interior_matching_count(collection, target, tableau=None):
     """How many solutions also match colors on all 12 interior contacts."""
     tableau = tableau or build_tableau()
     return sum(
-        all(picks[a][1][fa] == picks[b][1][fb] for a, b, fa, fb in INTERIOR_CONTACTS)
+        interior_matches([coloring for _, coloring in picks])
         for picks in _solution_picks(collection, target, tableau)
     )

@@ -20,6 +20,7 @@ spans all 30 matroids, and the upward-closed table is the spanning family.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -238,131 +239,33 @@ def subset_build_distribution(candidate, k, tableau=None):
 
 
 # ---------------------------------------------------------------------------
-# Random sampling.  Sample ``index`` is the first k entries of a partial
-# Fisher-Yates shuffle of 0..29 with one ``integers(i, 30)`` draw per position
-# from ``default_rng(SeedSequence(seed, spawn_key=(index,)))``, so results do
-# not depend on batching.  The kernel computes that stream for a block of
-# indices at once, reproducing numpy's steps on uint32/uint64 arrays:
-#   - SeedSequence: the seed's 32-bit words, zero-padded to the pool size of
-#     4, then the index's words, mixed into the pool by mix_entropy's hashmix
-#     and mix.  Every row has as many words, so the hash constants are the
-#     same scalar sequence for every row.
-#   - generate_state(4, uint64), then PCG64 seeding: inc = 2 seq + 1, step,
-#     add the seed, step.  The 128-bit state is a (high, low) pair of uint64
-#     arrays; the high half of the 64x64-bit product comes from 32-bit limbs.
-#   - Each draw takes the next half of an XSL-RR output, low half first, and
-#     Lemire's j = i + (u (30 - i) >> 32); 30 - i == 1 draws nothing.
-# numpy redraws when (u m) mod 2^32 < 2^32 mod m.  The kernel flags such rows
-# (about one in 27 M samples at k = 12) and they are recomputed with numpy's
-# own generator by the scalar loop.
+# Random sampling.  Cube c of sample i gets word 30 i + c of the SplitMix64
+# stream (Steele, Lea & Flood 2014; golden gamma) that starts from a 64-bit
+# blake2b hash of the seed's decimal digits.  The sample is the k cubes with
+# the least words, each word's low 5 bits replaced by its cube so that no two
+# tie.  A sample depends on (seed, i) alone, so not on batching.
 # ---------------------------------------------------------------------------
 
-_SAMPLE_BLOCK = 1 << 16          # indices per kernel call
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HIGH, _PCG_MULT_LOW = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_SAMPLE_BLOCK = 1 << 10          # samples per block: each temporary under 0.25 MB
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _words(value):
-    """32-bit words of a non-negative int, low first, as SeedSequence splits it."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
+def _sample_words(state, start, stop):
+    """The uint64 words of samples start..stop-1, one row of 30 per sample."""
+    z = np.arange(30 * start + 1, 30 * stop + 1, dtype=np.uint64) * _GAMMA + np.uint64(state)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z.reshape(-1, 30)
 
 
-def _hashmix(value, const):
-    value = value ^ const[0]
-    const[0] = const[0] * _MULT_A & _MASK32
-    value = value * const[0]
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ result >> 16
-
-
-def _seed_state(entropy):
-    """SeedSequence pool and generate_state(4, uint64) of rows of uint32 entropy words."""
-    const = [_INIT_A]
-    pool = [_hashmix(word, const) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, const))
-    const, state = _INIT_B, []
-    for word in pool + pool:
-        word = word ^ const
-        const = const * _MULT_B & _MASK32
-        word = word * const
-        state.append((word ^ word >> 16).astype(np.uint64))
-    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-def _add128(a_high, a_low, b_high, b_low):
-    low = a_low + b_low
-    return a_high + b_high + (low < a_low), low
-
-
-def _pcg_step(high, low, inc_high, inc_low):
-    """One PCG64 step, state * multiplier + inc mod 2^128."""
-    a0, a1 = low & _MASK32, low >> 32
-    b0, b1 = _PCG_MULT_LOW & _MASK32, _PCG_MULT_LOW >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    high = high * _PCG_MULT_LOW + low * _PCG_MULT_HIGH + carry
-    return _add128(high, low * _PCG_MULT_LOW, inc_high, inc_low)
-
-
-def _sample_block(k, seed_words, index):
-    """Sorted samples (uint8) of uint64 indices, and the rows numpy would redraw."""
-    rows = len(index)
-    entropy = [np.full(rows, word, dtype=np.uint32) for word in seed_words]
-    entropy.append((index & _MASK32).astype(np.uint32))
-    if index[0] >> 32:  # blocks start at multiples of 2^16, so all rows alike
-        entropy.append((index >> 32).astype(np.uint32))
-    seed_high, seed_low, seq_high, seq_low = _seed_state(entropy)
-    inc_high, inc_low = seq_high << 1 | seq_low >> 63, seq_low << 1 | 1
-    high, low = _add128(inc_high, inc_low, seed_high, seed_low)
-    high, low = _pcg_step(high, low, inc_high, inc_low)
-    ids = np.tile(np.arange(30, dtype=np.uint8), (rows, 1))
-    redraw = np.zeros(rows, dtype=bool)
-    row = np.arange(rows)
-    for i in range(min(k, 29)):
-        if i % 2 == 0:
-            high, low = _pcg_step(high, low, inc_high, inc_low)
-            rot = high >> 58
-            word = high ^ low
-            word = word >> rot | word << (64 - rot & 63)
-            u = word & _MASK32
-        else:
-            u = word >> 32
-        m = 30 - i
-        product = u * m
-        redraw |= (product & _MASK32) < (1 << 32) % m
-        j = (product >> 32).astype(np.intp) + i
-        swapped = ids[:, i].copy()
-        ids[:, i] = ids[row, j]
-        ids[row, j] = swapped
-    return np.sort(ids[:, :k], axis=1), redraw
-
-
-def _sample_row(k, seed, index):
-    """One sample drawn by numpy's generator, for the rows the kernel flags."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    ids = list(range(30))
-    for i in range(k):
-        j = int(rng.integers(i, 30))
-        ids[i], ids[j] = ids[j], ids[i]
-    return sorted(ids[:k])
+def _least_cubes(words, k):
+    """Per row of 30 words, the k cubes with the least words, ascending; ties go to the lower cube."""
+    keys = words >> np.uint64(5) << np.uint64(5) | np.arange(30, dtype=np.uint64)
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1, None]
+    return (np.flatnonzero(keys <= kth) % 30).reshape(-1, k)
 
 
 def sample_sets(k, n, seed):
@@ -377,14 +280,10 @@ def sample_sets(k, n, seed):
         samples = np.empty((n, k), dtype=np.int64)
     except (MemoryError, ValueError):
         raise SampleCountError(f"{n} samples of {k} cubes do not fit in memory") from None
-    seed_words = _words(seed)
-    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    state = int.from_bytes(hashlib.blake2b(str(seed).encode(), digest_size=8).digest(), "little")
     for start in range(0, n, _SAMPLE_BLOCK):
-        index = np.arange(start, min(n, start + _SAMPLE_BLOCK), dtype=np.uint64)
-        block, redraw = _sample_block(k, seed_words, index)
-        samples[start:start + len(index)] = block
-        for r in np.flatnonzero(redraw):
-            samples[start + r] = _sample_row(k, seed, start + int(r))
+        stop = min(n, start + _SAMPLE_BLOCK)
+        samples[start:stop] = _least_cubes(_sample_words(state, start, stop), k)
     return samples
 
 
@@ -400,7 +299,7 @@ class SampleStats:
     histogram: dict
 
 
-def sample_distribution(k, n, seed, tableau=None):
+def sample_distribution(k, n, seed):
     """Buildable-count statistics over n random k-subsets.
 
     Returns (SampleStats, per-sample counts in index order).

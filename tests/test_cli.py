@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import madness
-from madness import cli, reports, sweeps, universal
+from madness import cli, reports, solver, sweeps, universal
 from madness.cli import main
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
@@ -100,6 +100,19 @@ def test_solve_arrangement_count_disagreement_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "--target", "Ba", "--cubes", CANONICAL, "--arrangements")
     assert (code, out) == (3, "")
     assert err == "verification failed: arrangement listing disagrees: formula=16 arrangements=15\n"
+
+
+def test_solve_interior_with_arrangements_searches_once(capsys, monkeypatch):
+    calls = []
+    picks = solver._solution_picks
+    monkeypatch.setattr(solver, "_solution_picks", lambda *a: calls.append(a) or picks(*a))
+    code, out, _ = run(
+        capsys, "solve", "--target", "Ba", "--cubes", CANONICAL,
+        "--interior", "--arrangements", "--format", "json",
+    )
+    assert (code, len(calls)) == (0, 1)
+    payload = json.loads(out)["payload"]
+    assert (payload["interior_matching_count"], len(payload["arrangements"])) == (2, 16)
 
 
 def test_solve_space_separated_and_zero(capsys):
@@ -582,9 +595,9 @@ GOLDEN_SHA256 = {
     "universal-text": "657813f127f34eaca585572547f0d8960cdb0e60da6de43f9166b239a5e5f0fc",
     "universal-csv": "39779e1267186160f9d6f07b4f580e1cf24ffab121cfbe9b8188b80912db734c",
     "universal-json": "3158bc85fd0c4f6261a169a7750a882675dca9131e035f5b6a092293c2b353a8",
-    "sample-text": "7b96cee2446d51b32d458386a2a44be81ff6c93fd6c28262784caa45b85534f5",
-    "sample-csv": "552696709506779cdb8ea718bc2cb803882f832a147b3ea2f655f53ad29fd37f",
-    "sample-json": "470973ffc54d5968c5cff362d68f34a28ec3f328f7e719f855310ba3d8954840",
+    "sample-text": "4eb9573dbd8bd9833ac2838cac167b447235afebf44c8bdb92e5bfc2dd8c783d",
+    "sample-csv": "6deeea1a0dace173a47456017c4367fea8d9da786f62b0ac566190495cd2399c",
+    "sample-json": "fa2d968682bcfc45ef4afae674c8e9640fe475cadd6f74bc684dcc8524bf832a",
     "out-dir/figure7_k10.csv": "31942da1be417c77b8f0a3b529aa65ff0c2200b7392acc54c6bd5646e40c1752",
     "out-dir/figure7_k11.csv": "c8cc6b0da1a41691d630e0b75a8805a1391641412ce9ee5289f2d13eedcade18",
     "out-dir/figure7_k8.csv": "92527d1d0c179052a61e1b0c5f4b5eaf1c17fb9648ba521e1f9418c0456c4822",

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from math import comb
@@ -9,7 +12,12 @@ import pytest
 
 from madness import __version__, universal
 from madness.cubes import build_tableau, mirror_name
-from madness.reports import EXPECTED_SUBSET_BUILD, EXPECTED_UNIVERSAL_SETS, data_hash
+from madness.reports import (
+    EXPECTED_BUILDABLE_DISTRIBUTION,
+    EXPECTED_SUBSET_BUILD,
+    EXPECTED_UNIVERSAL_SETS,
+    data_hash,
+)
 from madness.solver import SLOT_COUNT, SLOT_ENDPOINTS, TARGET_SLOT, VERTEX_COUNT
 from madness.sweeps import combination_rows, slot_table
 from madness.universal import (
@@ -242,41 +250,72 @@ def test_sample_sets_validation():
         sample_sets(12, 5, -1)
 
 
-def _reference_sample(k, seed, index):
-    """The stream sample_sets reproduces: numpy's generator, one integers() draw per position."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    ids = list(range(30))
-    for i in range(k):
-        j = int(rng.integers(i, 30))
-        ids[i], ids[j] = ids[j], ids[i]
-    return sorted(ids[:k])
+_MASK64 = (1 << 64) - 1
+
+
+def _reference_samples(k, seed, n):
+    """The first n samples, from plain ints: SplitMix64 stepped word by word."""
+    state = int.from_bytes(hashlib.blake2b(str(seed).encode(), digest_size=8).digest(), "little")
+    samples = []
+    for _ in range(n):
+        keys = []
+        for cube in range(30):
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ state >> 30) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ z >> 27) * 0x94D049BB133111EB) & _MASK64
+            keys.append(((z ^ z >> 31) >> 5 << 5) | cube)
+        samples.append(sorted(key & 31 for key in sorted(keys)[:k]))
+    return samples
 
 
 @pytest.mark.parametrize("k", [8, 12, 29, 30])
 @pytest.mark.parametrize("seed", [0, 7, 2**32 + 1, 2**64 + 5, 2**130 + 11])
 def test_sample_sets_matches_numpy_stream(k, seed):
-    # multi-word seeds, and run entropy longer than the pool of four words
-    expected = [_reference_sample(k, seed, index) for index in range(150)]
-    assert sample_sets(k, 150, seed).tolist() == expected
-
-
-def test_sample_sets_redrawn_row():
-    # numpy rejects the first draw of this row and draws again
-    row = sample_sets(12, 10053, 64)[10052].tolist()
-    assert row == _reference_sample(12, 64, 10052)
-    assert row == [0, 1, 4, 8, 9, 13, 14, 18, 19, 21, 26, 28]
+    # the block kernel on uint64 arrays against the word-by-word reference
+    assert sample_sets(k, 150, seed).tolist() == _reference_samples(k, seed, 150)
 
 
 def test_sample_sets_across_a_block_edge():
-    samples = sample_sets(12, 65537, 3)
+    n = universal._SAMPLE_BLOCK + 1
+    samples = sample_sets(12, n, 3)
     assert np.array_equal(samples[:10], sample_sets(12, 10, 3))
-    assert samples[65536].tolist() == _reference_sample(12, 3, 65536)
-    # indices past 2**32 add a second spawn-key word
-    seed_words = universal._words(3) + [0, 0, 0]
-    index = np.arange(2**32, 2**32 + 4, dtype=np.uint64)
-    block, redraw = universal._sample_block(12, seed_words, index)
-    assert not redraw.any()
-    assert block.tolist() == [_reference_sample(12, 3, int(i)) for i in index]
+    assert samples[-1].tolist() == _reference_samples(12, 3, n)[-1]
+
+
+def test_least_cubes_breaks_ties_by_cube():
+    # words equal above their low 5 bits tie, whatever those bits hold
+    words = np.array([31 - np.arange(30), np.full(30, 7 << 40)], dtype=np.uint64)
+    for k in (8, 12, 30):
+        assert universal._least_cubes(words, k).tolist() == [list(range(k))] * 2
+
+
+def test_sample_sets_are_uniform_against_table_2():
+    # k = 8: a uniform sample's buildable counts follow Table 2 over C(30,8)
+    n = 200_000
+    samples = sample_sets(8, n, 1)
+    counts = np.bincount(universal._counts_for_id_matrix(samples), minlength=6)
+    observed = [*counts[:4], counts[4:].sum()]
+    table = EXPECTED_BUILDABLE_DISTRIBUTION
+    expected = [n * table[b] / comb(30, 8) for b in range(4)]
+    expected.append(n * (table[4] + table[5]) / comb(30, 8))
+    chi_square = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    assert chi_square <= 23.51, chi_square  # 4 degrees of freedom, p = 1e-4
+    # each cube in 8/30 of the samples, within 5 standard deviations
+    p = 8 / 30
+    inclusions = np.bincount(samples.ravel(), minlength=30)
+    assert np.abs(inclusions - n * p).max() <= 5 * (n * p * (1 - p)) ** 0.5
+
+
+def test_sampling_loads_no_numpy_random():
+    script = "\n".join([
+        "import sys, numpy",
+        "before = 'numpy.random' in sys.modules",
+        "from madness.universal import sample_distribution",
+        "sample_distribution(12, 200, 1)",
+        "assert ('numpy.random' in sys.modules) == before, 'numpy.random loaded'",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sample_distribution_statistics():
@@ -293,7 +332,7 @@ def test_sample_distribution_statistics():
 def test_sample_distribution_agrees_with_slow_count():
     t = build_tableau()
     ids_matrix = sample_sets(10, 12, 99)
-    _, counts = sample_distribution(10, 12, 99, t)
+    _, counts = sample_distribution(10, 12, 99)
     for row, count in zip(ids_matrix, counts):
         assert buildable_count_direct(tuple(int(i) for i in row), t) == int(count)
 
