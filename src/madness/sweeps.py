@@ -6,12 +6,13 @@ slots defined in the solver module (12 adjacent-pair slots, 4x2 diagonal
 slots, 1 target slot).  Collections containing an unusable cube have
 solution number 0, so a single classification of the C(21,8) = 203,490
 slot subsets decides the solution number of every collection for every
-target.  That classification is one numpy census on packed words: each
-subset's eight corner rows sit in the bytes of one uint64, folded together
-from its slots' words down the lexicographic combination tree, closed
-under reachability by eight Warshall steps on the word, and read off as
-components, trees and solution numbers by byte arithmetic.  Per-target work
-is then a cheap remap of slot masks to cube masks, also done with numpy.
+target.  A subset's solution number is its number of perfect matchings:
+the ways to give the eight corners distinct slots of the subset, each on a
+slot that fits it.  So the classification is one count of matchings over
+all 2^21 slot masks, corner by corner, in numpy; it never reads the
+component rule of ``solution_number_formula``, which stays the independent
+check.  Per-target work is then a cheap remap of slot masks to cube masks,
+also done with numpy.
 
 Table 2 counts, for each collection, how many targets it builds.  The 30
 targets' cube masks are sorted into one array, so each collection that some
@@ -25,8 +26,8 @@ builds six targets.
 ``combination_rows`` unranks lexicographic k-combinations into uint8 rows,
 for the subset histograms of the universal module and for the tests.  Whole
 levels of combinations are built instead by folding per-element words down
-the combination tree (``_combination_words``): the slot census here and the
-tables of the C(30,12) scan.
+the combination tree (``_combination_words``): the slot masks the census is
+read at, and the tables of the C(30,12) scan.
 
 ``buildable_collections`` is the solver-only oracle: it tries each usable
 8-subset of some cubes with ``solution_number`` and never reads the slot
@@ -37,6 +38,7 @@ checks of the universal module all run through it.
 from __future__ import annotations
 
 import itertools
+import mmap
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -95,8 +97,9 @@ class InvalidRuleError(ValueError):
 class SlotTable:
     """Solution numbers of all 8-subsets of the 21 abstract slots.
 
-    ``nonzero_masks`` (21-bit slot masks) and ``nonzero_values`` (their
-    solution numbers) list the 133,680 buildable subsets.
+    ``nonzero_masks`` (21-bit slot masks, uint32) and ``nonzero_values``
+    (their matching counts, the solution numbers, uint8) list the 133,680
+    buildable subsets, in lexicographic order of their slot combinations.
     """
 
     nonzero_masks: np.ndarray
@@ -127,61 +130,6 @@ def combination_rows(n, k, ranks):
     return rows
 
 
-# ---------------------------------------------------------------------------
-# The slot census, on packed words.  Each combination of slots carries a
-# neighbour word (a little-endian uint64 whose byte v has bit u set when
-# corner u is joined to corner v, and bit v itself), a weight word (byte v is
-# 16 plus the degree of v; no degree exceeds 5) and its slot mask.  They are
-# its slots' words folded by OR, add and OR, down the lexicographic
-# combination tree: the j-combinations starting at slot a are a's words
-# folded into the last C(20 - a, j - 1) rows of the (j - 1)-combinations.
-# The six-slot level is kept, and each 8-combination is a two-slot prefix
-# folded into one of its tails.  Then, per block of combinations:
-#   - Warshall step k ORs row k into each row holding bit k.  The rows stay
-#     symmetric, so those are the rows of the corners in row k: one lookup of
-#     byte k in _JOIN.  After 8 steps row v is v's component.
-#   - Byte v of the sum over u of (bit u of row v) * (weight of u) is 16 *
-#     vertices + degree sum of v's component.  The component is a tree when
-#     degree sum + 2 == 2 * vertices (a degree sum of 16 carries, and fails
-#     the test as it must), and v is its root when row v has no lower bit.
-#   - Adding 0x7F to a byte below 0x80 sets its high bit unless the byte is
-#     0; the flags are summed into the top byte by one multiply.
-# ---------------------------------------------------------------------------
-
-_WORD = np.dtype("<u8")
-_BLOCK = 1 << 15    # combinations per census step at most; holds the longest tail, C(19,6)
-
-
-def _bytes(value):
-    """``value`` in every byte of a word."""
-    return np.uint64(value * 0x0101010101010101)
-
-
-_BELOW = np.uint64(sum(((1 << v) - 1) << 8 * v for v in range(VERTEX_COUNT)))
-_JOIN = np.array(
-    [sum(row << 8 * v for v in range(VERTEX_COUNT) if row >> v & 1) for row in range(256)],
-    dtype=_WORD,
-)
-_FOLDS = (np.bitwise_or, np.add, np.bitwise_or)    # neighbour, weight, mask
-# The words of no slot: each corner joined to itself, weight 16, no slot bit.
-_EMPTY_WORDS = (np.uint64(sum(1 << 9 * v for v in range(VERTEX_COUNT))), _bytes(16), np.uint32(0))
-
-
-def _slot_words():
-    """(neighbour, degree, mask) words of each slot; the target slot has no edge."""
-    neighbours = np.zeros((SLOT_COUNT, VERTEX_COUNT), dtype=np.uint8)
-    degrees = np.zeros((SLOT_COUNT, VERTEX_COUNT), dtype=np.uint8)
-    for slot, (u, v) in enumerate(SLOT_ENDPOINTS):
-        neighbours[slot, u] |= 1 << v
-        neighbours[slot, v] |= 1 << u
-        degrees[slot, [u, v]] += 1
-    masks = np.uint32(1) << np.arange(SLOT_COUNT, dtype=np.uint32)
-    return neighbours.view(_WORD).ravel(), degrees.view(_WORD).ravel(), masks
-
-
-_SLOT_WORDS = _slot_words()
-
-
 def _combination_words(words, folds, k):
     """The folded words of the k-combinations of n elements, in lexicographic order.
 
@@ -206,94 +154,65 @@ def _combination_words(words, folds, k):
     return tuple(combined)
 
 
-def _combination_blocks():
-    """(neighbour, weight, mask) words of the C(21,8) combinations, in blocks.
+# ---------------------------------------------------------------------------
+# The slot census, as a count of matchings.  ways[m] counts the ways to give
+# corners 0..v-1 distinct slots of mask m, each slot fitting its corner (the
+# edge slots that end at it, and the target slot: _FITS).  Corner v adds
+# ways[m] into ways[m | 1 << s] for each slot s of _FITS[v] outside m; after
+# the eighth, ways[m] of an 8-slot mask is its solution number.
+#
+# One byte per mask, eight masks to a little-endian uint64 word.  No byte
+# carries: the largest count after corners 0..7 is 1, 2, 3, 4, 6, 8, 12, 16.
+# Slot bit s >= 3 is bit s - 3 of the word index: one strided add of word
+# halves.  Slot bits 0-2 pick the byte: the bytes without bit s shift up by
+# 8 << s bits, a chunk at a time.  The buffers are anonymous maps, because
+# freeing a malloc'd 2 MB buffer raises malloc's mmap threshold and keeps the
+# later sweeps' temporaries resident.
+# ---------------------------------------------------------------------------
 
-    The blocks follow lexicographic order.  Their arrays are views of one
-    buffer, overwritten by the next block.
-    """
-    suffix = _combination_words(_SLOT_WORDS, _FOLDS, 6)
-    block = tuple(np.empty(_BLOCK, dtype=w.dtype) for w in suffix)
-    at = 0
-    for a, b in itertools.combinations(range(SLOT_COUNT - 6), 2):
-        size = comb(SLOT_COUNT - 1 - b, 6)
-        if at + size > _BLOCK:
-            yield tuple(w[:at] for w in block)
-            at = 0
-        for fold, empty, slot, tail, out in zip(_FOLDS, _EMPTY_WORDS, _SLOT_WORDS, suffix, block):
-            fold(tail[-size:], fold(fold(empty, slot[a]), slot[b]), out=out[at : at + size])
-        at += size
-    yield tuple(w[:at] for w in block)
-
-
-def _zero_bytes(word, out):
-    """How many bytes of each word are 0, into ``out``; every byte must be below 0x80."""
-    np.add(word, _bytes(0x7F), out=out)
-    out |= word
-    out >>= 7
-    out &= _bytes(1)
-    out *= _bytes(1)
-    out >>= 56
-    return np.subtract(VERTEX_COUNT, out, out=out)
+_FITS = tuple(
+    tuple(s for s, ends in enumerate(SLOT_ENDPOINTS) if v in ends) + (TARGET_SLOT,)
+    for v in range(VERTEX_COUNT)
+)
+_SLOT_BITS = np.uint32(1) << np.arange(SLOT_COUNT, dtype=np.uint32)
+_IN_WORD = tuple(
+    np.uint64(sum(0xFF << 8 * j for j in range(8) if not j >> s & 1)) for s in range(3)
+)
+_IN_WORD_CHUNK = 1 << 15    # words per in-word step: an eighth of the masks
 
 
-def _solution_numbers(reach, weights, masks, work, out):
-    """Solution numbers of one block of combinations, from their words, into ``out``.
-
-    The rule of solution_number_formula over classify_edges, for every
-    combination at once.  ``reach`` is overwritten, and ``work`` holds four
-    scratch words per combination.
-    """
-    scratch, sums, components, tree_vertices = work[:, : len(reach)]
-    rows = reach.view(np.uint8).reshape(-1, VERTEX_COUNT)
-    for k in range(VERTEX_COUNT):
-        # A byte indexes the 256 rows of _JOIN, so no index needs a check.
-        np.take(_JOIN, rows[:, k], out=scratch, mode="wrap")
-        reach |= scratch
-    sums[:] = 0
-    weight = weights.view(np.uint8).reshape(-1, VERTEX_COUNT)
-    for u in range(VERTEX_COUNT):
-        np.right_shift(reach, u, out=scratch)
-        scratch &= _bytes(1)
-        scratch *= weight[:, u]
-        sums += scratch
-    # Byte v of ``reach`` becomes 0 when v is its component's root, and byte
-    # v of ``sums`` (degree sum + 2) ^ (2 * vertices): 0 when v's component
-    # is a tree.
-    reach &= _BELOW
-    np.right_shift(sums, 3, out=scratch)
-    scratch &= _bytes(0x1E)
-    sums &= _bytes(0x0F)
-    sums += _bytes(2)
-    sums ^= scratch
-    _zero_bytes(reach, components)
-    _zero_bytes(sums, tree_vertices)
-    reach |= sums
-    trees = _zero_bytes(reach, scratch)
-    # The values kept never exceed 16, so the uint8 cast is exact there.
-    target = masks >> TARGET_SLOT
-    scale = np.where(target, tree_vertices, 1)
-    np.multiply(trees == target, scale << (components - target), out=out, casting="unsafe")
+def _matching_counts():
+    """uint8 per slot mask: its matchings of the eight corners, 0 unless it has eight slots."""
+    ways, grown = (np.frombuffer(mmap.mmap(-1, 1 << SLOT_COUNT), dtype="<u8") for _ in range(2))
+    ways[0] = 1
+    scratch = np.empty(_IN_WORD_CHUNK, dtype=ways.dtype)
+    for fits in _FITS:
+        grown.fill(0)
+        for slot in fits:
+            if slot >= 3:
+                half = 1 << (slot - 3)
+                grown.reshape(-1, 2, half)[:, 1] += ways.reshape(-1, 2, half)[:, 0]
+                continue
+            for lo in range(0, len(ways), _IN_WORD_CHUNK):
+                np.bitwise_and(ways[lo : lo + _IN_WORD_CHUNK], _IN_WORD[slot], out=scratch)
+                scratch <<= np.uint64(8 << slot)
+                grown[lo : lo + _IN_WORD_CHUNK] += scratch
+        ways, grown = grown, ways
+    return ways.view(np.uint8)
 
 
 @lru_cache(maxsize=1)
 def slot_table():
     """Classify every 8-subset of slots once; shared by all sweeps.
 
-    The census runs over all C(21,8) combinations in lexicographic order,
-    in blocks of at most ``_BLOCK``, so ``nonzero_masks`` ascends in that
-    order.  It gives the same numbers as classify_edges with
-    solution_number_formula on every subset (the tests compare all of them).
+    Reads the matching counts at the C(21,8) slot masks in lexicographic
+    order of their combinations, so ``nonzero_masks`` ascends in that order.
+    The count never reads classify_edges, so solution_number_formula checks
+    it on every subset (the tests compare all of them).
     """
-    masks = np.empty(USABLE_COLLECTIONS, dtype=np.uint32)
-    values = np.empty(USABLE_COLLECTIONS, dtype=np.uint8)
-    work = np.empty((4, _BLOCK), dtype=_WORD)
-    at = 0
-    for reach, weights, block_masks in _combination_blocks():
-        end = at + len(reach)
-        masks[at:end] = block_masks
-        _solution_numbers(reach, weights, block_masks, work, values[at:end])
-        at = end
+    counts = _matching_counts()    # first: its second buffer is unmapped before the masks exist
+    (masks,) = _combination_words((_SLOT_BITS,), (np.bitwise_or,), 8)
+    values = counts[masks]
     buildable = values > 0
     return SlotTable(nonzero_masks=masks[buildable], nonzero_values=values[buildable])
 

@@ -42,6 +42,7 @@ from .cubes import (
 from .reports import VerificationError, data_hash, write_json
 from .solver import SLOT_COUNT, as_ids, build_target_graph
 from .sweeps import (
+    _SLOT_BITS,
     _combination_words,
     _cube_of_slot,
     _subset_or_table,
@@ -146,8 +147,7 @@ def _buildable_closure():
 def _slot_bits_by_target():
     """30x30 uint32: for target t and cube id c, the slot bit or 0 if unusable."""
     bits = np.zeros((30, 30), dtype=np.uint32)
-    slot_bits = np.uint32(1) << np.arange(SLOT_COUNT, dtype=np.uint32)
-    bits[np.arange(30)[:, None], _cube_of_slot()] = slot_bits
+    bits[np.arange(30)[:, None], _cube_of_slot()] = _SLOT_BITS
     return bits
 
 

@@ -21,7 +21,9 @@ matches on all interior faces is the mirror's row and column, in 2 ways.
 import itertools
 import random
 from collections import Counter
+from math import comb
 
+import numpy as np
 import pytest
 
 from madness.cubes import (
@@ -39,6 +41,7 @@ from madness.cubes import (
     rotate,
 )
 from madness.solver import (
+    SLOT_COUNT,
     build_target_graph,
     interior_matching_count,
     solution_number,
@@ -55,6 +58,7 @@ from madness.sweeps import (
     solution_values,
 )
 from madness.universal import (
+    _buildable_closure,
     buildable_count,
     conjecture_sets,
     exhaustive_search,
@@ -371,11 +375,30 @@ def test_criterion_08_subset_build_histograms():
         assert subset_build_distribution(candidate, k) == expected
 
 
+def _exact_mean_buildable_count(k):
+    """The mean buildable count of a uniform k-set, from the upward closure.
+
+    A k-set builds a target iff its usable cubes span (closed[m] of their
+    slot mask m); the other k - |m| cubes are any of the 9 unusable ones.
+    Every target sees the same closure, so the mean is 30 times one target's
+    share of the C(30, k) sets.
+    """
+    closed = _buildable_closure()
+    masks = np.arange(len(closed), dtype=np.uint32)
+    sizes = sum((masks >> np.uint32(b)) & np.uint32(1) for b in range(SLOT_COUNT))
+    spanning = np.bincount(sizes[closed], minlength=SLOT_COUNT + 1)
+    return 30 * sum(int(n) * comb(9, k - i) for i, n in enumerate(spanning[: k + 1])) / comb(30, k)
+
+
 def test_criterion_09_sampled_buildability_statistics():
+    exact = {k: _exact_mean_buildable_count(k) for k in PUBLISHED_SAMPLE_STATS}
+    assert [round(exact[k], 4) for k in sorted(exact)] == [3.0345, 7.3228, 12.7847, 18.1739]
     for k, (ref_mean, ref_std) in PUBLISHED_SAMPLE_STATS.items():
         stats, _ = sample_distribution(k, 20000, seed=7)
         assert abs(stats.mean - ref_mean) <= 0.1, (k, stats.mean, ref_mean)
         assert abs(stats.std - ref_std) <= 0.1, (k, stats.std, ref_std)
+        # The sampled mean against the exact one, within 5 standard errors.
+        assert abs(stats.mean - exact[k]) <= 5 * stats.std / stats.n**0.5, (k, stats.mean, exact[k])
         if k == 10:
             assert stats.min >= 1
 

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 import tracemalloc
 from math import comb
 
@@ -18,6 +20,7 @@ from madness.solver import (
     SLOT_COUNT,
     SLOT_ENDPOINTS,
     TARGET_SLOT,
+    _cell_fits,
     build_target_graph,
     classify_edges,
     solution_number,
@@ -97,6 +100,36 @@ def test_slot_table_matches_union_find_on_every_subset():
     assert (st.nonzero_masks.dtype, st.nonzero_values.dtype) == (np.uint32, np.uint8)
     assert np.array_equal(st.nonzero_masks, np.asarray(masks, dtype=np.uint32))
     assert np.array_equal(st.nonzero_values, np.asarray(values, dtype=np.uint8))
+
+
+def test_every_target_fits_its_cells_to_the_census_slots():
+    """Table 1 from faces: each target's face-level fits, relabelled to slots, are _FITS.
+
+    The census reads nothing but _FITS, so this carries its count, the
+    solution number of every collection, to the face model of every target.
+    """
+    t = build_tableau()
+    for target in t:
+        slot_of_cube = build_target_graph(target, t).slot_of_cube
+        for v, fits in enumerate(_cell_fits(target, t)):
+            assert {slot_of_cube[c] for c, _ in fits} == set(sweeps._FITS[v]), (target.name, v)
+
+
+def test_slot_table_rss_growth():
+    """The census's two anonymous-map buffers, which tracemalloc does not see."""
+    script = "\n".join([
+        "import resource, numpy",
+        "from madness import sweeps",
+        "from madness.cubes import build_tableau",
+        "build_tableau()",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+        "sweeps.slot_table()",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth = int(proc.stdout) / 1024    # ru_maxrss is in KiB on Linux
+    assert growth < 6, "RSS grew %.2f MB" % growth
 
 
 def test_slot_table_memory_peak():
