@@ -14,14 +14,15 @@ component rule of ``solution_number_formula``, which stays the independent
 check.  Per-target work is then a cheap remap of slot masks to cube masks,
 also done with numpy.
 
-Table 2 counts, for each collection, how many targets it builds.  The 30
-targets' cube masks are sorted into one array, so each collection that some
-target builds is a run of equal masks, of length L at most 5.  With
-r_0 = len(masks) and r_j = #{i : masks[i + j] == masks[i]}, a run of length
-L adds max(0, L - j) to r_j.  The second difference of that hinge picks out
-the runs of length exactly j: there are r_(j-1) - 2 r_j + r_(j+1) of them,
-the distinct masks number r_0 - r_1, and r_5 = 0 says that no collection
-builds six targets.
+Table 2 counts, for each collection, how many targets it builds, and reads
+the bases of one target only.  Recoloring by a color permutation p maps
+every solution of (W, T) to one of (pW, pT), so it maps the bases of T onto
+those of pT and keeps how many targets each builds; and the 720 recolorings
+move Ba to each of the 30 targets.  So if c_j bases of Ba build exactly j
+targets, so do c_j bases of every target, and a collection that builds
+exactly j targets is a basis of j of them: there are 30 c_j / j such
+collections.  The five-target collections are the images of Ba's under the
+720 recolorings.
 
 ``combination_rows`` unranks lexicographic k-combinations into uint8 rows,
 for the subset histograms of the universal module and for the tests.  Whole
@@ -31,8 +32,9 @@ read at, and the tables of the C(30,12) scan.
 
 ``buildable_collections`` is the solver-only oracle: it tries each usable
 8-subset of some cubes with ``solution_number`` and never reads the slot
-table.  The direct distribution, ``buildable_targets`` and the direct
-checks of the universal module all run through it.
+table.  The direct distribution and the direct checks of the universal
+module run through it; ``buildable_targets`` calls ``solution_number`` on
+each target all of a collection's cubes can serve.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from math import comb
 
 import numpy as np
 
-from .cubes import COLUMN_LETTERS, ROW_LETTERS, build_tableau, mirror_name
+from .cubes import COLUMN_LETTERS, ROW_LETTERS, all_color_permutations, build_tableau, mirror_name
 from .reports import VerificationError
 from .solver import (
     DIAGONAL_PAIRS,
@@ -164,10 +166,14 @@ def _combination_words(words, folds, k):
 # One byte per mask, eight masks to a little-endian uint64 word.  No byte
 # carries: the largest count after corners 0..7 is 1, 2, 3, 4, 6, 8, 12, 16.
 # Slot bit s >= 3 is bit s - 3 of the word index: one strided add of word
-# halves.  Slot bits 0-2 pick the byte: the bytes without bit s shift up by
-# 8 << s bits, a chunk at a time.  The buffers are anonymous maps, because
-# freeing a malloc'd 2 MB buffer raises malloc's mmap threshold and keeps the
-# later sweeps' temporaries resident.
+# halves.  Where a half is a run of at most _SHORT_RUN words, numpy would
+# step through the runs one short row at a time, so the add iterates the
+# transposed halves in C order instead, one long strided pass per word of
+# the run (as fast as a Python loop of those passes, which left the C(30,12)
+# scan's peak RSS 0.1 MB higher).  Slot bits 0-2 pick the byte: the bytes
+# without bit s shift up by 8 << s bits, a chunk at a time.  The buffers are
+# anonymous maps, because freeing a malloc'd 2 MB buffer raises malloc's
+# mmap threshold and keeps the later sweeps' temporaries resident.
 # ---------------------------------------------------------------------------
 
 _FITS = tuple(
@@ -179,6 +185,7 @@ _IN_WORD = tuple(
     np.uint64(sum(0xFF << 8 * j for j in range(8) if not j >> s & 1)) for s in range(3)
 )
 _IN_WORD_CHUNK = 1 << 15    # words per in-word step: an eighth of the masks
+_SHORT_RUN = 4              # the longest run of words added in transposed order
 
 
 def _matching_counts():
@@ -191,7 +198,12 @@ def _matching_counts():
         for slot in fits:
             if slot >= 3:
                 half = 1 << (slot - 3)
-                grown.reshape(-1, 2, half)[:, 1] += ways.reshape(-1, 2, half)[:, 0]
+                into = grown.reshape(-1, 2, half)[:, 1]
+                out_of = ways.reshape(-1, 2, half)[:, 0]
+                if half > _SHORT_RUN:
+                    into += out_of
+                else:
+                    np.add(into.T, out_of.T, out=into.T, order="C")
                 continue
             for lo in range(0, len(ways), _IN_WORD_CHUNK):
                 np.bitwise_and(ways[lo : lo + _IN_WORD_CHUNK], _IN_WORD[slot], out=scratch)
@@ -307,54 +319,104 @@ def _cube_of_slot():
     return table
 
 
-_REMAP_CHUNK = 1 << 14    # masks remapped per pass over the targets
+def buildable_mask_table(target_name):
+    """(cube masks, solution numbers) of all buildable collections for one target.
 
-
-def _cube_masks(target_ids):
-    """(len(target_ids), 133,680) uint32: the cube masks of the buildable slot masks.
-
-    Row t remaps the slot table's nonzero masks through target t's row of
-    ``_cube_of_slot``: each 21-bit slot mask is cut into three 7-slot pieces,
-    each piece looked up in a 128-entry table of cube bits, and the three
-    looked-up values ORed into the row in place.  The pieces are held as
-    uint8; a chunk of them at a time is widened to the intp indices that
-    take reads, and each lookup lands in one reused scratch chunk.
+    Each 21-bit slot mask of the slot table is cut into three 7-slot pieces,
+    each piece is looked up in a 128-entry table of the target's cube bits,
+    and the three looked-up values are ORed.
     """
     slots = slot_table().nonzero_masks
-    pieces = np.stack(
-        [(slots >> (_SLOT_PIECE * i)) & ((1 << _SLOT_PIECE) - 1) for i in range(3)]
-    ).astype(np.uint8)
-    cube_bits = np.uint32(1) << _cube_of_slot()[target_ids].astype(np.uint32)
-    lookup = _subset_or_table(cube_bits.reshape(-1, 3, _SLOT_PIECE))
-    masks = np.empty((len(lookup), len(slots)), dtype=np.uint32)
-    scratch = np.empty(_REMAP_CHUNK, dtype=np.uint32)
-    for lo in range(0, len(slots), _REMAP_CHUNK):
-        index = pieces[:, lo : lo + _REMAP_CHUNK].astype(np.intp)
-        looked_up = scratch[: index.shape[1]]
-        # A 7-bit piece is always in range, so "clip" changes no index; it
-        # lets take write into ``out`` directly, where the default mode
-        # stages a copy.
-        for row, tables in zip(masks[:, lo : lo + _REMAP_CHUNK], lookup):
-            np.take(tables[0], index[0], out=row, mode="clip")
-            row |= np.take(tables[1], index[1], out=looked_up, mode="clip")
-            row |= np.take(tables[2], index[2], out=looked_up, mode="clip")
-    return masks
+    cubes = _cube_of_slot()[build_tableau().cube(target_name).id].astype(np.uint32)
+    lookup = _subset_or_table((np.uint32(1) << cubes).reshape(3, _SLOT_PIECE))
+    masks = lookup[0][slots & 127]
+    for i in (1, 2):
+        masks |= lookup[i][slots >> (_SLOT_PIECE * i) & 127]
+    return masks, slot_table().nonzero_values
 
 
-def buildable_mask_table(target_name):
-    """(cube masks, solution numbers) of all buildable collections for one target."""
-    return _cube_masks([build_tableau().cube(target_name).id])[0], slot_table().nonzero_values
+# ---------------------------------------------------------------------------
+# Buildability index: for every subset of the 21 slots, can some 8-subset of
+# it build the target?  Seeded with the nonzero 8-subsets of the slot
+# classification, the bases, and closed upward.  A spanning set contains a
+# basis through any independent set inside it, and slots 0-7 (eight edges on
+# all eight corners, with one cycle) are a basis: so the closure may leave
+# bits 0-7 out and close over bits 8-20 alone.  Read as uint64 words, slot
+# bit b >= 3 steps 2^(b - 3) words, and each bit closes with an OR of halves.
+# ---------------------------------------------------------------------------
 
 
-_RUN_CHUNK = 1 << 18    # masks per shifted compare, to bound the scratch
+@lru_cache(maxsize=1)
+def _buildable_closure():
+    closed = np.zeros(1 << SLOT_COUNT, dtype=bool)
+    closed[slot_table().nonzero_masks] = True
+    words = closed.view("<u8")
+    for bit in range(8, SLOT_COUNT):
+        halves = words.reshape(-1, 2, 1 << (bit - 3))
+        halves[:, 1] |= halves[:, 0]
+    return closed
 
 
-def _shifted_equal(masks, j):
-    """Yield (lo, masks[lo + j : hi + j] == masks[lo : hi]) over chunks lo..hi of ``masks``."""
-    end = len(masks) - j
-    for lo in range(0, end, _RUN_CHUNK):
-        hi = min(end, lo + _RUN_CHUNK)
-        yield lo, masks[lo + j : hi + j] == masks[lo:hi]
+@lru_cache(maxsize=1)
+def _slot_bits_by_target():
+    """30x30 uint32: for target t and cube id c, the slot bit or 0 if unusable."""
+    bits = np.zeros((30, 30), dtype=np.uint32)
+    bits[np.arange(30)[:, None], _cube_of_slot()] = _SLOT_BITS
+    return bits
+
+
+@lru_cache(maxsize=1)
+def _slot_lookup():
+    """(30, 3, 1024) uint32: per target, the slot mask of each 10-bit piece of a cube set."""
+    return _subset_or_table(_slot_bits_by_target().reshape(30, 3, 10))
+
+
+def _slot_masks(sets, target):
+    """Slot masks of cube-id bitmasks (uint32) for one target: the kernel of every count."""
+    lookup = _slot_lookup()[target]
+    return lookup[0][sets & 1023] | lookup[1][sets >> 10 & 1023] | lookup[2][sets >> 20]
+
+
+@lru_cache(maxsize=1)
+def _unusable_cubes():
+    """Per target id, the cube mask (int) of the 9 cubes that supply none of its corners."""
+    return tuple(sum(1 << c for c in range(30) if c not in row) for row in _cube_of_slot().tolist())
+
+
+@lru_cache(maxsize=1)
+def _recolor_action():
+    """(720, 30) uint8, read-only: row p maps each cube id to its recoloring by
+    the p-th permutation of ``all_color_permutations()``.
+
+    A coloring is a bijection of the six faces onto the six colors, keyed by
+    its colors as base-6 digits; ``Tableau.by_coloring`` names the cube of
+    each of the 720 keys, and recoloring every cube by every permutation is
+    one index of the permutations by the cubes' colorings.
+    """
+    tableau = build_tableau()
+    place = 6 ** np.arange(6)
+    cube_of_key = np.zeros(6**6, dtype=np.uint8)
+    keys = (np.array(list(tableau.by_coloring)) - 1) @ place
+    cube_of_key[keys] = [c.id for c in tableau.by_coloring.values()]
+    colorings = np.array([c.coloring for c in tableau]) - 1
+    action = cube_of_key[(np.array(all_color_permutations()) - 1)[:, colorings] @ place]
+    action.flags.writeable = False
+    return action
+
+
+def _targets_built(bases):
+    """How many of the 30 targets each cube mask (uint32) of ``bases`` builds.
+
+    One mask test keeps, per target, the bases with no unusable cube: about
+    1.73 targets per basis of a target.  Only those (basis, target) pairs
+    are looked up in the closure.
+    """
+    built = np.zeros(len(bases), dtype=np.uint8)
+    closed = _buildable_closure()
+    for target, unusable in enumerate(_unusable_cubes()):
+        pairs = np.flatnonzero((bases & np.uint32(unusable)) == 0)
+        built[pairs] += closed[_slot_masks(bases[pairs], target)]
+    return built
 
 
 def distribution_buildable():
@@ -363,38 +425,47 @@ def distribution_buildable():
     Returns (distribution dict count -> collections, five-target cube masks
     sorted ascending).  A collection's buildable count is how many of the 30
     targets it can build; the five-target masks are the maximum achievers.
-    All 30 targets' cube masks are sorted in one array, in place; the runs
-    of equal masks are the collections, and the run-count identity of the
-    module docstring reads the distribution off five shifted compares.
+    Only the bases of Ba are counted: by the recoloring symmetry of the
+    module docstring, the c_j of them that build exactly j targets give
+    30 c_j / j collections, and the five-target collections are the orbit
+    of Ba's under the 720 recolorings.
     """
-    masks = _cube_masks(range(30)).ravel()
-    masks.sort()
-    repeats = [len(masks)] + [
-        sum(int(np.count_nonzero(equal)) for _, equal in _shifted_equal(masks, j))
-        for j in range(1, 6)
-    ]
-    if repeats[5]:
-        starts = np.flatnonzero(np.concatenate(([True], masks[1:] != masks[:-1])))
-        top = int(np.diff(np.append(starts, len(masks))).max())
+    tableau = build_tableau()
+    action = _recolor_action()
+    if len(set(action[:, tableau.cube("Ba").id].tolist())) != 30:
+        raise VerificationError("the recolorings do not map Ba onto all 30 targets")
+    bases = buildable_mask_table("Ba")[0]
+    built = _targets_built(bases)
+    top = int(built.max())
+    if top > 5:
         raise VerificationError(f"a collection builds {top} targets; expected at most 5")
-    repeats.append(0)
     distribution = {}
-    for j in range(1, 6):
-        exactly = repeats[j - 1] - 2 * repeats[j] + repeats[j + 1]
-        if exactly:
-            distribution[j] = exactly
-    distribution[0] = TOTAL_COLLECTIONS - (repeats[0] - repeats[1])
-    return distribution, np.concatenate(
-        [masks[lo : lo + len(equal)][equal] for lo, equal in _shifted_equal(masks, 4)]
-    )
+    for j, count in enumerate(np.bincount(built, minlength=6)[1:].tolist(), 1):
+        if 30 * count % j:
+            raise VerificationError(f"30 x {count} bases building {j} targets: not a multiple of {j}")
+        if count:
+            distribution[j] = 30 * count // j
+    distribution[0] = TOTAL_COLLECTIONS - sum(distribution.values())
+    ids = np.array([tableau.ids_of_mask(int(m)) for m in bases[built == 5]], dtype=np.intp)
+    images = np.uint32(1) << action[:, ids.reshape(-1, 8)].astype(np.uint32)
+    five_masks = np.unique(np.bitwise_or.reduce(images, axis=2))
+    if len(five_masks) != distribution.get(5, 0):
+        raise VerificationError(f"the orbit holds {len(five_masks)} five-target collections")
+    return distribution, five_masks
 
 
 def _target_numbers(ids, tableau):
-    """Target name -> solution number, for each target the 8 cubes ``ids`` build."""
+    """Target name -> solution number, for each target the 8 cubes ``ids`` build.
+
+    A target with an unusable cube among ``ids`` is skipped by one mask test.
+    """
+    mask = sum(1 << i for i in ids)
     numbers = {}
-    for c in tableau:
-        for _, value in buildable_collections(ids, c, tableau):
-            numbers[c.name] = value
+    for c, unusable in zip(tableau, _unusable_cubes()):
+        if not mask & unusable:
+            value = solution_number(ids, c, tableau)
+            if value:
+                numbers[c.name] = value
     return numbers
 
 
@@ -436,43 +507,21 @@ def count_max_collections(target):
     top = int(values.max())
     sweep = sorted(int(m) for m in masks[values == top])
 
-    diag_cubes = [
-        (graph.cube_of_slot[12 + 2 * p], graph.cube_of_slot[13 + 2 * p])
-        for p in range(4)
-    ]
+    bit = [1 << c for c in graph.cube_of_slot]    # distinct cubes, so sums of bits are ORs
     target_bit = 1 << graph.target.id
-    base = 0
-    for a, b in diag_cubes:
-        base |= (1 << a) | (1 << b)
-    family_a = [base]
-    for a, b in diag_cubes:
-        family_a.append(base ^ (1 << a) | target_bit)
-        family_a.append(base ^ (1 << b) | target_bit)
+    base = sum(bit[12:TARGET_SLOT])                # the four diagonals, doubled
+    family_a = [base] + [base - b + target_bit for b in bit[12:TARGET_SLOT]]
 
     family_b = []
     for keep in itertools.combinations(range(4), 2):
-        drop = [p for p in range(4) if p not in keep]
-        kept_mask = 0
-        for p in keep:
-            a, b = diag_cubes[p]
-            kept_mask |= (1 << a) | (1 << b)
-        free_vertices = set()
-        for p in drop:
-            free_vertices.update(DIAGONAL_PAIRS[p])
-        slots = [
-            s
-            for s in range(TARGET_SLOT)
-            if set(SLOT_ENDPOINTS[s]) <= free_vertices
-        ]
+        kept_mask = target_bit + sum(bit[12 + 2 * p] + bit[13 + 2 * p] for p in keep)
+        free_vertices = {v for p in range(4) if p not in keep for v in DIAGONAL_PAIRS[p]}
+        slots = [s for s in range(TARGET_SLOT) if set(SLOT_ENDPOINTS[s]) <= free_vertices]
         for chosen in itertools.combinations(slots, 3):
-            edges = [SLOT_ENDPOINTS[s] for s in chosen]
-            summary = classify_edges(edges, target_in_collection=False)
+            summary = classify_edges([SLOT_ENDPOINTS[s] for s in chosen], False)
             spanning = [c for c in summary.components if c.vertices > 1]
             if len(spanning) == 1 and spanning[0].vertices == 4 and spanning[0].is_tree:
-                m = kept_mask | target_bit
-                for s in chosen:
-                    m |= 1 << graph.cube_of_slot[s]
-                family_b.append(m)
+                family_b.append(kept_mask + sum(bit[s] for s in chosen))
 
     family_a = sorted(set(family_a))
     family_b = sorted(set(family_b))

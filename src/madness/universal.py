@@ -10,7 +10,7 @@ on cube names through the tableau), each with a stabilizer of order 72.
 
 Buildability queries reduce to the sweep machinery: a target is buildable
 from a set iff the slot mask of the set's usable cubes contains a nonzero
-8-subset, which is one lookup in an upward-closed table built here once.
+8-subset, which is one lookup in an upward-closed table (sweeps builds it).
 In matroid terms each target is a transversal matroid of rank 8 on the
 cubes (a cube fits the corners it can supply), its bases are the 8-cube
 collections with a nonzero solution number, and a set builds the target
@@ -40,15 +40,15 @@ from .cubes import (
     permutation_cycle_type,
 )
 from .reports import VerificationError, data_hash, write_json
-from .solver import SLOT_COUNT, as_ids, build_target_graph
+from .solver import as_ids, build_target_graph
 from .sweeps import (
-    _SLOT_BITS,
+    _buildable_closure,
     _combination_words,
-    _cube_of_slot,
-    _subset_or_table,
+    _recolor_action,
+    _slot_bits_by_target,
+    _slot_masks,
     buildable_collections,
     combination_rows,
-    slot_table,
 )
 
 __all__ = [
@@ -121,51 +121,9 @@ def conjecture_sets(tableau=None):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Buildability index: for every subset of the 21 slots, can some 8-subset of
-# it build the target?  Seeded with the nonzero 8-subsets of the slot
-# classification, the bases, and closed upward.  A spanning set contains a
-# basis through any independent set inside it, and slots 0-7 (eight edges on
-# all eight corners, with one cycle) are a basis: so the closure may leave
-# bits 0-7 out and close over bits 8-20 alone.  Read as uint64 words, slot
-# bit b >= 3 steps 2^(b - 3) words, and each bit closes with an OR of halves.
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=1)
-def _buildable_closure():
-    closed = np.zeros(1 << SLOT_COUNT, dtype=bool)
-    closed[slot_table().nonzero_masks] = True
-    words = closed.view("<u8")
-    for bit in range(8, SLOT_COUNT):
-        halves = words.reshape(-1, 2, 1 << (bit - 3))
-        halves[:, 1] |= halves[:, 0]
-    return closed
-
-
-@lru_cache(maxsize=1)
-def _slot_bits_by_target():
-    """30x30 uint32: for target t and cube id c, the slot bit or 0 if unusable."""
-    bits = np.zeros((30, 30), dtype=np.uint32)
-    bits[np.arange(30)[:, None], _cube_of_slot()] = _SLOT_BITS
-    return bits
-
-
-@lru_cache(maxsize=1)
-def _slot_lookup():
-    """(30, 3, 1024) uint32: per target, the slot mask of each 10-bit piece of a cube set."""
-    return _subset_or_table(_slot_bits_by_target().reshape(30, 3, 10))
-
-
-def _slot_masks(sets, target):
-    """Slot masks of cube-id bitmasks (uint32) for one target: the kernel of every count."""
-    lookup = _slot_lookup()[target]
-    return lookup[0][sets & 1023] | lookup[1][sets >> 10 & 1023] | lookup[2][sets >> 20]
-
-
 def _bitmasks(ids_matrix):
-    """Cube-id bitmasks (uint32) of rows of cube ids."""
-    return np.bitwise_or.reduce(np.uint32(1) << np.asarray(ids_matrix, dtype=np.uint32), axis=1)
+    """Cube-id bitmasks (uint32) of rows of cube ids: the last axis runs along a row."""
+    return np.bitwise_or.reduce(np.uint32(1) << np.asarray(ids_matrix, dtype=np.uint32), axis=-1)
 
 
 def _counts_for_id_matrix(ids_matrix):
@@ -342,29 +300,20 @@ class OrbitReport:
 def orbit_and_stabilizer(candidates=None, tableau=None):
     tableau = tableau or build_tableau()
     candidates = candidates or conjecture_sets(tableau)
-    member_sets = [frozenset(tableau.cube(n).id for n in c.names) for c in candidates]
-    images_of_first = set()
-    stab_orders = []
-    stab_types = []
-    has_three = []
-    for index, members in enumerate(member_sets):
-        stabilizer = []
-        for perm in all_color_permutations():
-            table = tableau.recolor_id_table(perm)
-            image = frozenset(table[i] for i in members)
-            if index == 0:
-                images_of_first.add(image)
-            if image == members:
-                stabilizer.append(perm)
-        stab_orders.append(len(stabilizer))
-        types = Counter(permutation_cycle_type(p) for p in stabilizer)
+    members = np.array([[tableau.cube(n).id for n in c.names] for c in candidates])
+    own = _bitmasks(members)
+    images = _bitmasks(_recolor_action()[:, members])    # (permutation, candidate) -> image
+    perms = all_color_permutations()
+    orbit = set(images[:, 0].tolist())
+    stab_orders, stab_types, has_three = [], [], []
+    for column, mask in zip(images.T, own):
+        types = Counter(permutation_cycle_type(perms[p]) for p in np.flatnonzero(column == mask))
+        stab_orders.append(sum(types.values()))
         stab_types.append(tuple(sorted(types.items())))
         has_three.append(any(3 in t for t in types))
-    orbit = images_of_first
-    single = all(m in orbit for m in member_sets)
     return OrbitReport(
         orbit_size=len(orbit),
-        single_orbit=single and len(orbit) == len(member_sets),
+        single_orbit=orbit.issuperset(own.tolist()) and len(orbit) == len(members),
         stabilizer_orders=tuple(stab_orders),
         stabilizer_cycle_types=tuple(stab_types),
         has_three_cycle=tuple(has_three),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from madness import sweeps
-from madness.cubes import build_tableau, mirror_name
+from madness.cubes import all_color_permutations, build_tableau, mirror_name
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
     EXPECTED_FIVE_TARGET_COUNT,
@@ -192,7 +192,7 @@ def test_buildable_mask_table_matches_the_per_slot_remap():
 
 
 def _unique_reference(masks):
-    """distribution_buildable's result by np.unique over the planted masks."""
+    """distribution_buildable's result by np.unique over every target's masks."""
     values, per_mask = np.unique(masks, return_counts=True)
     lengths, collections = np.unique(per_mask, return_counts=True)
     distribution = {int(k): int(c) for k, c in zip(lengths, collections)}
@@ -200,34 +200,52 @@ def _unique_reference(masks):
     return distribution, values[per_mask == 5]
 
 
-def _plant(monkeypatch, rng, repeats):
-    """Make the remap kernel return shuffled masks, mask i repeated repeats[i] times."""
-    values = rng.choice(1 << 30, size=len(repeats), replace=False).astype(np.uint32)
-    planted = np.repeat(values, repeats)
-    rng.shuffle(planted)
-    monkeypatch.setattr(sweeps, "_cube_masks", lambda targets: planted[None, :].copy())
-    return planted
-
-
-@pytest.mark.parametrize(
-    "choices", [(1, 2, 3, 4, 5), (1, 3, 5), (2, 4), (5,)], ids=["all", "odd", "even", "five"]
-)
-def test_run_counting_matches_np_unique(choices, monkeypatch):
-    rng = np.random.default_rng(len(choices))
-    repeats = rng.choice(choices, size=4000)
-    repeats[: len(choices)] = choices    # every choice occurs
-    planted = _plant(monkeypatch, rng, repeats)
-    expected_distribution, expected_five = _unique_reference(planted)
+def test_distribution_buildable_matches_np_unique_over_all_targets():
+    """The symmetry route against a brute-force count of all 30 targets' bases."""
+    masks = np.concatenate([buildable_mask_table(t.name)[0] for t in build_tableau()])
+    expected_distribution, expected_five = _unique_reference(masks)
     distribution, five_masks = distribution_buildable()
-    assert distribution == expected_distribution
+    assert list(distribution.items()) == list(expected_distribution.items())
     assert five_masks.dtype == np.uint32
     assert np.array_equal(five_masks, expected_five)
 
 
+def test_recolor_action_is_the_recolor_tables_and_transitive():
+    tableau = build_tableau()
+    action = sweeps._recolor_action()
+    assert action.shape == (720, 30) and action.dtype == np.uint8
+    for row, perm in zip(action.tolist(), all_color_permutations()):
+        assert tuple(row) == tableau.recolor_id_table(perm), perm
+    for cube in range(30):
+        assert set(action[:, cube].tolist()) == set(range(30))
+
+
+def _plant(monkeypatch, counts):
+    """Make counts[j] of Ba's 133,680 bases build j targets, in place of the real count."""
+    built = np.repeat(np.arange(len(counts)), counts).astype(np.uint8)
+    assert len(built) == sum(EXPECTED_SOLUTION_DISTRIBUTION.values())
+    monkeypatch.setattr(sweeps, "_targets_built", lambda bases: built)
+
+
+def test_planted_counts_give_thirty_c_j_over_j(monkeypatch):
+    _plant(monkeypatch, [0, 75273, 48027, 9192, 1188])
+    distribution, five_masks = distribution_buildable()
+    assert list(distribution.items()) == [
+        (1, 30 * 75273), (2, 15 * 48027), (3, 10 * 9192), (4, 15 * 1188 // 2),
+        (0, TOTAL_COLLECTIONS - 30 * 75273 - 15 * 48027 - 10 * 9192 - 15 * 1188 // 2),
+    ]
+    assert len(five_masks) == 0
+
+
 def test_six_targets_is_a_verification_error(monkeypatch):
-    rng = np.random.default_rng(6)
-    _plant(monkeypatch, rng, [1, 6, 3, 2])
+    _plant(monkeypatch, [0, 75213, 48027, 9192, 1188, 59, 1])
     with pytest.raises(sweeps.VerificationError, match="builds 6 targets"):
+        distribution_buildable()
+
+
+def test_non_integral_collection_count_is_a_verification_error(monkeypatch):
+    _plant(monkeypatch, [0, 75213, 48028, 9192, 1187, 60])    # 30 x 1187 / 4 is no integer
+    with pytest.raises(sweeps.VerificationError, match="not a multiple of 4"):
         distribution_buildable()
 
 
@@ -240,7 +258,25 @@ def test_distribution_buildable_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * 2**20, "peak %.1f MB" % (peak / 2**20)
+    assert peak < 8 * 2**20, "peak %.1f MB" % (peak / 2**20)
+
+
+def test_distribution_buildable_rss_growth():
+    """One target's bases, not a sort of all 30 targets' masks (14 MB of growth)."""
+    script = "\n".join([
+        "import resource, numpy",
+        "from madness import sweeps",
+        "from madness.cubes import build_tableau",
+        "build_tableau()",
+        "sweeps.slot_table()",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+        "sweeps.distribution_buildable()",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth = int(proc.stdout) / 1024    # ru_maxrss is in KiB on Linux
+    assert growth < 6, "RSS grew %.2f MB" % growth
 
 
 def test_buildable_count_distribution():
@@ -260,6 +296,16 @@ def test_buildable_targets_examples():
     five = buildable_targets(("Ac", "Af", "Ba", "Bf", "Ea", "Ef", "Fa", "Fc"), t)
     assert five == {"Cb", "Cd", "Ce", "Db", "De"}
     assert buildable_targets(("Ab", "Ac", "Ad", "Ae", "Af", "Ba", "Ca", "Da"), t) == frozenset()
+
+
+def test_buildable_targets_match_the_solver_oracle():
+    """The unusable-cube mask test that skips targets, against trying every target."""
+    t = build_tableau()
+    rng = random.Random(33)
+    for mask in rng.sample([int(m) for m in buildable_mask_table("Cd")[0]], 40):
+        ids = ids_of_mask(mask)
+        expected = {c.name for c in t if next(sweeps.buildable_collections(ids, c, t), None)}
+        assert buildable_targets(ids, t) == expected
 
 
 def test_max_collection_census():

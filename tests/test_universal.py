@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from madness import __version__, universal
+from madness import __version__, sweeps, universal
 from madness.cubes import build_tableau, mirror_name
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
@@ -452,7 +452,7 @@ def test_scan_memory_peaks():
     """Building the scan tables, and one step over the first block of 480,700 sets."""
     universal._buildable_closure()
     universal._slot_bits_by_target()
-    universal._slot_lookup()
+    sweeps._slot_lookup()
     universal._scan_tables.cache_clear()
     tracemalloc.start()
     try:
