@@ -191,19 +191,41 @@ def test_buildable_mask_table_matches_the_per_slot_remap():
         assert values is slot_table().nonzero_values
 
 
-def _unique_reference(masks):
-    """distribution_buildable's result by np.unique over every target's masks."""
-    values, per_mask = np.unique(masks, return_counts=True)
-    lengths, collections = np.unique(per_mask, return_counts=True)
-    distribution = {int(k): int(c) for k, c in zip(lengths, collections)}
-    distribution[0] = TOTAL_COLLECTIONS - len(values)
-    return distribution, values[per_mask == 5]
-
-
-def test_distribution_buildable_matches_np_unique_over_all_targets():
-    """The symmetry route against a brute-force count of all 30 targets' bases."""
+@pytest.fixture(scope="module")
+def mask_runs():
+    """Every collection some target builds and how many targets build it, by np.unique."""
     masks = np.concatenate([buildable_mask_table(t.name)[0] for t in build_tableau()])
-    expected_distribution, expected_five = _unique_reference(masks)
+    return np.unique(masks, return_counts=True)
+
+
+def _unique_reference(values, per_mask, choices):
+    """distribution_buildable's result from the runs of equal masks, keeping j in choices."""
+    keep = np.isin(per_mask, choices)
+    lengths, collections = np.unique(per_mask[keep], return_counts=True)
+    distribution = {int(k): int(c) for k, c in zip(lengths, collections)}
+    distribution[0] = TOTAL_COLLECTIONS - int(keep.sum())
+    return distribution, values[keep & (per_mask == 5)]
+
+
+@pytest.mark.parametrize(
+    "choices", [(1, 2, 3, 4, 5), (1, 3, 5), (2, 4), (5,)], ids=["all", "odd", "even", "five"]
+)
+def test_run_counting_matches_np_unique(choices, mask_runs, monkeypatch):
+    """The symmetry route against a brute-force count of all 30 targets' bases.
+
+    A basis of Ba that builds j targets counts as building none unless j is
+    in ``choices``, so each class 30 c_j / j and the five-target orbit are
+    checked on their own; "all" is the unplanted route.
+    """
+    targets_built = sweeps._targets_built
+
+    def planted(bases):
+        built = targets_built(bases)
+        built[~np.isin(built, choices)] = 0
+        return built
+
+    monkeypatch.setattr(sweeps, "_targets_built", planted)
+    expected_distribution, expected_five = _unique_reference(*mask_runs, choices)
     distribution, five_masks = distribution_buildable()
     assert list(distribution.items()) == list(expected_distribution.items())
     assert five_masks.dtype == np.uint32
