@@ -253,10 +253,9 @@ SOLVE = Report(params=_solve_params, compute=_solve_compute, rows=_solve_rows)
 
 
 def _table1_compute(args, params):
-    from .sweeps import distribution_for_target, distribution_for_target_direct
+    from .sweeps import distribution_for_target
 
-    direct = distribution_for_target_direct if args.direct else distribution_for_target
-    dist = direct(args.target)
+    dist = distribution_for_target(args.target)
     return {
         "target": dist.target,
         "counts": {str(k): v for k, v in sorted(dist.counts.items())},
@@ -266,7 +265,7 @@ def _table1_compute(args, params):
 
 
 TABLE1 = Report(
-    params=lambda args: {"target": args.target, "direct": bool(args.direct)},
+    params=lambda args: {"target": args.target},
     compute=_table1_compute,
     rows=lambda payload: (
         ["solution_number", "collections"],
@@ -582,9 +581,6 @@ def build_parser():
 
     p = add("table1", TABLE1, "solution-number distribution over all collections")
     p.add_argument("--target", default="Ba", help="target cube (default Ba; all targets agree)")
-    p.add_argument("--direct", action="store_true",
-                   help="classify every usable 8-set by the target-graph formula, not the slot table "
-                   "(slower; the same corner model)")
 
     add("table2", TABLE2, "buildable-target distribution over all collections")
 

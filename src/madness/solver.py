@@ -108,30 +108,21 @@ INTERIOR_CONTACTS = tuple(
     if not v & bit
 )
 
-ROLE_UNUSABLE = 0
-ROLE_EDGE = 1
-ROLE_TARGET = 2
-
-
 class CollectionSizeError(ValueError):
     """A collection whose size is not 8 where 8 is required."""
 
 
 @dataclass(frozen=True)
 class TargetGraph:
-    """The target graph of one cube, with per-cube roles and sweep slots."""
+    """The target graph of one cube: the cube in slot s < TARGET_SLOT joins corners SLOT_ENDPOINTS[s]."""
 
     target: Cube
-    vertex_corners: tuple          # corner number at each block corner 0..7
-    roles: tuple                   # id -> ROLE_*
-    endpoints: tuple               # id -> (u, v) for edge cubes, else None
-    is_diagonal: tuple             # id -> bool
     slot_of_cube: tuple            # id -> slot 0..20, or -1 if unusable
     cube_of_slot: tuple            # slot -> id
     unusable_ids: frozenset
 
     def usable_ids(self):
-        return tuple(i for i in range(30) if self.roles[i] != ROLE_UNUSABLE)
+        return tuple(i for i in range(30) if self.slot_of_cube[i] >= 0)
 
 
 def _check_unusable_identity(target, tableau, unusable):
@@ -152,12 +143,8 @@ def _target_graph_by_name(name):
     tableau = build_tableau()
     target = tableau.cube(name)
     mirror = tableau.mirror(target)
-    vertex_corners = target.corners
-    corner_to_vertex = {c: i for i, c in enumerate(vertex_corners)}
+    corner_to_vertex = {c: i for i, c in enumerate(target.corners)}
 
-    roles = [ROLE_UNUSABLE] * 30
-    endpoints = [None] * 30
-    diagonal = [False] * 30
     slot_of_cube = [-1] * 30
     cube_of_slot = [-1] * SLOT_COUNT
     unusable = set()
@@ -165,7 +152,6 @@ def _target_graph_by_name(name):
     diag_slot_used = [0] * 4
     for cube in tableau:
         if cube.id == target.id:
-            roles[cube.id] = ROLE_TARGET
             slot_of_cube[cube.id] = TARGET_SLOT
             cube_of_slot[TARGET_SLOT] = cube.id
             continue
@@ -178,10 +164,7 @@ def _target_graph_by_name(name):
                 f"{cube.name} shares {len(shared)} corners with {target.name}"
             )
         u, v = sorted(corner_to_vertex[c] for c in shared)
-        roles[cube.id] = ROLE_EDGE
-        endpoints[cube.id] = (u, v)
         if u ^ v == 7:
-            diagonal[cube.id] = True
             pair_index = DIAGONAL_PAIRS.index((u, v))
             # Parallel edges are interchangeable for counting; pin the
             # mirror-row cube to the first slot so sweeps are deterministic.
@@ -210,22 +193,17 @@ def _target_graph_by_name(name):
         raise AssertionError("each main diagonal must carry exactly two cubes")
     if -1 in cube_of_slot:
         raise AssertionError("not every slot received a cube")
-    diagonal_ids = {i for i in range(30) if diagonal[i]}
     expected_diag = {
         c.id
         for c in tableau
         if c.id not in (target.id, mirror.id)
         and (c.row == mirror.row or c.column == mirror.column)
     }
-    if diagonal_ids != expected_diag:
+    if set(cube_of_slot[12:TARGET_SLOT]) != expected_diag:
         raise AssertionError("diagonal cubes are not the mirror's row and column")
 
     return TargetGraph(
         target=target,
-        vertex_corners=vertex_corners,
-        roles=tuple(roles),
-        endpoints=tuple(endpoints),
-        is_diagonal=tuple(diagonal),
         slot_of_cube=tuple(slot_of_cube),
         cube_of_slot=tuple(cube_of_slot),
         unusable_ids=frozenset(unusable),
@@ -310,19 +288,11 @@ def classify(collection, target, tableau=None):
     """Classify a collection's induced subgraph of the target graph."""
     tableau = tableau or build_tableau()
     ids = as_ids(collection, tableau)
-    graph = build_target_graph(target, tableau)
-    edges = []
-    unusable = 0
-    target_in = False
-    for i in ids:
-        role = graph.roles[i]
-        if role == ROLE_TARGET:
-            target_in = True
-        elif role == ROLE_UNUSABLE:
-            unusable += 1
-        else:
-            edges.append(graph.endpoints[i])
-    return classify_edges(edges, target_in, unusable)
+    slot_of_cube = build_target_graph(target, tableau).slot_of_cube
+    slots = [slot_of_cube[i] for i in ids]
+    # Slot -1 marks an unusable cube; SLOT_ENDPOINTS[-1] would read a diagonal.
+    edges = [SLOT_ENDPOINTS[s] for s in slots if 0 <= s < TARGET_SLOT]
+    return classify_edges(edges, TARGET_SLOT in slots, slots.count(-1))
 
 
 def solution_number_formula(summary):

@@ -32,16 +32,15 @@ read at, and the tables of the C(30,12) scan.
 
 ``buildable_collections`` is the solver-only oracle: it tries each usable
 8-subset of some cubes with ``solution_number`` and never reads the slot
-table.  The direct distribution and the direct checks of the universal
-module run through it; ``buildable_targets`` calls ``solution_number`` on
-each target all of a collection's cubes can serve.
+table.  The direct checks of the universal module run through it;
+``buildable_targets`` calls ``solution_number`` on each target all of a
+collection's cubes can serve.
 """
 
 from __future__ import annotations
 
 import itertools
 import mmap
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -77,7 +76,6 @@ __all__ = [
     "slot_table",
     "solution_values",
     "distribution_for_target",
-    "distribution_for_target_direct",
     "buildable_mask_table",
     "distribution_buildable",
     "buildable_targets",
@@ -283,14 +281,6 @@ def buildable_collections(cube_ids, target, tableau=None):
         value = solution_number(combo, graph.target, tableau)
         if value:
             yield combo, value
-
-
-def distribution_for_target_direct(target):
-    """Same distribution by classifying each usable 8-set of real cubes."""
-    tableau = build_tableau()
-    name = tableau.cube(target).name
-    counts = Counter(value for _, value in buildable_collections(range(30), name, tableau))
-    return SolutionDistribution(target=name, counts=dict(counts))
 
 
 def _subset_or_table(bits):

@@ -42,6 +42,8 @@ from madness.cubes import (
 )
 from madness.solver import (
     SLOT_COUNT,
+    SLOT_ENDPOINTS,
+    TARGET_SLOT,
     build_target_graph,
     interior_matching_count,
     solution_number,
@@ -287,8 +289,8 @@ def _edge_case_collections(tableau):
     def from_edges(edge_list, include_target):
         ids, used = [], set()
         for u, v in edge_list:
-            for i in range(30):
-                if i not in used and graph.endpoints[i] == tuple(sorted((u, v))):
+            for i, s in enumerate(graph.slot_of_cube):
+                if i not in used and 0 <= s < TARGET_SLOT and SLOT_ENDPOINTS[s] == tuple(sorted((u, v))):
                     ids.append(i)
                     used.add(i)
                     break

@@ -328,6 +328,12 @@ def test_threads_flag_is_a_usage_error(capsys):
     assert "--threads" in err
 
 
+def test_direct_flag_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "table1", "--direct")
+    assert code == 2
+    assert "--direct" in err
+
+
 def test_sample_text_histogram(capsys):
     code, out, _ = run(capsys, "sample", "--k", "12", "--n", "200", "--seed", "7")
     assert code == 0
@@ -583,9 +589,9 @@ GOLDEN_SHA256 = {
     "solve-text": "1d57f5f61093b476555d619e6efdee22c58b76de1e0e96d63afb85c19ddd4141",
     "solve-csv": "354abcac79b53edf6ca7a8bb8ef8eb5c166654d46f0cab8fb12bb54e8072a28c",
     "solve-json": "e651d0f81c9325b717678083ff86a7feceb2b4c9f5390460b0078c62a11b8780",
-    "table1-text": "30d88b1e7c5825d4fab4fb6077aa132174e5fb7a927aaba1b08b7cb2c725490e",
+    "table1-text": "efe811c53ad562f4498b8030648afa2fcfcac3143840b5cb29fa4b64fbe98d81",
     "table1-csv": "1ead753237710275ea87eb59b2166beff428fdbe6eb224160a149c4574992653",
-    "table1-json": "0f2429c6665ed17f9840f20e120f0290885ae019601940d0a10dbc3f5aa51959",
+    "table1-json": "7fb2d47908ac9198aae9c4f84195224b3479dfee9fc3021b0cd851236a310193",
     "table2-text": "d994270073346af4ffcef3219636f045257e71c84f0ea5e23ec09e498a669eba",
     "table2-csv": "78904b1daa9f869f152f0b49cf65302f4d03f6b7621dfe37af7512836d6f92b0",
     "table2-json": "b7f3f7630ac6d91d5a15a84d5bd7fc9395ca58dcd9b1f74423c1c42e559d4c65",

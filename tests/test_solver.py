@@ -18,6 +18,8 @@ from madness.solver import (
     ADJACENT_PAIRS,
     DIAGONAL_PAIRS,
     INTERIOR_CONTACTS,
+    SLOT_ENDPOINTS,
+    TARGET_SLOT,
     CollectionSizeError,
     ComponentSummary,
     SubgraphSummary,
@@ -55,17 +57,17 @@ def test_target_graph_shape():
     g = build_target_graph("Ba", t)
     assert g.target.name == "Ba"
     assert t.names(g.unusable_ids) == ("Ab", "Bc", "Bd", "Be", "Bf", "Ca", "Da", "Ea", "Fa")
-    diagonal = {t.cube(i).name for i in range(30) if g.is_diagonal[i]}
-    assert diagonal == {"Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb", "Fb"}
-    standard = [i for i in range(30) if g.roles[i] == 1 and not g.is_diagonal[i]]
+    edges = {i: SLOT_ENDPOINTS[s] for i, s in enumerate(g.slot_of_cube) if 0 <= s < TARGET_SLOT}
+    diagonal = {i for i in edges if g.slot_of_cube[i] >= len(ADJACENT_PAIRS)}
+    assert t.names(diagonal) == ("Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb", "Fb")
+    standard = set(edges) - diagonal
     assert len(standard) == 12
     for i in standard:
-        u, v = g.endpoints[i]
+        u, v = edges[i]
         assert bin(u ^ v).count("1") == 1
-    for i in range(30):
-        if g.is_diagonal[i]:
-            u, v = g.endpoints[i]
-            assert u ^ v == 7
+    for i in diagonal:
+        u, v = edges[i]
+        assert u ^ v == 7
 
 
 def test_target_graph_is_bipartite():
@@ -73,18 +75,34 @@ def test_target_graph_is_bipartite():
     # differ in an odd number of coordinate signs
     for name in ("Ba", "Cd", "Fe"):
         g = build_target_graph(name)
-        for i in range(30):
-            if g.endpoints[i]:
-                u, v = g.endpoints[i]
+        for s in g.slot_of_cube:
+            if 0 <= s < TARGET_SLOT:
+                u, v = SLOT_ENDPOINTS[s]
                 assert bin(u).count("1") % 2 != bin(v).count("1") % 2
 
 
 def test_target_graph_edge_example():
     t = build_tableau()
     g = build_target_graph("Ba", t)
-    ae = t.cube("Ae")
-    u, v = g.endpoints[ae.id]
-    assert {g.vertex_corners[u], g.vertex_corners[v]} == {162, 354}
+    u, v = SLOT_ENDPOINTS[g.slot_of_cube[t.cube("Ae").id]]
+    assert {g.target.corners[u], g.target.corners[v]} == {162, 354}
+
+
+def test_every_slot_holds_the_cube_of_its_corners():
+    # The slot map is the whole target graph: each edge slot's cube shares
+    # exactly the target corners at the slot's endpoints.
+    t = build_tableau()
+    for target in t:
+        g = build_target_graph(target, t)
+        for s, i in enumerate(g.cube_of_slot[:TARGET_SLOT]):
+            u, v = SLOT_ENDPOINTS[s]
+            shared = t.cubes[i].corner_set & target.corner_set
+            assert shared == {target.corners[u], target.corners[v]}, (target.name, s)
+        assert g.cube_of_slot[TARGET_SLOT] == target.id
+        assert len(g.unusable_ids) == 9
+        for i in g.unusable_ids:
+            assert g.slot_of_cube[i] == -1
+            assert not t.cubes[i].corner_set & target.corner_set, (target.name, i)
 
 
 def test_every_target_fits_the_slot_structure():
@@ -147,13 +165,24 @@ def test_unusable_cube_always_kills():
         assert solution_number_permanent(ids, "Ba", t) == 0
 
 
+def test_classify_lists_only_the_edges_of_usable_cubes():
+    t = build_tableau()
+    g = build_target_graph("Ba", t)
+    usable = ("Ac", "Ad", "Ae", "Af", "Cb", "Db")
+    s = classify(("Ab", "Ba") + usable, "Ba", t)
+    assert s.edge_list == tuple(SLOT_ENDPOINTS[g.slot_of_cube[t.cube(n).id]] for n in usable)
+    assert (s.target_in_collection, s.unusable_count) == (True, 1)
+    assert sum(c.edges for c in s.components) == 6
+    assert solution_number_formula(s) == 0
+
+
 def _collection_with_components(graph, component_edges, include_target):
     """Pick one cube per requested (u, v) slot edge, plus the target."""
     ids = []
     used = set()
     for u, v in component_edges:
-        for i in range(30):
-            if i in used or graph.endpoints[i] != tuple(sorted((u, v))):
+        for i, s in enumerate(graph.slot_of_cube):
+            if i in used or not 0 <= s < TARGET_SLOT or SLOT_ENDPOINTS[s] != tuple(sorted((u, v))):
                 continue
             ids.append(i)
             used.add(i)

@@ -37,7 +37,6 @@ from madness.sweeps import (
     count_max_collections,
     distribution_buildable,
     distribution_for_target,
-    distribution_for_target_direct,
     five_target_record,
     five_target_records,
     five_target_rules,
@@ -154,11 +153,6 @@ def test_distribution_same_for_every_target():
     assert a.buildable_total == sum(EXPECTED_SOLUTION_DISTRIBUTION.values()) == 133680
     assert a.zero_count == TOTAL_COLLECTIONS - 133680
     assert 0.0228 < a.buildable_fraction < 0.0229
-
-
-def test_direct_distribution_matches_slot_table():
-    direct = distribution_for_target_direct("Cd")
-    assert direct.counts == EXPECTED_SOLUTION_DISTRIBUTION
 
 
 def test_buildable_mask_table_spot_checks():
