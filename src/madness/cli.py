@@ -253,19 +253,19 @@ SOLVE = Report(params=_solve_params, compute=_solve_compute, rows=_solve_rows)
 
 
 def _table1_compute(args, params):
-    from .sweeps import distribution_for_target
+    from .sweeps import TOTAL_COLLECTIONS, distribution_for_target
 
-    dist = distribution_for_target(args.target)
+    counts = distribution_for_target("Ba")    # every target has the same counts
     return {
-        "target": dist.target,
-        "counts": {str(k): v for k, v in sorted(dist.counts.items())},
-        "buildable": dist.buildable_total,
-        "total_collections": dist.total_collections,
+        "target": "Ba",
+        "counts": {str(k): v for k, v in sorted(counts.items())},
+        "buildable": sum(counts.values()),
+        "total_collections": TOTAL_COLLECTIONS,
     }
 
 
 TABLE1 = Report(
-    params=lambda args: {"target": args.target},
+    params=_no_params,
     compute=_table1_compute,
     rows=lambda payload: (
         ["solution_number", "collections"],
@@ -579,8 +579,7 @@ def build_parser():
     p.add_argument("--arrangements", action="store_true", help="list every solution explicitly")
     p.add_argument("--interior", action="store_true", help="also count interior-matching solutions")
 
-    p = add("table1", TABLE1, "solution-number distribution over all collections")
-    p.add_argument("--target", default="Ba", help="target cube (default Ba; all targets agree)")
+    add("table1", TABLE1, "solution-number distribution over all collections")
 
     add("table2", TABLE2, "buildable-target distribution over all collections")
 

@@ -52,8 +52,6 @@ __all__ = [
     "build_tableau",
     "recolor_coloring",
     "all_color_permutations",
-    "compose_permutations",
-    "invert_permutation",
     "permutation_cycle_type",
     "usable_corner_count",
 ]
@@ -339,10 +337,6 @@ class Cube:
     def column(self):
         return self.name[1]
 
-    @property
-    def mirror_name(self):
-        return mirror_name(self.name)
-
     def __str__(self):
         return self.name
 
@@ -356,18 +350,6 @@ def recolor_coloring(perm, coloring):
 def all_color_permutations():
     """All 720 color permutations, each a 6-tuple p with p[c-1] = image of c."""
     return tuple(itertools.permutations(COLORS))
-
-
-def compose_permutations(p, q):
-    """The permutation applying q first, then p."""
-    return tuple(p[q[c - 1] - 1] for c in COLORS)
-
-
-def invert_permutation(p):
-    inv = [0] * 6
-    for c in COLORS:
-        inv[p[c - 1] - 1] = c
-    return tuple(inv)
 
 
 def permutation_cycle_type(p):
@@ -459,11 +441,6 @@ class Tableau:
             return self.by_coloring[coloring]
         except KeyError:
             raise InvalidColoringError(f"not a color permutation: {perm!r}") from None
-
-    @lru_cache(maxsize=None)
-    def recolor_id_table(self, perm):
-        """id -> id action of one color permutation on all 30 cubes."""
-        return tuple(self.recolor(perm, c).id for c in self.cubes)
 
     def __iter__(self):
         return iter(self.cubes)

@@ -63,9 +63,7 @@ from .solver import (
 
 __all__ = [
     "TOTAL_COLLECTIONS",
-    "USABLE_COLLECTIONS",
     "SlotTable",
-    "SolutionDistribution",
     "MaxCollectionCensus",
     "FiveTargetRule",
     "FiveTargetRecord",
@@ -74,7 +72,6 @@ __all__ = [
     "combination_rows",
     "buildable_collections",
     "slot_table",
-    "solution_values",
     "distribution_for_target",
     "buildable_mask_table",
     "distribution_buildable",
@@ -86,7 +83,6 @@ __all__ = [
 ]
 
 TOTAL_COLLECTIONS = 5852925        # C(30, 8)
-USABLE_COLLECTIONS = 203490        # C(21, 8)
 
 
 class InvalidRuleError(ValueError):
@@ -227,44 +223,15 @@ def slot_table():
     return SlotTable(nonzero_masks=masks[buildable], nonzero_values=values[buildable])
 
 
-@dataclass(frozen=True)
-class SolutionDistribution:
-    """Counts of collections by solution number for one target.
-
-    ``counts`` covers the nonzero solution numbers; zero-solution
-    collections are the remainder of the C(30,8) total.
-    """
-
-    target: str
-    counts: dict
-    total_collections: int = TOTAL_COLLECTIONS
-
-    @property
-    def buildable_total(self):
-        return sum(self.counts.values())
-
-    @property
-    def zero_count(self):
-        return self.total_collections - self.buildable_total
-
-    @property
-    def buildable_fraction(self):
-        return self.buildable_total / self.total_collections
-
-
-def solution_values():
-    """The nonzero solution numbers that actually occur, ascending."""
-    return tuple(sorted(slot_table().distribution()))
-
-
 def distribution_for_target(target):
-    """Solution-number distribution over all C(30,8) collections.
+    """Solution number -> collections, over the C(30,8) collections with a nonzero one.
 
     Builds the target's graph (which proves the target maps onto the 21-slot
-    structure) and reads the shared slot classification.
+    structure) and reads the shared slot classification, so every target
+    gets the same counts.  The rest of TOTAL_COLLECTIONS have solution number 0.
     """
-    graph = build_target_graph(target)
-    return SolutionDistribution(target=graph.target.name, counts=slot_table().distribution())
+    build_target_graph(target)
+    return slot_table().distribution()
 
 
 def buildable_collections(cube_ids, target, tableau=None):
@@ -300,15 +267,6 @@ def _subset_or_table(bits):
 _SLOT_PIECE = 7    # the 21 slot bits, as three 7-bit pieces
 
 
-@lru_cache(maxsize=1)
-def _cube_of_slot():
-    """(30, 21) read-only: row t is target t's ``cube_of_slot``, the cube id in each slot."""
-    tableau = build_tableau()
-    table = np.array([build_target_graph(t, tableau).cube_of_slot for t in tableau])
-    table.flags.writeable = False
-    return table
-
-
 def buildable_mask_table(target_name):
     """(cube masks, solution numbers) of all buildable collections for one target.
 
@@ -317,7 +275,7 @@ def buildable_mask_table(target_name):
     and the three looked-up values are ORed.
     """
     slots = slot_table().nonzero_masks
-    cubes = _cube_of_slot()[build_tableau().cube(target_name).id].astype(np.uint32)
+    cubes = np.array(build_target_graph(target_name).cube_of_slot, dtype=np.uint32)
     lookup = _subset_or_table((np.uint32(1) << cubes).reshape(3, _SLOT_PIECE))
     masks = lookup[0][slots & 127]
     for i in (1, 2):
@@ -351,7 +309,8 @@ def _buildable_closure():
 def _slot_bits_by_target():
     """30x30 uint32: for target t and cube id c, the slot bit or 0 if unusable."""
     bits = np.zeros((30, 30), dtype=np.uint32)
-    bits[np.arange(30)[:, None], _cube_of_slot()] = _SLOT_BITS
+    for target in range(30):
+        bits[target, build_target_graph(target).cube_of_slot] = _SLOT_BITS
     return bits
 
 
@@ -370,7 +329,7 @@ def _slot_masks(sets, target):
 @lru_cache(maxsize=1)
 def _unusable_cubes():
     """Per target id, the cube mask (int) of the 9 cubes that supply none of its corners."""
-    return tuple(sum(1 << c for c in range(30) if c not in row) for row in _cube_of_slot().tolist())
+    return tuple(sum(1 << c for c in build_target_graph(t).unusable_ids) for t in range(30))
 
 
 @lru_cache(maxsize=1)

@@ -427,8 +427,6 @@ def _load_checkpoint(path, data):
         raise CheckpointError(f"checkpoint {path} cannot be read ({exc.strerror})") from None
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path} is not JSON ({exc})") from None
-    if isinstance(raw, dict) and "last_combo" in raw:
-        raise CheckpointError(f"checkpoint {path} is in the old last_combo format; start a new one")
     if not isinstance(raw, dict) or set(raw) != {"completed", "found", "total", "version", "data"}:
         raise CheckpointError(
             f"checkpoint {path} must be an object with completed, found, total, version and data"
@@ -449,6 +447,15 @@ def _load_checkpoint(path, data):
         )
     if raw["data"] != data:
         raise CheckpointError(f"checkpoint {path} was written for other cube data ({raw['data']})")
+    # A scan lists each universal set once, in lexicographic rank order, below completed.
+    rows = [[c for c in range(30) if m >> c & 1] for m in found]
+    ranks = [
+        TOTAL_TWELVE_SETS - 1 - sum(comb(29 - c, SET_SIZE - i) for i, c in enumerate(row)) for row in rows
+    ]
+    if found and not (
+        ranks == sorted(set(ranks)) and ranks[-1] < completed and (_counts_for_id_matrix(rows) == 30).all()
+    ):
+        raise CheckpointError(f"checkpoint {path} lists sets that the scan did not find")
     return SearchState(completed=completed, found=found)
 
 

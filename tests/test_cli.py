@@ -334,6 +334,13 @@ def test_direct_flag_is_a_usage_error(capsys):
     assert "--direct" in err
 
 
+def test_table1_target_flag_is_a_usage_error(capsys):
+    # Every target has the same Table 1, so the command takes no target.
+    code, _, err = run(capsys, "table1", "--target", "Cd")
+    assert code == 2
+    assert "--target" in err
+
+
 def test_sample_text_histogram(capsys):
     code, out, _ = run(capsys, "sample", "--k", "12", "--n", "200", "--seed", "7")
     assert code == 0
@@ -419,6 +426,21 @@ def test_checkpoint_with_a_foreign_mask_is_a_validation_error(tmp_path, capsys):
     assert err == "error: checkpoint %s does not hold a scan state of the C(30,12) sets\n" % checkpoint
 
 
+def test_checkpoint_with_a_set_the_scan_did_not_find_is_a_validation_error(tmp_path, capsys):
+    # The first 12 cubes, listed twice: resuming this file used to report
+    # "2 universal sets found" and exit 4.
+    checkpoint = tmp_path / "scan.json"
+    first_twelve = (1 << 12) - 1
+    checkpoint.write_text(json.dumps({
+        "completed": 0, "found": [first_twelve, first_twelve], "total": 86493225,
+        "version": madness.__version__, "data": reports.data_hash(),
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "search", "--budget", "0", "--checkpoint", str(checkpoint))
+    assert code == 2
+    assert out == ""
+    assert err == "error: checkpoint %s lists sets that the scan did not find\n" % checkpoint
+
+
 def test_old_format_checkpoint_is_a_validation_error(tmp_path, capsys):
     # completed and last_combo disagree: resuming this file used to report
     # "scanned 12" and exit 4 on every run.
@@ -429,7 +451,10 @@ def test_old_format_checkpoint_is_a_validation_error(tmp_path, capsys):
     code, out, err = run(capsys, "search", "--checkpoint", str(checkpoint))
     assert code == 2
     assert out == ""
-    assert err == "error: checkpoint %s is in the old last_combo format; start a new one\n" % checkpoint
+    assert err == (
+        "error: checkpoint %s must be an object with completed, found, total, version and data\n"
+        % checkpoint
+    )
 
 
 def test_out_into_missing_directory_fails_before_computing(tmp_path, capsys, monkeypatch):
@@ -589,9 +614,9 @@ GOLDEN_SHA256 = {
     "solve-text": "1d57f5f61093b476555d619e6efdee22c58b76de1e0e96d63afb85c19ddd4141",
     "solve-csv": "354abcac79b53edf6ca7a8bb8ef8eb5c166654d46f0cab8fb12bb54e8072a28c",
     "solve-json": "e651d0f81c9325b717678083ff86a7feceb2b4c9f5390460b0078c62a11b8780",
-    "table1-text": "efe811c53ad562f4498b8030648afa2fcfcac3143840b5cb29fa4b64fbe98d81",
+    "table1-text": "e73add78f01f02d9bd85d09f3bf6062b9285b51031e6dd8b0f2e60da33e56c23",
     "table1-csv": "1ead753237710275ea87eb59b2166beff428fdbe6eb224160a149c4574992653",
-    "table1-json": "7fb2d47908ac9198aae9c4f84195224b3479dfee9fc3021b0cd851236a310193",
+    "table1-json": "d4cc6da352937a88cc158d41a11d080205051612a94ebe83ed30ea49e1cb37f1",
     "table2-text": "d994270073346af4ffcef3219636f045257e71c84f0ea5e23ec09e498a669eba",
     "table2-csv": "78904b1daa9f869f152f0b49cf65302f4d03f6b7621dfe37af7512836d6f92b0",
     "table2-json": "b7f3f7630ac6d91d5a15a84d5bd7fc9395ca58dcd9b1f74423c1c42e559d4c65",

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,42 @@ def test_every_exported_name_resolves(module_name):
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, "%s.__all__ names what it does not define: %s" % (module_name, missing)
+
+
+# Exported as references for the tests rather than for the program: the
+# solver-only buildable count of the universal module, and the paper's 81
+# maximum-solution collections that criterion 5 checks.
+READ_ONLY_BY_TESTS = {"buildable_count_direct", "EXPECTED_MAX_COLLECTIONS"}
+
+
+def _names_read(tree):
+    """Every name the code of ``tree`` reads, imports or looks up as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_exported_name_is_read():
+    """Each name in a module's __all__ is read by the program: by another
+    module, by its own module beyond its definition, or by ``madness`` as a
+    re-export.  A name only its own tests read is an unused helper."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(madness.__file__).parent.glob("*.py")
+    }
+    read = {stem: _names_read(tree) for stem, tree in trees.items()}
+    unread = []
+    for stem in sorted(trees):
+        module = importlib.import_module("madness" if stem == "__init__" else "madness." + stem)
+        for name in getattr(module, "__all__", []):
+            if name in madness.__all__ or name in READ_ONLY_BY_TESTS:
+                continue
+            if not any(name in names for names in read.values()):
+                unread.append("%s.%s" % (module.__name__, name))
+    assert not unread, "exported but read by nothing in the program: %s" % unread

@@ -17,7 +17,7 @@ TABLEAU = build_tableau()
     cubes=st.sets(st.integers(0, 29), min_size=8, max_size=14),
 )
 def test_buildable_count_is_invariant_under_recoloring(perm, cubes):
-    table = TABLEAU.recolor_id_table(perm)
+    table = [TABLEAU.recolor(perm, c).id for c in TABLEAU]
     image = sorted(table[c] for c in cubes)
     assert buildable_count(image, TABLEAU) == buildable_count(sorted(cubes), TABLEAU)
 
@@ -37,7 +37,7 @@ def target_and_collection(draw):
 @given(perm=st.sampled_from(all_color_permutations()), case=target_and_collection())
 def test_solution_number_is_invariant_under_recoloring(perm, case):
     target, ids = case
-    table = TABLEAU.recolor_id_table(perm)
+    table = [TABLEAU.recolor(perm, c).id for c in TABLEAU]
     image = sorted(table[c] for c in ids)
     expected = solution_number(ids, target, TABLEAU)
     assert solution_number(image, table[target], TABLEAU) == expected

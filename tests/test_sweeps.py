@@ -28,7 +28,6 @@ from madness.solver import (
 )
 from madness.sweeps import (
     TOTAL_COLLECTIONS,
-    USABLE_COLLECTIONS,
     FiveTargetRule,
     InvalidRuleError,
     buildable_mask_table,
@@ -41,7 +40,6 @@ from madness.sweeps import (
     five_target_records,
     five_target_rules,
     slot_table,
-    solution_values,
 )
 from madness.universal import conjecture_sets
 
@@ -52,7 +50,6 @@ def ids_of_mask(mask):
 
 def test_collection_totals():
     assert TOTAL_COLLECTIONS == comb(30, 8)
-    assert USABLE_COLLECTIONS == comb(21, 8)
 
 
 @pytest.mark.parametrize("k", range(8, 13))
@@ -142,17 +139,11 @@ def test_slot_table_memory_peak():
     assert peak < 10 * 2**20, "peak %.1f MB" % (peak / 2**20)
 
 
-def test_solution_values():
-    assert solution_values() == (2, 4, 6, 8, 10, 12, 16)
-
-
 def test_distribution_same_for_every_target():
     a = distribution_for_target("Ba")
     b = distribution_for_target("Ef")
-    assert a.counts == b.counts == EXPECTED_SOLUTION_DISTRIBUTION
-    assert a.buildable_total == sum(EXPECTED_SOLUTION_DISTRIBUTION.values()) == 133680
-    assert a.zero_count == TOTAL_COLLECTIONS - 133680
-    assert 0.0228 < a.buildable_fraction < 0.0229
+    assert a == b == EXPECTED_SOLUTION_DISTRIBUTION
+    assert sum(a.values()) == 133680
 
 
 def test_buildable_mask_table_spot_checks():
@@ -231,7 +222,7 @@ def test_recolor_action_is_the_recolor_tables_and_transitive():
     action = sweeps._recolor_action()
     assert action.shape == (720, 30) and action.dtype == np.uint8
     for row, perm in zip(action.tolist(), all_color_permutations()):
-        assert tuple(row) == tableau.recolor_id_table(perm), perm
+        assert row == [tableau.recolor(perm, c).id for c in tableau], perm
     for cube in range(30):
         assert set(action[:, cube].tolist()) == set(range(30))
 

@@ -426,6 +426,38 @@ def test_malformed_checkpoint_is_rejected(change, tmp_path):
     assert exhaustive_search(checkpoint_path=str(path), budget_combinations=0).completed == 12
 
 
+def _universal_sets_by_rank():
+    """(lexicographic rank, mask) of the ten universal sets, ascending."""
+    tableau = build_tableau()
+    return sorted(
+        (_lexicographic_rank(tableau.ids_of_mask(c.mask)), c.mask) for c in conjecture_sets(tableau)
+    )
+
+
+@pytest.mark.parametrize("case", ["not-universal", "duplicate", "out-of-order", "not-yet-scanned"])
+def test_checkpoint_with_sets_the_scan_did_not_find_is_rejected(case, tmp_path):
+    (first_rank, first), (second_rank, second) = _universal_sets_by_rank()[:2]
+    completed, found = {
+        "not-universal": (TOTAL_TWELVE_SETS, [(1 << SET_SIZE) - 1]),
+        "duplicate": (first_rank + 1, [first, first]),
+        "out-of-order": (second_rank + 1, [second, first]),
+        "not-yet-scanned": (first_rank, [first]),
+    }[case]
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(dict(GOOD_CHECKPOINT, completed=completed, found=found)), encoding="utf-8")
+    with pytest.raises(CheckpointError, match="lists sets that the scan did not find"):
+        exhaustive_search(checkpoint_path=str(path), budget_combinations=0)
+
+
+def test_checkpoint_with_the_first_universal_set_loads(tmp_path):
+    rank, first = _universal_sets_by_rank()[0]
+    assert rank == 10_236_518
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(dict(GOOD_CHECKPOINT, completed=rank + 1, found=[first])), encoding="utf-8")
+    state = exhaustive_search(checkpoint_path=str(path), budget_combinations=0)
+    assert (state.completed, state.found) == (rank + 1, [first])
+
+
 def test_scan_tables_match_unranked_combinations():
     """The folded scan tables equal the unranked combinations, masked one by one."""
     columns = range(universal._MASK_COLUMNS)
