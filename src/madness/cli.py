@@ -8,7 +8,9 @@ exhausted before completion.
 Every command is a :class:`Report` spec run by :func:`run_report`, which
 handles the cache, --check, rendering and the exit code in one place.
 Each compute imports the numpy modules (sweeps, universal) it calls, so
-``cubes`` and ``solve`` never import numpy.
+``cubes`` and ``solve`` never import numpy.  :func:`main` defaults
+OPENBLAS_NUM_THREADS to 1 before that: madness does no BLAS work, and
+OpenBLAS starts its thread pool when numpy loads it.
 Reports print as text tables by default; --format csv/json with --out PATH
 writes byte-deterministic files (no timestamps or timings inside).  Heavy
 sweeps cache their payloads under --cache-dir (or $MADNESS_CACHE_DIR),
@@ -601,6 +603,7 @@ def build_parser():
 
 
 def main(argv=None):
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")    # read once, when numpy loads OpenBLAS
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

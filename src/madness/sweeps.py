@@ -397,7 +397,11 @@ def distribution_buildable():
     distribution[0] = TOTAL_COLLECTIONS - sum(distribution.values())
     ids = np.array([tableau.ids_of_mask(int(m)) for m in bases[built == 5]], dtype=np.intp)
     images = np.uint32(1) << action[:, ids.reshape(-1, 8)].astype(np.uint32)
-    five_masks = np.unique(np.bitwise_or.reduce(images, axis=2))
+    # Sorted, the first of each run of equal masks (np.unique would import numpy.ma).
+    five_masks = np.sort(np.bitwise_or.reduce(images, axis=2), axis=None)
+    first = np.ones(len(five_masks), dtype=bool)
+    first[1:] = five_masks[1:] != five_masks[:-1]
+    five_masks = five_masks[first]
     if len(five_masks) != distribution.get(5, 0):
         raise VerificationError(f"the orbit holds {len(five_masks)} five-target collections")
     return distribution, five_masks

@@ -321,90 +321,135 @@ def orbit_and_stabilizer(candidates=None, tableau=None):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive scan of all C(30,12) sets, one prefix block at a time.  A block
-# is every 12-set sharing a 5-cube prefix a1<...<a5 (a5 <= 22); its 7-cube
-# suffixes, in lexicographic order, are the last C(29 - a5, 7) entries of one
-# table of the 7-subsets of 5..29.  The tables are folded by OR down the
-# lexicographic combination tree from each cube's words: its bit, and its
-# slot bits in the first few targets.  A block is filtered over contiguous
-# slices of its suffixes, at most _CHUNK at a time: for each of those targets
-# the prefix's slot mask is ORed into the suffix column and looked up in the
-# upward closure, the tests are ANDed, and the suffixes are compressed
-# once.  The survivors of all blocks in a step of at least 250,000 sets are
-# pooled as cube bitmasks and filtered by the other targets together; almost
-# every set dies within the first few targets.  Blocks follow lexicographic
-# order, so the number of sets scanned is the rank of the next set.  After
-# each step a checkpoint file records that rank, the sets found so far, and
-# the version and cube data that wrote it.
+# Exhaustive scan of the C(30,k) sets, k >= 12, one prefix block at a time.
+# A block is every k-set sharing a (k - 7)-cube prefix whose last cube a is
+# at most 22; its 7-cube suffixes, in lexicographic order, are the last
+# C(29 - a, 7) entries of one table of the 7-subsets of 5..29.  The tables
+# are folded by OR down the lexicographic combination tree from each cube's
+# words: its bit, and its slot bits in the first few targets.  For each of
+# those targets a set passes when its prefix's slot mask ORed into its
+# suffix's is in the upward closure.  A block is tested over slices of at
+# most _CHUNK sets, first for the targets outside its prefix (a target in
+# the set builds far more often): over the whole slice while more than half
+# of it survives, then at the survivors' indices only.  The whole blocks of
+# at most _SMALL sets are grouped by size, since blocks of one size share
+# their last prefix cube and so their suffixes, and each group is tested as
+# one (blocks x suffixes) broadcast.  The survivors are pooled with their
+# ranks, about _CHUNK at a time, and filtered by the other targets together;
+# almost every set dies within the first few targets.  Blocks follow
+# lexicographic order, so the number of sets scanned is the rank of the next
+# set.  After each step of at least 2,000,000 sets a checkpoint file records
+# that rank, the sets found so far, and the version and cube data that wrote it.
 # ---------------------------------------------------------------------------
 
-_PREFIX = 5                      # cubes fixed per block
-_SUFFIX = SET_SIZE - _PREFIX     # cubes varying within a block
+_SUFFIX = 7                      # cubes varying within a block
 _MASK_COLUMNS = 4                # targets with precomputed suffix slot masks
-_STEP = 250_000                  # sets per step at least: one checkpoint each
-_CHUNK = 1 << 16                 # suffixes per filter pass, to bound the scratch
+_STEP = 2_000_000                # sets per step at least: one checkpoint each
+_CHUNK = 1 << 16                 # sets per filter pass and per pool at most: bounds the scratch
+_SMALL = 1 << 12                 # blocks of at most this many sets are tested in groups
 
 
 @dataclass(frozen=True)
 class _ScanTables:
     suffixes: np.ndarray      # (C(25,7),) uint32: the 7-subsets of 5..29 as cube bitmasks
     columns: np.ndarray       # (_MASK_COLUMNS, C(25,7)) uint32: their slot masks, first targets
-    prefixes: np.ndarray      # (C(23,5),) uint32: the 5-subsets of 0..22, one per block
-    prefix_masks: np.ndarray  # (_MASK_COLUMNS, C(23,5)) uint32: their slot masks, first targets
-    starts: np.ndarray        # (C(23,5) + 1,) int64: each block's first rank, then the total
+    prefixes: np.ndarray      # (blocks,) uint32: the (k - 7)-subsets of 0..22, one per block
+    prefix_masks: np.ndarray  # (_MASK_COLUMNS, blocks) uint32: their slot masks, first targets
+    starts: np.ndarray        # (blocks + 1,) int64: each block's first rank, then C(30,k)
 
 
 @lru_cache(maxsize=1)
-def _scan_tables():
+def _scan_tables(k=SET_SIZE):
+    """The block tables of the C(30,k) sets, k >= 12."""
     cube_bits = np.uint32(1) << np.arange(30, dtype=np.uint32)
     slot_bits = _slot_bits_by_target()[:_MASK_COLUMNS]
-    # The last prefix cube is at most 22, so every suffix is a 7-set of 5..29.
+    # The last prefix cube is 4..22 for k >= 12, so every suffix is a 7-set of 5..29.
     suffixes, columns = _combination_words(
-        (cube_bits[_PREFIX:], slot_bits[:, _PREFIX:]), (np.bitwise_or,) * 2, _SUFFIX
+        (cube_bits[5:], slot_bits[:, 5:]), (np.bitwise_or,) * 2, _SUFFIX
     )
-    # A block holds C(29 - a5, 7) sets: the least of C(29 - a, 7) over its prefix.
+    # A block holds C(29 - a, 7) sets: the least of C(29 - c, 7) over its prefix cubes c.
     top = 30 - _SUFFIX
     sizes = np.array([comb(29 - a, _SUFFIX) for a in range(top)], dtype=np.int64)
     prefixes, prefix_masks, sizes = _combination_words(
         (cube_bits[:top], slot_bits[:, :top], sizes),
         (np.bitwise_or, np.bitwise_or, np.minimum),
-        _PREFIX,
+        k - _SUFFIX,
     )
     starts = np.concatenate(([0], np.cumsum(sizes)))
     return _ScanTables(suffixes, columns, prefixes, prefix_masks, starts)
 
 
+def _test_blocks(tables, closed, group, lo, hi, keys, hits):
+    """(sets, ranks) that pass the mask columns at offsets lo..hi-1 of the blocks ``group``.
+
+    The blocks have one size, so they share their suffixes.  ``keys`` and
+    ``hits`` are scratch of len(group) * (hi - lo) entries at least.
+    """
+    g, width = len(group), hi - lo
+    base = len(tables.suffixes) - int(tables.starts[group[0] + 1] - tables.starts[group[0]]) + lo
+    columns = tables.columns[:, base : base + width]
+    prefix = int(tables.prefixes[group[0]])
+    pending = sorted(range(_MASK_COLUMNS), key=lambda t: prefix >> t & 1)
+    keep = np.ones((g, width), dtype=bool)
+    cells, tested = keys[: g * width].reshape(g, width), hits[: g * width].reshape(g, width)
+    # A group runs each test over all its cells.  One block does so while
+    # more than half of its cells survive, then tests the survivors only.
+    while pending and (g > 1 or 2 * np.count_nonzero(keep) > width):
+        t = pending.pop(0)
+        np.bitwise_or(columns[t], tables.prefix_masks[t, group, None], out=cells)
+        keep &= closed.take(cells, out=tested)
+    cell = np.flatnonzero(keep)
+    for t in pending:
+        n = len(cell)
+        np.bitwise_or(columns[t].take(cell), tables.prefix_masks[t, group[0]], out=keys[:n])
+        cell = np.compress(closed.take(keys[:n], out=hits[:n]), cell)
+    block, row = np.divmod(cell, width) if g > 1 else (0, cell)
+    block = group[block]
+    return tables.suffixes[base + row] | tables.prefixes[block], tables.starts[block] + lo + row
+
+
+def _block_pieces(tables, closed, begin, end):
+    """(sets, ranks) that pass the mask columns among ranks begin..end-1, a filter pass at a time."""
+    keys, hits = np.empty(_CHUNK, dtype=np.intp), np.empty(_CHUNK, dtype=bool)
+    first = int(np.searchsorted(tables.starts, begin, side="right")) - 1
+    last = int(np.searchsorted(tables.starts, end))      # blocks first..last-1 meet the ranks
+    blocks = np.arange(first, last)
+    starts, stops = tables.starts[first:last], tables.starts[first + 1 : last + 1]
+    sizes = stops - starts
+    small = (sizes <= _SMALL) & (starts >= begin) & (stops <= end)
+    for block, start, stop in zip(blocks[~small], starts[~small].tolist(), stops[~small].tolist()):
+        lo, hi = max(begin, start) - start, min(end, stop) - start
+        for at in range(lo, hi, _CHUNK):
+            yield _test_blocks(tables, closed, block[None], at, min(hi, at + _CHUNK), keys, hits)
+    for size in set(sizes[small].tolist()):
+        group, per = blocks[small & (sizes == size)], _CHUNK // size
+        for at in range(0, len(group), per):
+            yield _test_blocks(tables, closed, group[at : at + per], 0, size, keys, hits)
+
+
+def _test_others(closed, pool):
+    """(rank, set) pairs of the pooled pieces that pass the other targets; empties ``pool``."""
+    sets, ranks = (np.concatenate(part) for part in zip(*pool))
+    pool.clear()
+    for t in range(_MASK_COLUMNS, 30):
+        alive = np.flatnonzero(closed.take(_slot_masks(sets, t)))
+        sets, ranks = sets.take(alive), ranks.take(alive)
+    return list(zip(ranks.tolist(), sets.tolist()))
+
+
 def _scan_step(tables, begin, end):
     """Bitmasks of the universal sets of ranks begin..end-1, in rank order."""
     closed = _buildable_closure()
-    # Scratch for every chunk: the lookup keys, the tests passed so far, the latest test.
-    keys_buf = np.empty(_CHUNK, dtype=np.intp)
-    keep_buf, hits_buf = np.empty(_CHUNK, dtype=bool), np.empty(_CHUNK, dtype=bool)
-    pieces = []
-    block = int(np.searchsorted(tables.starts, begin, side="right")) - 1
-    while tables.starts[block] < end:
-        start, stop = int(tables.starts[block]), int(tables.starts[block + 1])
-        # The block's suffixes are the last stop - start entries of the table.
-        base = len(tables.suffixes) - (stop - start)
-        lo, hi = base + max(begin, start) - start, base + min(end, stop) - start
-        prefix = tables.prefix_masks[:, block]
-        for at in range(lo, hi, _CHUNK):
-            rows = slice(at, min(hi, at + _CHUNK))
-            n = rows.stop - at
-            keys, keep, hits = keys_buf[:n], keep_buf[:n], hits_buf[:n]
-            np.bitwise_or(tables.columns[0, rows], prefix[0], out=keys)
-            closed.take(keys, out=keep)
-            for t in range(1, _MASK_COLUMNS):
-                np.bitwise_or(tables.columns[t, rows], prefix[t], out=keys)
-                keep &= closed.take(keys, out=hits)
-            piece = tables.suffixes[rows][keep]
-            piece |= tables.prefixes[block]
-            pieces.append(piece)
-        block += 1
-    sets = np.concatenate(pieces)
-    for t in range(_MASK_COLUMNS, 30):
-        sets = sets[closed[_slot_masks(sets, t)]]
-    return sets.tolist()
+    found, pool, pooled = [], [], 0
+    for piece in _block_pieces(tables, closed, begin, end):
+        if pooled + len(piece[0]) > _CHUNK:
+            found += _test_others(closed, pool)
+            pooled = 0
+        pool.append(piece)
+        pooled += len(piece[0])
+    if pool:
+        found += _test_others(closed, pool)
+    return [mask for _, mask in sorted(found)]
 
 
 @dataclass
@@ -447,15 +492,13 @@ def _load_checkpoint(path, data):
         )
     if raw["data"] != data:
         raise CheckpointError(f"checkpoint {path} was written for other cube data ({raw['data']})")
-    # A scan lists each universal set once, in lexicographic rank order, below completed.
-    rows = [[c for c in range(30) if m >> c & 1] for m in found]
-    ranks = [
-        TOTAL_TWELVE_SETS - 1 - sum(comb(29 - c, SET_SIZE - i) for i, c in enumerate(row)) for row in rows
-    ]
-    if found and not (
-        ranks == sorted(set(ranks)) and ranks[-1] < completed and (_counts_for_id_matrix(rows) == 30).all()
-    ):
-        raise CheckpointError(f"checkpoint {path} lists sets that the scan did not find")
+    # A scan finds the ten universal 12-sets (criterion 11) below completed, in rank order.
+    tableau, scanned = build_tableau(), []
+    for row in sorted(tableau.ids_of_mask(u.mask) for u in conjecture_sets(tableau)):
+        if TOTAL_TWELVE_SETS - 1 - sum(comb(29 - c, SET_SIZE - i) for i, c in enumerate(row)) < completed:
+            scanned.append(sum(1 << c for c in row))
+    if found != scanned:
+        raise CheckpointError(f"checkpoint {path} lists sets that the scan did not find, or omits some")
     return SearchState(completed=completed, found=found)
 
 
@@ -478,9 +521,9 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_sec
     Returns a SearchState; ``finished`` tells whether the space is exhausted
     (otherwise a budget ran out and the checkpoint records the resume
     point).  The scan stops after exactly ``budget_combinations`` sets, or
-    before the first step (at least 250,000 sets, up to a block boundary)
+    before the first step (at least 2,000,000 sets, up to a block boundary)
     that starts after ``budget_seconds``.  With no budget the full scan
-    takes about two and a half seconds.  A negative budget, or a time budget
+    takes about two seconds.  A negative budget, or a time budget
     that is not finite, raises ValueError before the checkpoint is read; a
     budget of 0 scans nothing.
     """
@@ -499,6 +542,7 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_sec
         stop = min(stop, state.completed + budget_combinations)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
+    begin = state.completed
     while state.completed < stop:
         if deadline is not None and time.monotonic() >= deadline:
             break
@@ -511,6 +555,6 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_sec
         if checkpoint_path:
             _store_checkpoint(checkpoint_path, state, data)
 
-    if checkpoint_path:
+    if checkpoint_path and state.completed == begin:    # no step ran, so no step stored it
         _store_checkpoint(checkpoint_path, state, data)
     return state

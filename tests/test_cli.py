@@ -426,19 +426,30 @@ def test_checkpoint_with_a_foreign_mask_is_a_validation_error(tmp_path, capsys):
     assert err == "error: checkpoint %s does not hold a scan state of the C(30,12) sets\n" % checkpoint
 
 
+def _search_from(checkpoint, capsys, completed, found):
+    checkpoint.write_text(json.dumps({
+        "completed": completed, "found": found, "total": 86493225,
+        "version": madness.__version__, "data": reports.data_hash(),
+    }), encoding="utf-8")
+    return run(capsys, "search", "--budget", "0", "--checkpoint", str(checkpoint))
+
+
 def test_checkpoint_with_a_set_the_scan_did_not_find_is_a_validation_error(tmp_path, capsys):
     # The first 12 cubes, listed twice: resuming this file used to report
     # "2 universal sets found" and exit 4.
     checkpoint = tmp_path / "scan.json"
-    first_twelve = (1 << 12) - 1
-    checkpoint.write_text(json.dumps({
-        "completed": 0, "found": [first_twelve, first_twelve], "total": 86493225,
-        "version": madness.__version__, "data": reports.data_hash(),
-    }), encoding="utf-8")
-    code, out, err = run(capsys, "search", "--budget", "0", "--checkpoint", str(checkpoint))
+    code, out, err = _search_from(checkpoint, capsys, 0, [(1 << 12) - 1] * 2)
     assert code == 2
     assert out == ""
-    assert err == "error: checkpoint %s lists sets that the scan did not find\n" % checkpoint
+    assert err == "error: checkpoint %s lists sets that the scan did not find, or omits some\n" % checkpoint
+
+
+def test_finished_checkpoint_without_the_universal_sets_is_a_validation_error(tmp_path, capsys):
+    # Resuming this file used to report "0 universal sets found" and exit 0.
+    checkpoint = tmp_path / "scan.json"
+    code, out, err = _search_from(checkpoint, capsys, 86493225, [])
+    assert (code, out) == (2, "")
+    assert err == "error: checkpoint %s lists sets that the scan did not find, or omits some\n" % checkpoint
 
 
 def test_old_format_checkpoint_is_a_validation_error(tmp_path, capsys):
@@ -570,6 +581,50 @@ def test_single_collection_commands_do_not_import_numpy():
         "assert madness.distribution_buildable is madness.sweeps.distribution_buildable",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _cold_table2(tmp_path, blas_threads=None):
+    """Run ``table2 --no-cache`` in a fresh interpreter, with OPENBLAS_NUM_THREADS
+    unset or set to ``blas_threads``: (the value it ran with, whether numpy.ma loaded)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    script = "\n".join([
+        "import os, sys",
+        "from madness import cli",
+        "assert cli.main(['table2', '--no-cache', '--out', sys.argv[1]]) == 0",
+        "assert 'numpy' in sys.modules",
+        "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy.ma' in sys.modules)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "table2.txt")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(proc.stdout.split()[-2:])
+
+
+def test_cold_table2_runs_blas_on_one_thread_and_never_loads_numpy_ma(tmp_path):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS when numpy loads it, so main()
+    # sets it before a compute imports numpy; np.unique without
+    # return_counts would import numpy.ma.
+    assert _cold_table2(tmp_path) == ("1", "False")
+
+
+def test_cli_keeps_the_users_blas_thread_count(tmp_path):
+    assert _cold_table2(tmp_path, "2")[0] == "2"
+
+
+def test_importing_madness_leaves_the_environment_alone():
+    script = "\n".join([
+        "import os",
+        "before = dict(os.environ)",
+        "import madness.cli, madness.sweeps, madness.universal",
+        "assert dict(os.environ) == before, 'os.environ changed'",
+    ])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
 
 

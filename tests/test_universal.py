@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import subprocess
@@ -379,6 +380,19 @@ def test_search_hashes_the_cube_data_once_per_call(tmp_path, monkeypatch):
     assert json.loads(path.read_text(encoding="utf-8"))["data"] == data_hash()
 
 
+def test_search_stores_each_checkpoint_once(tmp_path, monkeypatch):
+    stored = []
+    store = universal._store_checkpoint
+    monkeypatch.setattr(universal, "_store_checkpoint", lambda *a: stored.append(a[1].completed) or store(*a))
+    path = str(tmp_path / "scan.json")
+    exhaustive_search(checkpoint_path=path, budget_combinations=5_000_000)
+    # Two steps to the first block edges past 2,000,000 and 4,000,000 sets, then the budget.
+    assert len(stored) == 3 and stored[-1] == 5_000_000 and stored == sorted(set(stored))
+    stored.clear()
+    exhaustive_search(checkpoint_path=path, budget_combinations=0)
+    assert stored == [5_000_000]
+
+
 def test_zero_second_budget_stops_before_the_first_chunk():
     assert exhaustive_search(budget_seconds=0, budget_combinations=1_000).completed == 0
 
@@ -434,7 +448,9 @@ def _universal_sets_by_rank():
     )
 
 
-@pytest.mark.parametrize("case", ["not-universal", "duplicate", "out-of-order", "not-yet-scanned"])
+@pytest.mark.parametrize(
+    "case", ["not-universal", "duplicate", "out-of-order", "not-yet-scanned", "missing", "one-missing"]
+)
 def test_checkpoint_with_sets_the_scan_did_not_find_is_rejected(case, tmp_path):
     (first_rank, first), (second_rank, second) = _universal_sets_by_rank()[:2]
     completed, found = {
@@ -442,6 +458,8 @@ def test_checkpoint_with_sets_the_scan_did_not_find_is_rejected(case, tmp_path):
         "duplicate": (first_rank + 1, [first, first]),
         "out-of-order": (second_rank + 1, [second, first]),
         "not-yet-scanned": (first_rank, [first]),
+        "missing": (TOTAL_TWELVE_SETS, []),         # "0 universal sets found" after a full scan
+        "one-missing": (second_rank + 1, [second]),
     }[case]
     path = tmp_path / "scan.json"
     path.write_text(json.dumps(dict(GOOD_CHECKPOINT, completed=completed, found=found)), encoding="utf-8")
@@ -501,13 +519,13 @@ def test_scan_memory_peaks():
     assert step_peak < 2 * 2**20, "step peak %.2f MB" % (step_peak / 2**20)
 
 
-def _reference_scan(begin, end):
-    """Universal sets among ranks begin..end-1: every set against all 30 targets.
+def _reference_scan(begin, end, k=SET_SIZE):
+    """Universal k-sets among ranks begin..end-1: every set against all 30 targets.
 
-    Unranks each set and ORs the slot bits of its 12 cubes per target, with
+    Unranks each set and ORs the slot bits of its k cubes per target, with
     no prefix blocks, precomputed columns or bitmask lookups.
     """
-    rows = combination_rows(30, SET_SIZE, np.arange(begin, end))
+    rows = combination_rows(30, k, np.arange(begin, end))
     bits, closed = universal._slot_bits_by_target(), universal._buildable_closure()
     keep = np.ones(len(rows), dtype=bool)
     for t in range(30):
@@ -525,9 +543,23 @@ def _lexicographic_rank(ids, n=30):
 
 
 def _scan_window(tmp_path, begin, end):
+    """Resume a scan at rank begin for end - begin sets: (its state, the sets it found).
+
+    The checkpoint lists the universal sets ranked below begin, as a scan
+    that got there would have.
+    """
+    before = [mask for rank, mask in _universal_sets_by_rank() if rank < begin]
     path = tmp_path / "window.json"
-    path.write_text(json.dumps(dict(GOOD_CHECKPOINT, completed=begin)), encoding="utf-8")
-    return exhaustive_search(checkpoint_path=str(path), budget_combinations=end - begin)
+    path.write_text(json.dumps(dict(GOOD_CHECKPOINT, completed=begin, found=before)), encoding="utf-8")
+    state = exhaustive_search(checkpoint_path=str(path), budget_combinations=end - begin)
+    assert state.found[: len(before)] == before
+    return state, state.found[len(before) :]
+
+
+# The whole blocks of the first three cubes 0, 1, 2 and a fourth of 14 or
+# more: 36 small blocks of all eight sizes, 3,432 sets down to 1, between
+# partial blocks on either side.
+SMALL_BLOCKS = (4_675_385, 4_686_825)
 
 
 @pytest.mark.parametrize("permissive", [False, True])
@@ -537,6 +569,7 @@ def _scan_window(tmp_path, begin, end):
     (480_700 - 2_000, 480_700 + 2_000),              # the end of the first, largest block
     (10_236_000, 10_240_000),                        # the first universal set
     (TOTAL_TWELVE_SETS - 3_000, TOTAL_TWELVE_SETS),  # the one-set blocks at the end
+    (SMALL_BLOCKS[0] - 1_000, SMALL_BLOCKS[1] + 1_000),
 ])
 def test_block_kernel_matches_the_reference_scan(begin, end, permissive, tmp_path, monkeypatch):
     if permissive:
@@ -545,16 +578,19 @@ def test_block_kernel_matches_the_reference_scan(begin, end, permissive, tmp_pat
         # pass every target, so every stage and block edge shows in ``found``.
         closure = np.random.default_rng(7).random(1 << 21) < 0.9
         monkeypatch.setattr(universal, "_buildable_closure", lambda: closure)
+    # Steps of 3,000 sets at least, so that step edges fall among small blocks.
+    monkeypatch.setattr(universal, "_STEP", 3_000)
     expected = _reference_scan(begin, end)
     assert len(expected) > 50 if permissive else len(expected) <= 1
-    state = _scan_window(tmp_path, begin, end)
+    state, found = _scan_window(tmp_path, begin, end)
     assert state.completed == end
-    assert state.found == expected
+    assert found == expected
 
 
 @pytest.mark.parametrize("begin, end", [
     (0, 150_000),                                    # chunk edges inside the first block
     (480_700 - 70_000, 480_700 + 70_000),            # a chunk edge on each side of a block edge
+    (SMALL_BLOCKS[0] - 1_000, SMALL_BLOCKS[1] + 1_000),
 ])
 def test_block_kernel_keeps_every_set_when_every_mask_builds(begin, end, monkeypatch):
     """With a closure that passes every slot mask, each rank comes out once, in order."""
@@ -565,14 +601,57 @@ def test_block_kernel_keeps_every_set_when_every_mask_builds(begin, end, monkeyp
     assert found == universal._bitmasks(rows).tolist()
 
 
+def test_small_blocks_split_over_several_passes_keep_every_set(monkeypatch):
+    """Passes of 4,096 sets over the last 20,000: the 39 blocks of 120 sets take two."""
+    closure = np.ones(1 << SLOT_COUNT, dtype=bool)
+    monkeypatch.setattr(universal, "_buildable_closure", lambda: closure)
+    monkeypatch.setattr(universal, "_CHUNK", universal._SMALL)
+    begin, end = TOTAL_TWELVE_SETS - 20_000, TOTAL_TWELVE_SETS
+    rows = combination_rows(30, SET_SIZE, np.arange(begin, end))
+    found = universal._scan_step(universal._scan_tables(), begin, end)
+    assert found == universal._bitmasks(rows).tolist()
+
+
+@pytest.mark.parametrize("begin, end", [
+    (0, 5_000),
+    (comb(30, 13) - 20_000, comb(30, 13)),
+])
+def test_block_kernel_scans_thirteen_sets(begin, end, monkeypatch):
+    """Six-cube prefixes over the same suffix table, against the reference scan."""
+    closure = np.random.default_rng(7).random(1 << 21) < 0.9
+    monkeypatch.setattr(universal, "_buildable_closure", lambda: closure)
+    expected = _reference_scan(begin, end, k=13)
+    assert len(expected) > 50
+    assert universal._scan_step(universal._scan_tables(13), begin, end) == expected
+
+
 def test_block_kernel_finds_each_universal_set_from_inside_its_block(tmp_path):
     tableau = build_tableau()
     for candidate in conjecture_sets(tableau):
         rank = _lexicographic_rank(tableau.ids_of_mask(candidate.mask))
         assert tuple(combination_rows(30, SET_SIZE, [rank])[0]) == tableau.ids_of_mask(candidate.mask)
         begin, end = max(0, rank - 500), min(TOTAL_TWELVE_SETS, rank + 500)
-        state = _scan_window(tmp_path, begin, end)
-        assert state.found == _reference_scan(begin, end) == [candidate.mask]
+        state, found = _scan_window(tmp_path, begin, end)
+        assert found == _reference_scan(begin, end) == [candidate.mask]
+
+
+def test_scan_finds_every_universal_thirteen_set():
+    """u(13) = 53,100: all C(30,13) sets through the block kernel, one step at a time."""
+    tables, total = universal._scan_tables(13), comb(30, 13)
+    assert tables.starts[-1] == total == 119_759_850
+    found = []
+    for begin in range(0, total, universal._STEP):
+        found += universal._scan_step(tables, begin, min(total, begin + universal._STEP))
+    tableau = build_tableau()
+    assert found == sorted(set(found), key=tableau.ids_of_mask)    # each once, in rank order
+    assert len(found) == 53_100
+    # A universal 12-set plus any of the other 18 cubes is universal, and no
+    # two of the ten share more than 4 cubes, so no 13-set holds two of them.
+    twelve = [c.mask for c in conjecture_sets(tableau)]
+    assert max(bin(a & b).count("1") for a, b in itertools.combinations(twelve, 2)) <= 4
+    extensions = {m | 1 << c for m in twelve for c in range(30) if not m >> c & 1}
+    assert len(extensions) == 180 and extensions <= set(found)
+    assert len(found) - len(extensions) == 52_920    # the minimal universal 13-sets
 
 
 def test_budgets_that_split_a_block_match_one_run(tmp_path):
