@@ -132,6 +132,11 @@ def run_report(report, args):
     cache = None
     if report.cached and not args.no_cache:
         cache = ReportCache(args.cache_dir or _default_cache_dir())
+        if os.path.exists(cache.directory) and not os.path.isdir(cache.directory):
+            raise ValueError("--cache-dir %s is not a directory" % cache.directory)
+        os.makedirs(cache.directory, exist_ok=True)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     payload = cache.load(args.command, params) if cache else None
     if payload is None:
         payload = report.compute(args, params)
@@ -143,7 +148,6 @@ def run_report(report, args):
             print("check FAILED: %s" % failure, file=sys.stderr)
             return EXIT_VERIFICATION
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         for name, body in report.files(payload).items():
             _write(os.path.join(out_dir, name), body)
     _write(args.out, _render(report, args, params, payload))

@@ -62,16 +62,6 @@ COLORS = (1, 2, 3, 4, 5, 6)
 U, D, N, E, S, W = range(6)
 FACE_LETTERS = "UDNESW"
 
-_FACE_DIRECTION = {
-    U: (0, 0, 1),
-    D: (0, 0, -1),
-    N: (0, 1, 0),
-    E: (1, 0, 0),
-    S: (0, -1, 0),
-    W: (-1, 0, 0),
-}
-_FACE_OF_DIRECTION = {v: k for k, v in _FACE_DIRECTION.items()}
-
 ROW_LETTERS = "ABCDEF"
 COLUMN_LETTERS = "abcdef"
 
@@ -109,51 +99,30 @@ class TableauBuildError(RuntimeError):
 # A rotation is stored as a face permutation ``perm`` acting by
 # ``rotate(coloring, perm)[g] == coloring[perm[g]]``: the sticker that lands
 # on face position g came from face position perm[g].  The 24 permutations
-# are derived from two 90-degree generator matrices (about +z and about +x)
-# by closure, so no hand-written permutation table needs to be trusted.
+# are the closure of two quarter turns, each written as the cycle of faces
+# whose stickers it moves one step on: N -> E -> S -> W about the U-D axis,
+# and U -> N -> D -> S about the E-W axis.  So no hand-written permutation
+# table needs to be trusted.
 # ---------------------------------------------------------------------------
 
-
-def _mat_vec(m, v):
-    return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
-
-
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
+_QUARTER_TURNS = ((N, E, S, W), (U, N, D, S))
 
 
 def _rotation_permutations():
-    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    about_z = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
-    about_x = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
-    seen = {identity}
-    frontier = [identity]
+    generators = []
+    for cycle in _QUARTER_TURNS:
+        perm = list(range(6))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[b] = a    # the sticker on a lands on b
+        generators.append(tuple(perm))
+    identity = tuple(range(6))
+    seen, frontier = {identity}, {identity}
     while frontier:
-        nxt = []
-        for m in frontier:
-            for g in (about_z, about_x):
-                p = _mat_mul(g, m)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
+        frontier = {tuple(p[i] for i in g) for p in frontier for g in generators} - seen
+        seen |= frontier
     if len(seen) != 24:
         raise AssertionError(f"rotation closure produced {len(seen)} elements")
-    perms = set()
-    for m in seen:
-        # perm[g] = face whose sticker moves to g, i.e. face at M^T * dir(g).
-        transpose = tuple(tuple(m[i][j] for i in range(3)) for j in range(3))
-        perm = tuple(
-            _FACE_OF_DIRECTION[_mat_vec(transpose, _FACE_DIRECTION[g])]
-            for g in range(6)
-        )
-        perms.add(perm)
-    if len(perms) != 24:
-        raise AssertionError("rotation matrices did not give 24 face permutations")
-    return tuple(sorted(perms))
+    return tuple(sorted(seen))
 
 
 ROTATIONS = _rotation_permutations()

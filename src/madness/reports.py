@@ -115,12 +115,11 @@ class Envelope:
 
     command: str
     params: dict
-    version: str = __version__
 
     def as_dict(self, tableau=None):
         return {
             "tool": "madness",
-            "version": self.version,
+            "version": __version__,
             "data_hash": data_hash(tableau),
             "command": self.command,
             "params": self.params,

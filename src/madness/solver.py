@@ -85,7 +85,7 @@ ADJACENT_PAIRS = tuple(
     for u, v in itertools.combinations(range(8), 2)
     if bin(u ^ v).count("1") == 1
 )
-DIAGONAL_PAIRS = ((0, 7), (1, 6), (2, 5), (3, 4))
+DIAGONAL_PAIRS = tuple((v, v ^ 7) for v in range(4))
 
 # Sweep slots: every target sees the same abstract multigraph, so usable
 # cubes are funneled into 21 fixed slots.  Slots 0..11 are the adjacent

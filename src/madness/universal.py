@@ -456,7 +456,7 @@ def _scan_step(tables, begin, end):
 class SearchState:
     completed: int       # sets scanned: the rank of the next set to scan
     found: list          # masks of universal sets, ascending discovery order
-    total: int = TOTAL_TWELVE_SETS
+    total = TOTAL_TWELVE_SETS    # every scan covers the C(30,12) sets: not a field
 
     @property
     def finished(self):
@@ -525,12 +525,18 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_sec
     that starts after ``budget_seconds``.  With no budget the full scan
     takes about two seconds.  A negative budget, or a time budget
     that is not finite, raises ValueError before the checkpoint is read; a
-    budget of 0 scans nothing.
+    checkpoint path whose directory does not exist raises CheckpointError
+    before the first step; a budget of 0 scans nothing.
     """
     if budget_combinations is not None and budget_combinations < 0:
         raise ValueError(f"a budget of combinations must be at least 0, got {budget_combinations}")
     if budget_seconds is not None and not 0 <= budget_seconds < inf:  # NaN too
         raise ValueError(f"a budget of seconds must be finite and at least 0, got {budget_seconds}")
+    directory = os.path.dirname(checkpoint_path or "") or "."
+    if checkpoint_path and not os.path.isdir(directory):
+        raise CheckpointError(
+            f"checkpoint {checkpoint_path} cannot be written ({directory} is not a directory)"
+        )
     data = data_hash()    # the cube-data hash every checkpoint of this call carries
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = _load_checkpoint(checkpoint_path, data)

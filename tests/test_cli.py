@@ -62,6 +62,13 @@ def test_cubes_text_has_envelope_header(capsys):
     assert "computed in" in out
 
 
+def test_envelope_version_is_the_package_version_not_a_field():
+    head = reports.Envelope(command="cubes", params={}).as_dict()
+    assert (head["tool"], head["version"], head["command"]) == ("madness", madness.__version__, "cubes")
+    with pytest.raises(TypeError):
+        reports.Envelope(command="cubes", params={}, version="0")
+
+
 def test_solve_json_payload(capsys):
     code, out, _ = run(
         capsys, "solve", "--target", "Ba", "--cubes", CANONICAL,
@@ -511,8 +518,30 @@ def test_out_dir_that_is_a_file_fails_before_computing(tmp_path, capsys, monkeyp
     assert out_dir.read_text() == "not a directory\n"
 
 
+def test_out_dir_under_a_file_fails_before_computing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(universal, "conjecture_sets", _compute_nothing)
+    blocker = tmp_path / "reports"
+    blocker.write_text("not a directory\n")
+    code, out, err = run(capsys, "universal", "--no-cache", "--out-dir", str(blocker / "sub"))
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_cache_dir_that_is_a_file_fails_before_computing(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(sweeps, "distribution_for_target", _compute_nothing)
+        code, out, err = run(capsys, "table1", "--cache-dir", str(cache))
+    assert (code, out, err) == (2, "", "error: --cache-dir %s is not a directory\n" % cache)
+    assert cache.read_text() == "not a directory\n"
+    # --no-cache neither reads nor writes the cache, so its directory is not checked.
+    assert run(capsys, "table1", "--no-cache", "--cache-dir", str(cache))[0] == 0
+
+
 @pytest.mark.parametrize("where", ["", "missing/scan.json"], ids=["directory", "missing-directory"])
-def test_unusable_checkpoint_path_is_a_validation_error(where, tmp_path, capsys):
+def test_unusable_checkpoint_path_is_a_validation_error(where, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(universal, "_scan_step", _compute_nothing)
     checkpoint = tmp_path / where
     code, out, err = run(capsys, "search", "--budget", "10", "--checkpoint", str(checkpoint))
     assert code == 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -7,6 +8,7 @@ import pytest
 from madness import cubes
 from madness.cubes import (
     ALL_CORNER_NUMBERS,
+    COLORS,
     COLORS,
     CUBE_NAMES,
     REFERENCE_CORNERS,
@@ -76,6 +78,30 @@ def test_rotation_group_structure():
         for q in ROTATIONS:
             composed = tuple(p[q[i]] for i in range(6))
             assert composed in group
+
+
+def test_rotations_are_the_pinned_face_permutations():
+    # Every count rests on these 24 face permutations, so their sorted tuple is pinned.
+    digest = hashlib.sha256(repr(ROTATIONS).encode()).hexdigest()
+    assert digest == "1d59b43bb0b13228d14be0528e151c4518bb03db6258947a6a32735ef7468c4e"
+    # The first quarter turn moves the stickers on N, E, S, W one step on.
+    U, D, N, E, S, W = range(6)
+    turned = rotate(tuple("udnesw"), (U, D, W, N, E, S))
+    assert (U, D, W, N, E, S) in ROTATIONS and turned == tuple("udwnes")
+
+
+@pytest.mark.parametrize(
+    "turns, size",
+    [
+        (((2, 3, 5, 4), (0, 2, 1, 4)), 720),    # N E W S is no rotation
+        (((2, 4), (3, 5), (0, 2, 1, 4)), 16),   # N S and E W: two reflections
+        (((0, 1), (2, 3, 4, 5)), 8),            # U D: a reflection
+    ],
+)
+def test_rotation_closure_rejects_wrong_generators(monkeypatch, turns, size):
+    monkeypatch.setattr(cubes, "_QUARTER_TURNS", turns)
+    with pytest.raises(AssertionError, match="rotation closure produced %d elements" % size):
+        cubes._rotation_permutations()
 
 
 def test_canonical_coloring_is_class_invariant():

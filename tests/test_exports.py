@@ -58,3 +58,36 @@ def test_every_exported_name_is_read():
             if not any(name in names for names in read.values()):
                 unread.append("%s.%s" % (module.__name__, name))
     assert not unread, "exported but read by nothing in the program: %s" % unread
+
+
+def _private_definitions(tree):
+    """(name, statement) for each module-level name of ``tree`` with one leading underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_read():
+    """Each module-level private name is read by the program outside its own
+    definition: as a name, an attribute or an import.  One that nothing
+    reads, such as a helper left behind by a rewrite, is dead code."""
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(madness.__file__).parent.glob("*.py")
+    ]
+    statements = [(node, _names_read(node)) for tree in trees for node in tree.body]
+    unread = sorted(
+        name
+        for tree in trees
+        for name, definition in _private_definitions(tree)
+        if not any(name in read for node, read in statements if node is not definition)
+    )
+    assert not unread, "defined but read by nothing in the program: %s" % unread

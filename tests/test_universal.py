@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,14 @@ import numpy as np
 import pytest
 
 from madness import __version__, sweeps, universal
-from madness.cubes import build_tableau, mirror_name
+from madness.cubes import (
+    COLUMN_LETTERS,
+    ROW_LETTERS,
+    all_color_permutations,
+    build_tableau,
+    mirror_name,
+    permutation_cycle_type,
+)
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
     EXPECTED_SUBSET_BUILD,
@@ -393,6 +401,24 @@ def test_search_stores_each_checkpoint_once(tmp_path, monkeypatch):
     assert stored == [5_000_000]
 
 
+def test_checkpoint_in_a_missing_directory_fails_before_the_first_step(tmp_path, monkeypatch):
+    def scan_nothing(*args):
+        raise AssertionError("scanned before checking the checkpoint's directory")
+
+    monkeypatch.setattr(universal, "_scan_step", scan_nothing)
+    path = tmp_path / "missing" / "scan.json"
+    with pytest.raises(CheckpointError, match=re.escape("%s is not a directory" % path.parent)):
+        exhaustive_search(checkpoint_path=str(path), budget_combinations=3_000_000)
+    assert not path.parent.exists()
+
+
+def test_search_state_total_is_a_constant_not_a_field():
+    state = universal.SearchState(completed=TOTAL_TWELVE_SETS, found=[])
+    assert state.total == universal.SearchState.total == TOTAL_TWELVE_SETS and state.finished
+    with pytest.raises(TypeError):
+        universal.SearchState(completed=0, found=[], total=5)
+
+
 def test_zero_second_budget_stops_before_the_first_chunk():
     assert exhaustive_search(budget_seconds=0, budget_combinations=1_000).completed == 0
 
@@ -652,6 +678,45 @@ def test_scan_finds_every_universal_thirteen_set():
     extensions = {m | 1 << c for m in twelve for c in range(30) if not m >> c & 1}
     assert len(extensions) == 180 and extensions <= set(found)
     assert len(found) - len(extensions) == 52_920    # the minimal universal 13-sets
+
+
+def _counts_of_every(k):
+    """Bitmasks and buildable counts of all C(30,k) sets, in rank order, a slice at a time."""
+    total, parts = comb(30, k), []
+    for begin in range(0, total, 1 << 16):
+        rows = combination_rows(30, k, np.arange(begin, min(total, begin + (1 << 16))))
+        parts.append((universal._bitmasks(rows), universal._counts_for_id_matrix(rows)))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def test_every_twenty_five_set_is_universal():
+    """u(25) = C(30,25): every complement of a 5-set builds all 30 targets."""
+    masks, counts = _counts_of_every(25)
+    assert len(masks) == 142_506
+    assert (counts == 30).all()
+
+
+def test_forty_twenty_four_sets_are_not_universal():
+    """u(24) = 593,735: the complements of 40 six-sets build 24 targets, the rest all 30."""
+    masks, counts = _counts_of_every(24)
+    assert len(masks) == 593_775
+    short = masks[counts < 30]
+    assert len(short) == 40 and (counts[counts < 30] == 24).all()
+    # Each removed six-set takes one cube from every row and every column,
+    # and its letters run in two 3-cycles, like Ab Bc Ca | De Ef Fd: there
+    # are C(6,3)/2 ways to split the letters and 2 x 2 ways to cycle them.
+    tableau = build_tableau()
+    removed = ((1 << 30) - 1) ^ short.astype(np.int64)
+    cycles = [p for p in all_color_permutations() if permutation_cycle_type(p) == (3, 3)]
+    assert sorted(removed.tolist()) == sorted(
+        tableau.mask(r + COLUMN_LETTERS[p[i] - 1] for i, r in enumerate(ROW_LETTERS)) for p in cycles
+    )
+    # The targets that such a 24-set misses are exactly its six missing cubes.
+    closed = universal._buildable_closure()
+    missed = sum(
+        (~closed[sweeps._slot_masks(short, t)]).astype(np.int64) << t for t in range(30)
+    )
+    assert (missed == removed).all()
 
 
 def test_budgets_that_split_a_block_match_one_run(tmp_path):
