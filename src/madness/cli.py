@@ -134,9 +134,13 @@ def run_report(report, args):
         cache = ReportCache(args.cache_dir or _default_cache_dir())
         if os.path.exists(cache.directory) and not os.path.isdir(cache.directory):
             raise ValueError("--cache-dir %s is not a directory" % cache.directory)
-        os.makedirs(cache.directory, exist_ok=True)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    for flag, directory in (("--cache-dir", cache and cache.directory), ("--out-dir", out_dir)):
+        if directory:
+            try:
+                os.makedirs(directory, exist_ok=True)
+            except OSError as exc:
+                message = "%s %s cannot be created: %s" % (flag, directory, exc.strerror)
+                raise ValueError(message) from None
     payload = cache.load(args.command, params) if cache else None
     if payload is None:
         payload = report.compute(args, params)

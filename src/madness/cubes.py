@@ -360,6 +360,9 @@ class Tableau:
 
     def cube(self, key):
         """Look up a cube by name, id or Cube instance."""
+        cube = self.by_name.get(key)    # a name: one lookup, no type checks
+        if cube is not None:
+            return cube
         if isinstance(key, Cube):
             return key
         if isinstance(key, int):

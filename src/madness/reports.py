@@ -204,7 +204,7 @@ def write_json(path, obj):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True)
+            fh.write(json.dumps(obj, sort_keys=True))    # dumps uses the C encoder; dump does not
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

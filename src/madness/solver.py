@@ -30,10 +30,13 @@ counts those maps by a dynamic program over the cubes used (the permanent of
 the cell/cube fit matrix), the other by multiplying, cell by cell, primes
 assigned to the cubes: equal partial products are merged with their counts,
 a prime already in the product is skipped, and a full product counts when
-the primorial divides it.  The arrangement listing and the interior count
-share one search over the same face table, which tracks the cubes used as a
+the primorial divides it.  The arrangement listing grows partial solutions
+over the same face table, cell by cell, tracking the cubes used as a
 bitmask, so the three-way check compares the corner-number model of the
-target graph with the face model.
+target graph with the face model.  The interior count runs that search with
+Conway's rule added: a pick for cell v must match, face for face, the picks
+already made on the cells it touches, so a partial solution is dropped at
+its first mismatched contact instead of being listed and filtered.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cubes import (
     CELL_FACES,
@@ -106,6 +110,10 @@ INTERIOR_CONTACTS = tuple(
     for axis, bit in enumerate((4, 2, 1))
     for v in range(8)
     if not v & bit
+)
+# The same contacts by higher cell: (lower cell, its face, this cell's face).
+_CONTACTS_BY_CELL = tuple(
+    tuple((a, fa, fb) for a, b, fa, fb in INTERIOR_CONTACTS if b == v) for v in range(8)
 )
 
 class CollectionSizeError(ValueError):
@@ -232,8 +240,7 @@ def as_ids(collection, tableau=None, size=8):
     return ids
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
+class ComponentSummary(NamedTuple):
     vertices: int
     edges: int
 
@@ -242,8 +249,7 @@ class ComponentSummary:
         return self.edges == self.vertices - 1
 
 
-@dataclass(frozen=True)
-class SubgraphSummary:
+class SubgraphSummary(NamedTuple):
     target_in_collection: bool
     unusable_count: int
     edge_list: tuple
@@ -272,16 +278,11 @@ def classify_edges(edge_list, target_in_collection, unusable_count=0):
     for u, v in edge_list:
         edge_count[find(u)] += 1
     components = tuple(
-        ComponentSummary(vertices=vertex_count[r], edges=edge_count[r])
+        ComponentSummary(vertex_count[r], edge_count[r])
         for r in range(VERTEX_COUNT)
         if parent[r] == r
     )
-    return SubgraphSummary(
-        target_in_collection=target_in_collection,
-        unusable_count=unusable_count,
-        edge_list=tuple(edge_list),
-        components=components,
-    )
+    return SubgraphSummary(target_in_collection, unusable_count, tuple(edge_list), components)
 
 
 def classify(collection, target, tableau=None):
@@ -366,17 +367,22 @@ def _fits_of_coloring(coloring):
 
 # ---------------------------------------------------------------------------
 # Oracle 1: the permanent of the cell/cube fit matrix, counted cell by cell.
-# After cell v, ``ways`` maps each set of cubes used on cells 0..v to the
-# number of injective maps of those cells onto it.
+# After each cell, ``ways`` maps each set of cubes used on the cells so far to
+# the number of injective maps of those cells onto it.  The permanent does
+# not depend on the order of the cells, so those with the fewest fitting
+# cubes go first: fewer partial sets survive, and an empty cell ends it at 0.
 # ---------------------------------------------------------------------------
 
 
 def solution_number_permanent(collection, target, tableau=None):
     tableau = tableau or build_tableau()
     members = set(as_ids(collection, tableau))
+    cells = _cell_fits(target, tableau)
+    rows = sorted(([1 << i for i, _ in fits if i in members] for fits in cells), key=len)
     ways = {0: 1}
-    for fits in _cell_fits(target, tableau):
-        bits = [1 << i for i, _ in fits if i in members]
+    for bits in rows:
+        if not bits:
+            return 0
         grown = {}
         for used, n in ways.items():
             for bit in bits:
@@ -392,7 +398,8 @@ def solution_number_permanent(collection, target, tableau=None):
 # of the cubes that fit it; a solution picks one prime per cell, all
 # distinct, which happens exactly when the product of the picks is divisible
 # by the primorial 2*3*...*19.  The picks are multiplied in cell by cell,
-# keeping a count for each distinct partial product: picks with equal
+# the cells with the fewest primes first (a product does not depend on the
+# order), keeping a count for each distinct partial product: picks with equal
 # products have the same futures, so they are merged.  A partial product
 # already divisible by p is not multiplied by p again, since a product with
 # a repeated prime can never reach a product of 8 distinct primes; the skip
@@ -407,9 +414,12 @@ _PRIMORIAL = 9699690
 def solution_number_prime_scan(collection, target, tableau=None):
     tableau = tableau or build_tableau()
     prime_of = dict(zip(as_ids(collection, tableau), _PRIMES))
+    cells = _cell_fits(target, tableau)
+    rows = sorted(([prime_of[i] for i, _ in fits if i in prime_of] for fits in cells), key=len)
     products = {1: 1}
-    for fits in _cell_fits(target, tableau):
-        primes = [prime_of[i] for i, _ in fits if i in prime_of]
+    for primes in rows:
+        if not primes:
+            return 0
         grown = {}
         for product, n in products.items():
             for p in primes:
@@ -419,28 +429,33 @@ def solution_number_prime_scan(collection, target, tableau=None):
     return sum(n for product, n in products.items() if product % _PRIMORIAL == 0)
 
 
-def _solution_picks(collection, target, tableau):
+def _solution_picks(collection, target, tableau, contacts=None):
     """Every solution as its 8 (cube id, oriented coloring) picks, cell by cell.
 
     Partial solutions grow one cell at a time, each with the bitmask of the
     cubes it uses.  Each is extended in cube-id order, so the solutions come
     out in lexicographic order of (cube id at cell 0, cube id at cell 1, ...).
+    With ``contacts`` (``_CONTACTS_BY_CELL``), a pick for cell v is kept only
+    if its faces match the earlier picks on every contact listed for v.
     """
     members = set(as_ids(collection, tableau))
     partial = [(0, ())]
-    for fits in _cell_fits(target, tableau):
+    for v, fits in enumerate(_cell_fits(target, tableau)):
         candidates = [(1 << pick[0], pick) for pick in fits if pick[0] in members]
+        checks = contacts[v] if contacts else ()
         partial = [
             (used | bit, picks + (pick,))
             for used, picks in partial
             for bit, pick in candidates
             if not used & bit
+            and (not checks or all(picks[a][1][fa] == pick[1][fb] for a, fa, fb in checks))
         ]
+        if not partial:
+            return []
     return [picks for _, picks in partial]
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """One cube of an arrangement: block cell, shown corner, oriented faces."""
 
     vertex: int
@@ -462,13 +477,10 @@ def enumerate_arrangements(collection, target, tableau=None):
     Order is by the sequence (cube id at cell 0, cube id at cell 1, ...).
     """
     tableau = tableau or build_tableau()
-    t = tableau.cube(target)
+    corners, cubes = tableau.cube(target).corners, tableau.cubes
     return [
-        tuple(
-            Placement(vertex=v, corner=t.corners[v], cube=tableau.cubes[i].name, coloring=oriented)
-            for v, (i, oriented) in enumerate(picks)
-        )
-        for picks in _solution_picks(collection, t, tableau)
+        tuple(Placement(v, corners[v], cubes[i].name, oriented) for v, (i, oriented) in enumerate(picks))
+        for picks in _solution_picks(collection, target, tableau)
     ]
 
 
@@ -480,7 +492,4 @@ def interior_matches(colorings):
 def interior_matching_count(collection, target, tableau=None):
     """How many solutions also match colors on all 12 interior contacts."""
     tableau = tableau or build_tableau()
-    return sum(
-        interior_matches([coloring for _, coloring in picks])
-        for picks in _solution_picks(collection, target, tableau)
-    )
+    return len(_solution_picks(collection, target, tableau, _CONTACTS_BY_CELL))

@@ -255,6 +255,7 @@ def test_criterion_03_five_target_rule_generator():
 
 def test_criterion_04_interior_matching_for_all_targets():
     tableau = build_tableau()
+    conway_sets = {}
     for target in tableau:
         mirror = tableau.mirror(target)
         ids = tuple(
@@ -270,6 +271,14 @@ def test_criterion_04_interior_matching_for_all_targets():
         # Over every placement of every collection, this set is the only one
         # that matches on all interior faces, and it does so in exactly 2 ways.
         assert _interior_matching_collections(target.name) == {frozenset(ids): 2}
+        conway_sets[target.name] = ids
+    # The design under Conway's rule: 30 distinct sets, every cube in exactly
+    # 8 of them, no set holding its own target.  So only all 30 cubes
+    # together build every target.
+    assert len(set(conway_sets.values())) == 30
+    assert Counter(i for ids in conway_sets.values() for i in ids) == {i: 8 for i in range(30)}
+    assert all(tableau.cube(name).id not in ids for name, ids in conway_sets.items())
+    assert tableau.names(conway_sets["Ba"]) == ("Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb", "Fb")
 
 
 def test_criterion_05_maximum_solution_census_for_ba():

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib
 import json
@@ -277,6 +278,18 @@ def test_cache_entry_of_other_source_code_misses(tmp_path, monkeypatch):
     assert cache.load("table2", {}) is None
 
 
+def test_stored_cache_entry_is_one_json_dumps(tmp_path):
+    # The entry is written in one json.dumps call, through the C encoder;
+    # its bytes are those of the sorted-key dumps of the entry it loads as.
+    payload = {"counts": {"8": 19860, "2": 93000}, "mean": 18.1739, "names": ["Ba", "Ćf"], "ok": True}
+    path = ReportCache(str(tmp_path)).store("table2", {"k": 12}, payload)
+    with open(path, "rb") as fh:
+        written = fh.read()
+    entry = json.loads(written)
+    assert entry["payload"] == payload
+    assert written == json.dumps(entry, sort_keys=True).encode()
+
+
 _BIG_PAYLOAD = {"blob": "x" * (1 << 20)}
 
 
@@ -522,9 +535,21 @@ def test_out_dir_under_a_file_fails_before_computing(tmp_path, capsys, monkeypat
     monkeypatch.setattr(universal, "conjecture_sets", _compute_nothing)
     blocker = tmp_path / "reports"
     blocker.write_text("not a directory\n")
-    code, out, err = run(capsys, "universal", "--no-cache", "--out-dir", str(blocker / "sub"))
-    assert (code, out) == (2, "")
-    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    out_dir = blocker / "sub"
+    code, out, err = run(capsys, "universal", "--no-cache", "--out-dir", str(out_dir))
+    message = "error: --out-dir %s cannot be created: %s\n" % (out_dir, os.strerror(errno.ENOTDIR))
+    assert (code, out, err) == (2, "", message)
+
+
+def test_cache_dir_under_a_file_fails_before_computing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweeps, "distribution_for_target", _compute_nothing)
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory\n")
+    cache = blocker / "sub"
+    code, out, err = run(capsys, "table1", "--cache-dir", str(cache))
+    message = "error: --cache-dir %s cannot be created: %s\n" % (cache, os.strerror(errno.ENOTDIR))
+    assert (code, out, err) == (2, "", message)
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_cache_dir_that_is_a_file_fails_before_computing(tmp_path, capsys, monkeypatch):

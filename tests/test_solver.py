@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,7 @@ from madness.solver import (
     classify,
     classify_edges,
     enumerate_arrangements,
+    interior_matches,
     interior_matching_count,
     solution_number,
     solution_number_formula,
@@ -35,9 +37,11 @@ from madness.solver import (
     solution_number_prime_scan,
     _PRIMES,
     _PRIMORIAL,
+    _CONTACTS_BY_CELL,
     _cell_fits,
     _placement_table,
 )
+from madness.sweeps import count_max_collections
 
 CANONICAL_BA = ("Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb", "Fb")
 FIVE_TARGET_EXAMPLE = ("Ac", "Af", "Ba", "Bf", "Ea", "Ef", "Fa", "Fc")
@@ -490,6 +494,9 @@ def test_interior_contact_table():
     for a, b, fa, fb in INTERIOR_CONTACTS:
         assert bin(a ^ b).count("1") == 1
         assert a < b
+    # The pruned search checks each contact once, at its higher cell.
+    by_cell = [(a, b, fa, fb) for b, cell in enumerate(_CONTACTS_BY_CELL) for a, fa, fb in cell]
+    assert sorted(by_cell) == sorted(INTERIOR_CONTACTS)
 
 
 def test_interior_matching_bounded_by_solutions():
@@ -500,6 +507,60 @@ def test_interior_matching_bounded_by_solutions():
         usable = build_target_graph(target, t).usable_ids()
         ids = tuple(sorted(rng.sample(usable, 8)))
         assert interior_matching_count(ids, target, t) <= solution_number(ids, target, t)
+
+
+def _benchmark_like_queries(t, seed, count, usable_share=0.75):
+    """(target, ids) pairs: a random target, then 8 cubes drawn from its usable
+    cubes with probability ``usable_share`` and from all 30 otherwise."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        target = t.cube(rng.randrange(30))
+        pool = build_target_graph(target, t).usable_ids() if rng.random() < usable_share else range(30)
+        out.append((target.name, tuple(sorted(rng.sample(pool, 8)))))
+    return out
+
+
+def test_pruned_interior_count_equals_filtered_listing():
+    t = build_tableau()
+    # Random queries almost never match inside, so add each target's one
+    # collection that does (criterion 4): its mirror's row and column.
+    conway = [
+        (target.name, t.ids(c for c in t.row(m.row) + t.column(m.column) if c != m))
+        for target in t
+        for m in [t.mirror(target)]
+    ]
+    seen = Counter()
+    for target, ids in _benchmark_like_queries(t, 26, 2400) + conway:
+        listed = enumerate_arrangements(ids, target, t)
+        pruned = interior_matching_count(ids, target, t)
+        assert pruned == sum(interior_matches([p.coloring for p in a]) for a in listed)
+        seen["buildable" if listed else "zero"] += 1
+        seen["interior"] += pruned > 0
+    assert seen["buildable"] > 800 and seen["zero"] > 800 and seen["interior"] >= 30
+
+
+def test_unusable_cube_gives_zero_on_every_route():
+    t = build_tableau()
+    ids = t.ids(CANONICAL_BA[:7] + ("Ab",))    # Ab is Ba's mirror
+    assert t.cube("Ab").id in build_target_graph("Ba", t).unusable_ids
+    routes = (
+        solution_number, solution_number_permanent, solution_number_prime_scan,
+        lambda *a: len(enumerate_arrangements(*a)), interior_matching_count,
+    )
+    assert [route(ids, "Ba", t) for route in routes] == [0] * 5
+
+
+def test_every_maximum_collection_of_ba_counts_sixteen():
+    t = build_tableau()
+    census = count_max_collections("Ba")
+    assert len(census.sweep_masks) == 81
+    for mask in census.sweep_masks:
+        counts = [route(mask, "Ba", t) for route in (
+            solution_number, solution_number_permanent, solution_number_prime_scan,
+        )]
+        assert counts == [16, 16, 16]
+        assert len(enumerate_arrangements(mask, "Ba", t)) == 16
 
 
 def test_recoloring_equivariance_of_solution_numbers():
