@@ -34,7 +34,6 @@ from .solver import (
     as_ids,
     enumerate_arrangements,
     interior_matching_count,
-    interior_matches,
     solution_number,
     solution_number_permanent,
     solution_number_prime_scan,
@@ -241,11 +240,8 @@ def _solve_compute(args, params):
             ]
             for arrangement in arrangements
         ]
-    if args.interior:  # from the listing's colorings when there is one: no second search
-        payload["interior_matching_count"] = (
-            sum(interior_matches([p.coloring for p in a]) for a in arrangements)
-            if args.arrangements else interior_matching_count(cubes, target)
-        )
+    if args.interior:
+        payload["interior_matching_count"] = interior_matching_count(cubes, target)
     return payload
 
 

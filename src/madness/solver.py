@@ -77,7 +77,6 @@ __all__ = [
     "solution_number_prime_scan",
     "enumerate_arrangements",
     "interior_matching_count",
-    "interior_matches",
 ]
 
 VERTEX_COUNT = 8
@@ -125,7 +124,7 @@ class TargetGraph:
     """The target graph of one cube: the cube in slot s < TARGET_SLOT joins corners SLOT_ENDPOINTS[s]."""
 
     target: Cube
-    slot_of_cube: tuple            # id -> slot 0..20, or -1 if unusable
+    slot_of_cube: tuple            # id -> slot, or -1 if unusable
     cube_of_slot: tuple            # slot -> id
     unusable_ids: frozenset
 
@@ -133,89 +132,53 @@ class TargetGraph:
         return tuple(i for i in range(30) if self.slot_of_cube[i] >= 0)
 
 
-def _check_unusable_identity(target, tableau, unusable):
-    mirror = tableau.mirror(target)
-    expected = {
-        c.id
-        for c in tableau
-        if c.id != target.id and (c.row == target.row or c.column == target.column or c.id == mirror.id)
-    }
-    if unusable != expected:
-        raise AssertionError(
-            f"unusable cubes for {target.name} are not row+column+mirror"
-        )
-
-
 @lru_cache(maxsize=None)
 def _target_graph_by_name(name):
+    """Each cube's slot, read off the target corners it shares.
+
+    A cube sharing all 8 is the target, one sharing none is unusable, and a
+    cube sharing the endpoints of some slot takes it.  On a main diagonal the
+    mirror-row cube takes the pair's first slot and the mirror-column cube the
+    second: parallel edges are interchangeable for counting, so this only
+    keeps the sweeps deterministic.  Any other cube raises, and so does a map
+    that fills some slot twice or not at all, or whose unusable cubes are not
+    exactly the target's row, column and mirror.
+    """
     tableau = build_tableau()
     target = tableau.cube(name)
     mirror = tableau.mirror(target)
-    corner_to_vertex = {c: i for i, c in enumerate(target.corners)}
-
-    slot_of_cube = [-1] * 30
-    cube_of_slot = [-1] * SLOT_COUNT
-    unusable = set()
-
-    diag_slot_used = [0] * 4
+    vertex_of = {c: v for v, c in enumerate(target.corners)}
+    slot_of_cube = []
     for cube in tableau:
-        if cube.id == target.id:
-            slot_of_cube[cube.id] = TARGET_SLOT
-            cube_of_slot[TARGET_SLOT] = cube.id
-            continue
-        shared = cube.corner_set & target.corner_set
-        if not shared:
-            unusable.add(cube.id)
-            continue
-        if len(shared) != 2:
-            raise AssertionError(
-                f"{cube.name} shares {len(shared)} corners with {target.name}"
-            )
-        u, v = sorted(corner_to_vertex[c] for c in shared)
-        if u ^ v == 7:
-            pair_index = DIAGONAL_PAIRS.index((u, v))
-            # Parallel edges are interchangeable for counting; pin the
-            # mirror-row cube to the first slot so sweeps are deterministic.
-            if cube.row == mirror.row:
-                slot = 12 + 2 * pair_index
-            elif cube.column == mirror.column:
-                slot = 13 + 2 * pair_index
-            else:
-                raise AssertionError(
-                    f"diagonal cube {cube.name} is not in the mirror's row or column"
-                )
-            diag_slot_used[pair_index] += 1
+        ends = tuple(sorted(vertex_of[c] for c in cube.corner_set & target.corner_set))
+        if len(ends) == VERTEX_COUNT:
+            slot = TARGET_SLOT
+        elif not ends:
+            slot = -1
+        elif ends in SLOT_ENDPOINTS:
+            slot = SLOT_ENDPOINTS.index(ends)
+            if ends in DIAGONAL_PAIRS:
+                in_row, in_column = cube.row == mirror.row, cube.column == mirror.column
+                if in_row == in_column:
+                    raise AssertionError(
+                        f"diagonal cube {cube.name} must be in the mirror's row or column, not both"
+                    )
+                slot += in_column
         else:
-            if bin(u ^ v).count("1") != 1:
-                raise AssertionError("edge joins corners that are neither adjacent nor antipodal")
-            slot = ADJACENT_PAIRS.index((u, v))
-        if slot_of_cube[cube.id] != -1 or cube_of_slot[slot] != -1:
-            raise AssertionError("slot assigned twice")
-        slot_of_cube[cube.id] = slot
-        cube_of_slot[slot] = cube.id
+            raise AssertionError(f"{cube.name} shares corners {ends} of {target.name}: no slot joins them")
+        slot_of_cube.append(slot)
 
-    if len(unusable) != 9:
-        raise AssertionError(f"{target.name} has {len(unusable)} unusable cubes")
-    _check_unusable_identity(target, tableau, unusable)
-    if diag_slot_used != [2, 2, 2, 2]:
-        raise AssertionError("each main diagonal must carry exactly two cubes")
-    if -1 in cube_of_slot:
-        raise AssertionError("not every slot received a cube")
-    expected_diag = {
-        c.id
-        for c in tableau
-        if c.id not in (target.id, mirror.id)
-        and (c.row == mirror.row or c.column == mirror.column)
-    }
-    if set(cube_of_slot[12:TARGET_SLOT]) != expected_diag:
-        raise AssertionError("diagonal cubes are not the mirror's row and column")
-
-    return TargetGraph(
-        target=target,
-        slot_of_cube=tuple(slot_of_cube),
-        cube_of_slot=tuple(cube_of_slot),
-        unusable_ids=frozenset(unusable),
-    )
+    if sorted(s for s in slot_of_cube if s >= 0) != list(range(SLOT_COUNT)):
+        raise AssertionError(f"the cubes of {target.name} do not fill each slot once")
+    unusable = frozenset(i for i, s in enumerate(slot_of_cube) if s < 0)
+    row_column_mirror = {
+        c.id for c in tableau
+        if c.row == target.row or c.column == target.column or c.id == mirror.id
+    } - {target.id}
+    if unusable != row_column_mirror:
+        raise AssertionError(f"unusable cubes for {target.name} are not row+column+mirror")
+    cube_of_slot = tuple(map(slot_of_cube.index, range(SLOT_COUNT)))
+    return TargetGraph(target, tuple(slot_of_cube), cube_of_slot, unusable)
 
 
 def build_target_graph(target, tableau=None):
@@ -482,11 +445,6 @@ def enumerate_arrangements(collection, target, tableau=None):
         tuple(Placement(v, corners[v], cubes[i].name, oriented) for v, (i, oriented) in enumerate(picks))
         for picks in _solution_picks(collection, target, tableau)
     ]
-
-
-def interior_matches(colorings):
-    """Whether 8 oriented colorings, cell by cell, match colors on all 12 interior contacts."""
-    return all(colorings[a][fa] == colorings[b][fb] for a, b, fa, fb in INTERIOR_CONTACTS)
 
 
 def interior_matching_count(collection, target, tableau=None):

@@ -245,7 +245,7 @@ def buildable_collections(cube_ids, target, tableau=None):
     graph = build_target_graph(target, tableau)
     usable = sorted(set(cube_ids) - graph.unusable_ids)
     for combo in itertools.combinations(usable, 8):
-        value = solution_number(combo, graph.target, tableau)
+        value = solution_number(combo, graph.target.name, tableau)
         if value:
             yield combo, value
 
@@ -416,7 +416,7 @@ def _target_numbers(ids, tableau):
     numbers = {}
     for c, unusable in zip(tableau, _unusable_cubes()):
         if not mask & unusable:
-            value = solution_number(ids, c, tableau)
+            value = solution_number(ids, c.name, tableau)
             if value:
                 numbers[c.name] = value
     return numbers
@@ -462,12 +462,13 @@ def count_max_collections(target):
 
     bit = [1 << c for c in graph.cube_of_slot]    # distinct cubes, so sums of bits are ORs
     target_bit = 1 << graph.target.id
-    base = sum(bit[12:TARGET_SLOT])                # the four diagonals, doubled
-    family_a = [base] + [base - b + target_bit for b in bit[12:TARGET_SLOT]]
+    diagonal = [[b for b, ends in zip(bit, SLOT_ENDPOINTS) if ends == pair] for pair in DIAGONAL_PAIRS]
+    base = sum(map(sum, diagonal))                 # the four diagonals, doubled
+    family_a = [base] + [base - b + target_bit for pair in diagonal for b in pair]
 
     family_b = []
     for keep in itertools.combinations(range(4), 2):
-        kept_mask = target_bit + sum(bit[12 + 2 * p] + bit[13 + 2 * p] for p in keep)
+        kept_mask = target_bit + sum(sum(diagonal[p]) for p in keep)
         free_vertices = {v for p in range(4) if p not in keep for v in DIAGONAL_PAIRS[p]}
         slots = [s for s in range(TARGET_SLOT) if set(SLOT_ENDPOINTS[s]) <= free_vertices]
         for chosen in itertools.combinations(slots, 3):

@@ -151,7 +151,7 @@ def buildable_count_direct(cube_set, tableau=None):
     """Slow oracle: try every 8-subset per target through the solver."""
     tableau = tableau or build_tableau()
     ids = _set_ids(cube_set, tableau)
-    return sum(1 for target in tableau if next(buildable_collections(ids, target, tableau), None))
+    return sum(1 for target in tableau if next(buildable_collections(ids, target.name, tableau), None))
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def per_target_analysis(candidate, tableau=None):
     member_ids = tableau.ids(candidate.names)
     analyses = []
     for target in tableau:
-        graph = build_target_graph(target, tableau)
+        graph = build_target_graph(target.name, tableau)
         analyses.append(
             TargetAnalysis(
                 target=target.name,
@@ -178,7 +178,7 @@ def per_target_analysis(candidate, tableau=None):
                 unusable_members=tableau.names(graph.unusable_ids.intersection(member_ids)),
                 collections=tuple(
                     (tableau.names(combo), value)
-                    for combo, value in buildable_collections(member_ids, target, tableau)
+                    for combo, value in buildable_collections(member_ids, target.name, tableau)
                 ),
             )
         )

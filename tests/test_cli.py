@@ -110,15 +110,16 @@ def test_solve_arrangement_count_disagreement_exits_3(capsys, monkeypatch):
     assert err == "verification failed: arrangement listing disagrees: formula=16 arrangements=15\n"
 
 
-def test_solve_interior_with_arrangements_searches_once(capsys, monkeypatch):
+def test_solve_interior_with_arrangements_runs_the_pruned_count(capsys, monkeypatch):
     calls = []
     picks = solver._solution_picks
-    monkeypatch.setattr(solver, "_solution_picks", lambda *a: calls.append(a) or picks(*a))
+    monkeypatch.setattr(solver, "_solution_picks", lambda *a: calls.append(a[3:]) or picks(*a))
     code, out, _ = run(
         capsys, "solve", "--target", "Ba", "--cubes", CANONICAL,
         "--interior", "--arrangements", "--format", "json",
     )
-    assert (code, len(calls)) == (0, 1)
+    # One plain search lists the arrangements, one pruned search counts the interior matches.
+    assert (code, calls) == (0, [(), (solver._CONTACTS_BY_CELL,)])
     payload = json.loads(out)["payload"]
     assert (payload["interior_matching_count"], len(payload["arrangements"])) == (2, 16)
 

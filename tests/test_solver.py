@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -29,7 +30,6 @@ from madness.solver import (
     classify,
     classify_edges,
     enumerate_arrangements,
-    interior_matches,
     interior_matching_count,
     solution_number,
     solution_number_formula,
@@ -107,6 +107,65 @@ def test_every_slot_holds_the_cube_of_its_corners():
         for i in g.unusable_ids:
             assert g.slot_of_cube[i] == -1
             assert not t.cubes[i].corner_set & target.corner_set, (target.name, i)
+
+
+def test_target_graphs_are_the_pinned_slot_maps():
+    # Every sweep reads the 30 slot maps, so they and the unusable sets are pinned.
+    t = build_tableau()
+    graphs = [build_target_graph(c.name, t) for c in t]
+
+    def digest(rows):
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    assert digest([g.slot_of_cube for g in graphs]) == (
+        "2561a245eb3904cd17951678dd34ceeb80be15a614c858cdc34e0bc1c99ade09"
+    )
+    assert digest([tuple(sorted(g.unusable_ids)) for g in graphs]) == (
+        "d7ff4812580e04eb137d02b483b59ec0d76d3a52eb882b8e1ce5b5b9b49e2d5d"
+    )
+
+
+def _ba_graph_with_corners(monkeypatch, corners_by_name):
+    """Ba's target graph, built afresh from a tableau whose named cubes carry the given corners."""
+    cubes = [dataclasses.replace(c, corners=corners_by_name.get(c.name, c.corners)) for c in build_tableau()]
+    monkeypatch.setattr(solver, "build_tableau", lambda: Tableau(cubes))
+    return solver._target_graph_by_name.__wrapped__("Ba")
+
+
+def test_target_graph_builder_accepts_the_true_tableau(monkeypatch):
+    assert _ba_graph_with_corners(monkeypatch, {}) == build_target_graph("Ba")
+
+
+@pytest.mark.parametrize("vertices", [(0, 1, 2), (0, 3)])    # three corners; a face diagonal
+def test_target_graph_rejects_corners_no_slot_joins(monkeypatch, vertices):
+    t = build_tableau()
+    ba, ab = t.cube("Ba").corners, t.cube("Ab").corners    # Ab, the mirror, shares no corner
+    corners = tuple(ba[v] for v in vertices) + ab[len(vertices):]
+    with pytest.raises(AssertionError, match=r"Cd shares corners \(%s\) of Ba: no slot joins them" % (
+        ", ".join(map(str, vertices))
+    )):
+        _ba_graph_with_corners(monkeypatch, {"Cd": corners})
+
+
+@pytest.mark.parametrize("name", ["Cd", "Ab"])    # in neither of row A and column b; in both
+def test_target_graph_rejects_a_diagonal_cube_off_the_mirrors_lines(monkeypatch, name):
+    ac = build_tableau().cube("Ac").corners    # on a main diagonal of Ba
+    with pytest.raises(AssertionError, match=f"diagonal cube {name} must be in the mirror's row or column"):
+        _ba_graph_with_corners(monkeypatch, {name: ac})
+
+
+def test_target_graph_rejects_a_slot_filled_twice(monkeypatch):
+    t = build_tableau()
+    assert build_target_graph("Ba", t).slot_of_cube[t.cube("Cd").id] < len(ADJACENT_PAIRS)
+    with pytest.raises(AssertionError, match="the cubes of Ba do not fill each slot once"):
+        _ba_graph_with_corners(monkeypatch, {"Bc": t.cube("Cd").corners})
+
+
+def test_target_graph_rejects_unusable_cubes_off_the_row_column_and_mirror(monkeypatch):
+    t = build_tableau()
+    bc, cd = t.cube("Bc").corners, t.cube("Cd").corners
+    with pytest.raises(AssertionError, match=r"unusable cubes for Ba are not row\+column\+mirror"):
+        _ba_graph_with_corners(monkeypatch, {"Bc": cd, "Cd": bc})
 
 
 def test_every_target_fits_the_slot_structure():
@@ -534,7 +593,9 @@ def test_pruned_interior_count_equals_filtered_listing():
     for target, ids in _benchmark_like_queries(t, 26, 2400) + conway:
         listed = enumerate_arrangements(ids, target, t)
         pruned = interior_matching_count(ids, target, t)
-        assert pruned == sum(interior_matches([p.coloring for p in a]) for a in listed)
+        assert pruned == sum(
+            all(a[u].coloring[fu] == a[v].coloring[fv] for u, v, fu, fv in INTERIOR_CONTACTS) for a in listed
+        )
         seen["buildable" if listed else "zero"] += 1
         seen["interior"] += pruned > 0
     assert seen["buildable"] > 800 and seen["zero"] > 800 and seen["interior"] >= 30
