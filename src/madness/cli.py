@@ -126,17 +126,15 @@ def run_report(report, args):
     if args.out and os.path.isdir(args.out):
         raise ValueError("--out %s is a directory" % args.out)
     out_dir = getattr(args, "out_dir", None)
-    if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise ValueError("--out-dir %s is not a directory" % out_dir)
     cache = None
     if report.cached and not args.no_cache:
         cache = ReportCache(args.cache_dir or _default_cache_dir())
-        if os.path.exists(cache.directory) and not os.path.isdir(cache.directory):
-            raise ValueError("--cache-dir %s is not a directory" % cache.directory)
-    for flag, directory in (("--cache-dir", cache and cache.directory), ("--out-dir", out_dir)):
+    for flag, directory in (("--out-dir", out_dir), ("--cache-dir", cache and cache.directory)):
         if directory:
             try:
                 os.makedirs(directory, exist_ok=True)
+            except FileExistsError:
+                raise ValueError("%s %s is not a directory" % (flag, directory)) from None
             except OSError as exc:
                 message = "%s %s cannot be created: %s" % (flag, directory, exc.strerror)
                 raise ValueError(message) from None
@@ -393,12 +391,21 @@ def _universal_compute(args, params):
     tableau = build_tableau()
     candidates = conjecture_sets(tableau)
     report = orbit_and_stabilizer(candidates, tableau)
-    sets = [
-        {
+    sets = []
+    for cand, stabilizer_order in zip(candidates, report.stabilizer_orders):
+        # Two routes to one count: the upward closure, and the solver's collections.
+        count, analyses = buildable_count(cand.names, tableau), per_target_analysis(cand, tableau)
+        solved = sum(1 for a in analyses if a.collections)
+        if count != solved:
+            raise VerificationError(
+                "set %s builds %d targets by the closure, %d by the solver"
+                % (" ".join(cand.names), count, solved)
+            )
+        sets.append({
             "pair": list(cand.pair),
             "cubes": list(cand.names),
-            "buildable_count": buildable_count(cand.names, tableau),
-            "stabilizer_order": report.stabilizer_orders[index],
+            "buildable_count": count,
+            "stabilizer_order": stabilizer_order,
             "per_target": [
                 {
                     "target": a.target,
@@ -408,11 +415,9 @@ def _universal_compute(args, params):
                         {"cubes": list(c), "solution_number": v} for c, v in a.collections
                     ],
                 }
-                for a in per_target_analysis(cand, tableau)
+                for a in analyses
             ],
-        }
-        for index, cand in enumerate(candidates)
-    ]
+        })
     figure7 = {
         str(k): {str(v): c for v, c in subset_build_distribution(candidates[0], k, tableau).items()}
         for k in (8, 9, 10, 11)

@@ -10,7 +10,8 @@ package's source files, a hash of the cube data, and the parameters, so a
 repeat invocation returns instantly and a new version, a code change or a
 change to the underlying cube data invalidates every cache entry.  Each
 entry also holds a sha256 of its payload, so an entry edited after it was
-written is discarded and recomputed like an unreadable one.
+written is discarded and recomputed like an unreadable one.  An entry that
+cannot be written is skipped with a warning; the report is written anyway.
 """
 
 from __future__ import annotations
@@ -189,9 +190,14 @@ class ReportCache:
             return None
 
     def store(self, command, params, payload, tableau=None):
-        os.makedirs(self.directory, exist_ok=True)
+        """Write the entry and return its path; if it cannot be written, warn and return None."""
         path, key = self._path(command, params, tableau)
-        write_json(path, {"key": key, "payload": payload, "sha256": self._digest(payload)})
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+            write_json(path, {"key": key, "payload": payload, "sha256": self._digest(payload)})
+        except OSError as exc:
+            log.warning("not storing cache file %s (%s)", path, exc.strerror or exc)
+            return None
         return path
 
 

@@ -42,6 +42,7 @@ its first mismatched contact instead of being listed and filtered.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -94,21 +95,20 @@ DIAGONAL_PAIRS = tuple((v, v ^ 7) for v in range(4))
 # cubes are funneled into 21 fixed slots.  Slots 0..11 are the adjacent
 # pairs in ADJACENT_PAIRS order, slots 12+2p and 13+2p the two parallel
 # edges on diagonal pair p, slot 20 the target cube itself.
-SLOT_COUNT = 21
-TARGET_SLOT = 20
 SLOT_ENDPOINTS = ADJACENT_PAIRS + tuple(
     pair for pair in DIAGONAL_PAIRS for _ in (0, 1)
 )
+TARGET_SLOT = len(SLOT_ENDPOINTS)
+SLOT_COUNT = TARGET_SLOT + 1
 
-# Face contacts inside the 2x2x2 block, axis by axis (x, y, z): the cell
-# with the axis bit clear touches its neighbor through its face on the plus
-# side (the one cell 7 shows outside), the neighbor through its face on the
-# minus side (the one cell 0 shows).  Cell x=0 meets cell x=1 E to W.
+# Face contacts inside the 2x2x2 block: contact s joins the cells u < v of
+# adjacent slot s.  On the axis where their exterior faces differ, u touches v
+# through the face v shows outside, and v touches u through the face u shows.
 INTERIOR_CONTACTS = tuple(
-    (v, v | bit, CELL_FACES[7][axis], CELL_FACES[0][axis])
-    for axis, bit in enumerate((4, 2, 1))
-    for v in range(8)
-    if not v & bit
+    (u, v, fv, fu)
+    for u, v in ADJACENT_PAIRS
+    for fu, fv in zip(CELL_FACES[u], CELL_FACES[v])
+    if fu != fv
 )
 # The same contacts by higher cell: (lower cell, its face, this cell's face).
 _CONTACTS_BY_CELL = tuple(
@@ -371,7 +371,7 @@ def solution_number_permanent(collection, target, tableau=None):
 # ---------------------------------------------------------------------------
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
-_PRIMORIAL = 9699690
+_PRIMORIAL = math.prod(_PRIMES)
 
 
 def solution_number_prime_scan(collection, target, tableau=None):

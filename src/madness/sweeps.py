@@ -82,7 +82,7 @@ __all__ = [
     "five_target_records",
 ]
 
-TOTAL_COLLECTIONS = 5852925        # C(30, 8)
+TOTAL_COLLECTIONS = comb(30, 8)
 
 
 class InvalidRuleError(ValueError):
@@ -320,6 +320,11 @@ def _slot_lookup():
     return _subset_or_table(_slot_bits_by_target().reshape(30, 3, 10))
 
 
+def _bitmasks(ids_matrix):
+    """Cube-id bitmasks (uint32) of rows of cube ids: the last axis runs along a row."""
+    return np.bitwise_or.reduce(np.uint32(1) << np.asarray(ids_matrix, dtype=np.uint32), axis=-1)
+
+
 def _slot_masks(sets, target):
     """Slot masks of cube-id bitmasks (uint32) for one target: the kernel of every count."""
     lookup = _slot_lookup()[target]
@@ -396,9 +401,8 @@ def distribution_buildable():
             distribution[j] = 30 * count // j
     distribution[0] = TOTAL_COLLECTIONS - sum(distribution.values())
     ids = np.array([tableau.ids_of_mask(int(m)) for m in bases[built == 5]], dtype=np.intp)
-    images = np.uint32(1) << action[:, ids.reshape(-1, 8)].astype(np.uint32)
     # Sorted, the first of each run of equal masks (np.unique would import numpy.ma).
-    five_masks = np.sort(np.bitwise_or.reduce(images, axis=2), axis=None)
+    five_masks = np.sort(_bitmasks(action[:, ids.reshape(-1, 8)]), axis=None)
     first = np.ones(len(five_masks), dtype=bool)
     first[1:] = five_masks[1:] != five_masks[:-1]
     five_masks = five_masks[first]
@@ -479,8 +483,6 @@ def count_max_collections(target):
 
     family_a = sorted(set(family_a))
     family_b = sorted(set(family_b))
-    if set(family_a) & set(family_b):
-        raise VerificationError("structural max-collection families overlap")
     if sorted(family_a + family_b) != sweep:
         raise VerificationError(
             f"structural census ({len(family_a)}+{len(family_b)}) disagrees "
@@ -558,7 +560,6 @@ def _apply_rule(rule):
     targets = [
         r + c for r in other_rows for c in other_cols if r.lower() != c
     ]
-    assert len(cells) == 10 and len(targets) == 5
     mirrors = {mirror_name(t) for t in targets} & set(cells)
     if len(mirrors) != 2:
         raise VerificationError(f"rule {rule} removed {len(mirrors)} mirrors, expected 2")

@@ -42,6 +42,7 @@ from .cubes import (
 from .reports import VerificationError, data_hash, write_json
 from .solver import as_ids, build_target_graph
 from .sweeps import (
+    _bitmasks,
     _buildable_closure,
     _combination_words,
     _recolor_action,
@@ -110,7 +111,6 @@ def conjecture_sets(tableau=None):
         names += [
             p.upper() + q for p, q in itertools.permutations(rest, 2)
         ]
-        assert len(set(names)) == 12
         out.append(
             UniversalCandidate(
                 pair=(x, y),
@@ -119,11 +119,6 @@ def conjecture_sets(tableau=None):
             )
         )
     return out
-
-
-def _bitmasks(ids_matrix):
-    """Cube-id bitmasks (uint32) of rows of cube ids: the last axis runs along a row."""
-    return np.bitwise_or.reduce(np.uint32(1) << np.asarray(ids_matrix, dtype=np.uint32), axis=-1)
 
 
 def _counts_for_id_matrix(ids_matrix):
@@ -294,7 +289,6 @@ class OrbitReport:
     single_orbit: bool            # all ten candidates in one orbit
     stabilizer_orders: tuple      # per candidate, in conjecture_sets order
     stabilizer_cycle_types: tuple # per candidate: sorted (cycle type, count) pairs
-    has_three_cycle: tuple        # per candidate: a cycle type containing a 3-cycle
 
 
 def orbit_and_stabilizer(candidates=None, tableau=None):
@@ -305,18 +299,16 @@ def orbit_and_stabilizer(candidates=None, tableau=None):
     images = _bitmasks(_recolor_action()[:, members])    # (permutation, candidate) -> image
     perms = all_color_permutations()
     orbit = set(images[:, 0].tolist())
-    stab_orders, stab_types, has_three = [], [], []
+    stab_orders, stab_types = [], []
     for column, mask in zip(images.T, own):
         types = Counter(permutation_cycle_type(perms[p]) for p in np.flatnonzero(column == mask))
         stab_orders.append(sum(types.values()))
         stab_types.append(tuple(sorted(types.items())))
-        has_three.append(any(3 in t for t in types))
     return OrbitReport(
         orbit_size=len(orbit),
         single_orbit=orbit.issuperset(own.tolist()) and len(orbit) == len(members),
         stabilizer_orders=tuple(stab_orders),
         stabilizer_cycle_types=tuple(stab_types),
-        has_three_cycle=tuple(has_three),
     )
 
 
@@ -486,12 +478,13 @@ def _load_checkpoint(path, data):
         and all(type(m) is int and 0 <= m < 1 << 30 and m.bit_count() == SET_SIZE for m in found)
     ):
         raise CheckpointError(f"checkpoint {path} does not hold a scan state of the C(30,12) sets")
+    # The file's own values are shown by repr, so a newline in one cannot split the message.
     if raw["version"] != __version__:
         raise CheckpointError(
-            f"checkpoint {path} was written by madness {raw['version']}, not {__version__}"
+            f"checkpoint {path} was written by madness {raw['version']!r}, not {__version__}"
         )
     if raw["data"] != data:
-        raise CheckpointError(f"checkpoint {path} was written for other cube data ({raw['data']})")
+        raise CheckpointError(f"checkpoint {path} was written for other cube data ({raw['data']!r})")
     # A scan finds the ten universal 12-sets (criterion 11) below completed, in rank order.
     tableau, scanned = build_tableau(), []
     for row in sorted(tableau.ids_of_mask(u.mask) for u in conjecture_sets(tableau)):

@@ -221,6 +221,40 @@ def test_universal_check_and_out_dir(tmp_path, capsys):
         assert len(lines) == 1 + len(EXPECTED_SUBSET_BUILD[k])
 
 
+def test_universal_closure_and_solver_counts_must_agree(capsys, monkeypatch):
+    # Each set's buildable count comes from the upward closure, its per-target
+    # collections from the solver; a set the two routes disagree on fails.
+    monkeypatch.setattr(universal, "buildable_count", lambda *args: 29)
+    code, out, err = run(capsys, "universal", "--no-cache")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert err.startswith("verification failed: set ") and "29 targets by the closure, 30 by the solver" in err
+
+
+def test_cache_entry_that_cannot_be_stored_still_writes_the_report(tmp_path, capsys, caplog, monkeypatch):
+    # A read-only cache directory (chmod does not stop root, so the write fails
+    # by monkeypatch).  The one warning is a log record, printed to stderr
+    # outside pytest like the warning for an unreadable entry.
+    def refuse(path, obj):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    expected = tmp_path / "expected.json"
+    assert run(capsys, "table1", "--no-cache", "--format", "json", "--out", str(expected))[0] == 0
+    monkeypatch.setattr(reports, "write_json", refuse)
+    cache, out = tmp_path / "cache", tmp_path / "table1.json"
+    code, stdout, err = run(capsys, "table1", "--cache-dir", str(cache), "--format", "json", "--out", str(out))
+    assert (code, stdout, err) == (0, "wrote %s\n" % out, "")
+    (warning,) = [(r.levelname, r.getMessage()) for r in caplog.records]
+    assert re.fullmatch(
+        r"not storing cache file %stable1-[0-9a-f]{16}\.json \(%s\)"
+        % (re.escape(str(cache) + os.sep), os.strerror(errno.EACCES)),
+        warning[1],
+    )
+    assert warning[0] == "WARNING"
+    assert out.read_bytes() == expected.read_bytes()
+    assert list(cache.iterdir()) == []
+
+
 def test_out_files_byte_identical_across_cache_hit(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

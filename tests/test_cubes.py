@@ -169,6 +169,43 @@ def test_tableau_bootstrap_rejects_an_incomplete_rotation_set(monkeypatch, dropp
     assert len(build_tableau()) == 30
 
 
+def _bootstrap_error(monkeypatch, name, value):
+    """The TableauBuildError message of a bootstrap with ``cubes.<name>`` set to ``value``."""
+    build_tableau.cache_clear()
+    try:
+        monkeypatch.setattr(cubes, name, value)
+        with pytest.raises(TableauBuildError) as raised:
+            build_tableau()
+    finally:
+        monkeypatch.undo()
+        build_tableau.cache_clear()
+    assert len(build_tableau()) == 30
+    return str(raised.value)
+
+
+def test_tableau_bootstrap_rejects_a_face_swap_for_the_identity(monkeypatch):
+    # Swapping U and D is no rotation, yet the 720 bijections still fall into
+    # 30 sets of 24 images: only the orbit-overlap check sees the set is not a group.
+    assert ROTATIONS[0] == tuple(range(6))
+    rotations = ((1, 0, 2, 3, 4, 5),) + ROTATIONS[1:]
+    assert "overlaps another orbit" in _bootstrap_error(monkeypatch, "ROTATIONS", rotations)
+
+
+@pytest.mark.parametrize("edit", ["repeated", "seven-numbers"])
+def test_tableau_bootstrap_rejects_a_bad_reference_row(monkeypatch, edit):
+    # Ba's row repeats Ab's, or loses its last number: either way the Ba
+    # coloring finds no row of its own.
+    rows = cubes._REFERENCE_ROWS.strip().splitlines()
+    ab, ba = (next(r for r in rows if r.startswith(name + " ")) for name in ("Ab", "Ba"))
+    bad = "Ba" + ab[2:] if edit == "repeated" else ba.rsplit(" ", 1)[0]
+    monkeypatch.setattr(cubes, "_REFERENCE_ROWS", "\n".join(bad if r == ba else r for r in rows))
+    reference = cubes._parse_reference()
+    monkeypatch.undo()
+    assert len(reference["Ba"]) == (8 if edit == "repeated" else 7)
+    message = _bootstrap_error(monkeypatch, "REFERENCE_CORNERS", reference)
+    assert "matches no unclaimed reference corner set" in message
+
+
 def test_published_corner_sets():
     t = build_tableau()
     assert t.cube("Fb").corner_set == {124, 146, 165, 152, 234, 253, 356, 364}

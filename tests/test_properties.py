@@ -1,12 +1,21 @@
 """Property tests: invariance of solution numbers and buildable counts under recoloring
-and mirroring, and the shape of random samples."""
+and mirroring, the shape of random samples, and bad input that ends in one line."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from madness.cubes import all_color_permutations, build_tableau
+from madness import __version__
+from madness.cli import main
+from madness.cubes import CUBE_NAMES, all_color_permutations, build_tableau
+from madness.reports import data_hash
 from madness.solver import build_target_graph, solution_number, solution_number_permanent
-from madness.universal import buildable_count, sample_sets
+from madness.universal import TOTAL_TWELVE_SETS, buildable_count, conjecture_sets, sample_sets
 
 TABLEAU = build_tableau()
 
@@ -61,3 +70,83 @@ def test_sample_rows_are_sorted_distinct_k_subsets(k, n, seed):
     assert samples.shape == (n, k)
     assert samples.min() >= 0 and samples.max() <= 29
     assert (np.diff(samples, axis=1) > 0).all()
+
+
+def _run(*argv):
+    """(exit code, stderr) of one in-process command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+# Two valid scan states: a scan stopped early, and a finished one.  The
+# universal sets a checkpoint lists must be those ranked below ``completed``.
+_RANKED_SETS = [c.mask for c in sorted(conjecture_sets(TABLEAU), key=lambda c: TABLEAU.ids_of_mask(c.mask))]
+_STOPPED = {"completed": 12, "found": [], "total": TOTAL_TWELVE_SETS, "version": __version__, "data": data_hash()}
+_VALID_STATES = [_STOPPED, dict(_STOPPED, completed=TOTAL_TWELVE_SETS, found=_RANKED_SETS)]
+_STRINGS = st.text(st.sampled_from("0.1\n\r x") | st.characters(), max_size=12)
+_JUNK = _STRINGS | st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers(-(2**200), 2**200)
+    | st.integers(-2, TOTAL_TWELVE_SETS + 2)
+    | st.sampled_from(_RANKED_SETS + [__version__, data_hash()])
+    | _STRINGS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def checkpoint_text(draw):
+    """A valid checkpoint with one or two fields replaced, added or removed, maybe truncated."""
+    state = dict(draw(st.sampled_from(_VALID_STATES)))
+    for key in draw(st.lists(st.sampled_from(sorted(state) + ["extra"]), min_size=1, max_size=2, unique=True)):
+        if draw(st.integers(0, 3)):
+            state[key] = draw(_JUNK)
+        else:
+            state.pop(key, None)
+    text = json.dumps(state)
+    if not draw(st.integers(0, 4)):
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _checkpoint_with(**change):
+    return json.dumps(dict(_STOPPED, **change))
+
+
+# No pytest fixture: hypothesis would reuse a function-scoped tmp_path across examples.
+@settings(max_examples=100, deadline=None, database=None)
+@given(text=checkpoint_text())
+@example(text=_checkpoint_with(version=__version__ + "\n"))    # the file's values once split the message
+@example(text=_checkpoint_with(data="\n"))
+def test_a_bad_checkpoint_is_one_error_line(text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "scan.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, err = _run("search", "--budget", "0", "--checkpoint", path)
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error: checkpoint ")
+    else:    # the change left a valid state: stopped early (4) or finished (0)
+        assert code in (0, 4) and err.count("\n") == (code == 4)
+
+
+_NAMES = st.sampled_from(CUBE_NAMES) | st.text(max_size=3)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    target=_NAMES,
+    cubes=st.text(max_size=30)
+    | st.builds(str.join, st.sampled_from([",", " ", ", "]), st.lists(_NAMES, max_size=10)),
+)
+def test_bad_solve_input_is_one_error_line(target, cubes):
+    code, err = _run("solve", "--target=" + target, "--cubes=" + cubes)
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    else:
+        assert (code, err) == (0, "")

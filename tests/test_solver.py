@@ -558,6 +558,31 @@ def test_interior_contact_table():
     assert sorted(by_cell) == sorted(INTERIOR_CONTACTS)
 
 
+def test_interior_contact_s_joins_the_cells_of_adjacent_slot_s():
+    assert [contact[:2] for contact in INTERIOR_CONTACTS] == list(ADJACENT_PAIRS)
+    assert SLOT_ENDPOINTS[: len(INTERIOR_CONTACTS)] == ADJACENT_PAIRS
+    # The same contacts axis by axis: the cell with the axis bit clear shows
+    # the plus face (cell 7's) to its neighbor, which shows the minus face.
+    by_axis = {
+        (v, v | bit, CELL_FACES[7][axis], CELL_FACES[0][axis])
+        for axis, bit in enumerate((4, 2, 1))
+        for v in range(8)
+        if not v & bit
+    }
+    assert set(INTERIOR_CONTACTS) == by_axis
+    # The pruned search checks each cell's contacts in this order.
+    assert _CONTACTS_BY_CELL == (
+        (),
+        ((0, 0, 1),),
+        ((0, 2, 4),),
+        ((1, 2, 4), (2, 0, 1)),
+        ((0, 3, 5),),
+        ((1, 3, 5), (4, 0, 1)),
+        ((2, 3, 5), (4, 2, 4)),
+        ((3, 3, 5), (5, 2, 4), (6, 0, 1)),
+    )
+
+
 def test_interior_matching_bounded_by_solutions():
     t = build_tableau()
     rng = random.Random(25)
