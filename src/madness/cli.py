@@ -14,7 +14,9 @@ OpenBLAS starts its thread pool when numpy loads it.
 Reports print as text tables by default; --format csv/json with --out PATH
 writes byte-deterministic files (no timestamps or timings inside).  Heavy
 sweeps cache their payloads under --cache-dir (or $MADNESS_CACHE_DIR),
-keyed by command, version, source hash, cube-data hash and parameters.
+keyed by the report's envelope (version, cube-data hash, command and
+parameters) and the source hash.  An error prints on one line, with any
+line break in it escaped.
 """
 
 from __future__ import annotations
@@ -55,21 +57,21 @@ _VALIDATION_ERRORS = (UnknownCubeError, ValueError, OSError)
 class Report:
     """One command: its parameters, payload, table and optional hooks.
 
-    ``params(args)`` gives the parameters that key the cache and head the
-    report, ``compute(args, params)`` the JSON-ready payload, and
-    ``rows(payload)`` the table as (fieldnames, rows, notes), where notes are
-    lines printed above the text table.  Optional hooks, each of which also
-    adds its options to the command: ``cached`` (--cache-dir, --no-cache);
-    ``check(payload)`` returns a failure message for --check;
+    ``compute(args, params)`` gives the JSON-ready payload, ``rows(payload)``
+    the table as (fieldnames, rows, notes), where notes are lines printed
+    above the text table, and ``params(args)`` the parameters that key the
+    cache and head the report (none by default).  Optional hooks, each of
+    which also adds its options to the command: ``cached`` (--cache-dir,
+    --no-cache); ``check(payload)`` returns a failure message for --check;
     ``files(payload)`` maps file names to bodies for --out-dir.  And without
     options: ``csv_rows(payload)`` replaces the table in CSV, its notes
     becoming ``#`` lines; ``status(args, payload)`` gives the exit code once
     the report is written.
     """
 
-    params: Callable
     compute: Callable
     rows: Callable
+    params: Callable = lambda args: {}
     cached: bool = False
     check: Callable | None = None
     csv_rows: Callable | None = None
@@ -77,19 +79,20 @@ class Report:
     status: Callable | None = None
 
 
-def _default_cache_dir():
-    env = os.environ.get("MADNESS_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "madness")
+def _cache_dir(args):
+    """(name in errors, path) of the cache directory: flag, environment or default."""
+    if args.cache_dir:
+        return "--cache-dir", args.cache_dir
+    if os.environ.get("MADNESS_CACHE_DIR"):
+        return "$MADNESS_CACHE_DIR", os.environ["MADNESS_CACHE_DIR"]
+    return "default cache directory", os.path.join(os.path.expanduser("~"), ".cache", "madness")
 
 
 def _render(report, args, params, payload):
     """The report body in the requested format."""
+    head = Envelope(command=args.command, params=params).as_dict()
     if args.format == "json":
-        envelope = Envelope(command=args.command, params=params).as_dict()
-        envelope["payload"] = payload
-        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        return json.dumps(dict(head, payload=payload), sort_keys=True, indent=2) + "\n"
     if args.format == "csv":
         if report.csv_rows is None:
             fieldnames, rows, _ = report.rows(payload)
@@ -97,7 +100,6 @@ def _render(report, args, params, payload):
         fieldnames, rows, notes = report.csv_rows(payload)
         return "".join("# %s\n" % n for n in notes) + reports.render_csv(fieldnames, rows)
     fieldnames, rows, notes = report.rows(payload)
-    head = Envelope(command=args.command, params=params).as_dict()
     lines = [
         "madness %s  data %s" % (head["version"], head["data_hash"]),
         "command: %s %s" % (args.command, json.dumps(params, sort_keys=True)),
@@ -126,10 +128,10 @@ def run_report(report, args):
     if args.out and os.path.isdir(args.out):
         raise ValueError("--out %s is a directory" % args.out)
     out_dir = getattr(args, "out_dir", None)
-    cache = None
+    cache_flag, cache_dir = None, None
     if report.cached and not args.no_cache:
-        cache = ReportCache(args.cache_dir or _default_cache_dir())
-    for flag, directory in (("--out-dir", out_dir), ("--cache-dir", cache and cache.directory)):
+        cache_flag, cache_dir = _cache_dir(args)
+    for flag, directory in (("--out-dir", out_dir), (cache_flag, cache_dir)):
         if directory:
             try:
                 os.makedirs(directory, exist_ok=True)
@@ -138,6 +140,7 @@ def run_report(report, args):
             except OSError as exc:
                 message = "%s %s cannot be created: %s" % (flag, directory, exc.strerror)
                 raise ValueError(message) from None
+    cache = ReportCache(cache_dir) if cache_dir else None
     payload = cache.load(args.command, params) if cache else None
     if payload is None:
         payload = report.compute(args, params)
@@ -155,10 +158,6 @@ def run_report(report, args):
     if args.format == "text" and not args.out:
         print("computed in %.2fs" % (time.monotonic() - started))
     return report.status(args, payload) if report.status else EXIT_OK
-
-
-def _no_params(args):
-    return {}
 
 
 def _int_keyed(mapping):
@@ -188,7 +187,6 @@ def _cubes_compute(args, params):
 
 
 CUBES = Report(
-    params=_no_params,
     compute=_cubes_compute,
     rows=lambda payload: (
         ["name", "id", "U", "D", "N", "E", "S", "W"] + ["c%d" % i for i in range(1, 9)],
@@ -269,7 +267,6 @@ def _table1_compute(args, params):
 
 
 TABLE1 = Report(
-    params=_no_params,
     compute=_table1_compute,
     rows=lambda payload: (
         ["solution_number", "collections"],
@@ -306,7 +303,6 @@ def _table2_rows(payload):
 
 
 TABLE2 = Report(
-    params=_no_params,
     compute=_table2_compute,
     rows=_table2_rows,
     cached=True,
@@ -367,9 +363,6 @@ def _five_targets_rows(payload):
 
 
 FIVE_TARGETS = Report(
-    # Every payload is verified when it is computed, so the parameters are a
-    # constant; they head the report and key the cache.
-    params=lambda args: {"verify": True},
     compute=_five_targets_compute,
     rows=_five_targets_rows,
     cached=True,
@@ -468,7 +461,6 @@ def _universal_files(payload):
 
 
 UNIVERSAL = Report(
-    params=_no_params,
     compute=_universal_compute,
     rows=_universal_rows,
     cached=True,
@@ -611,6 +603,11 @@ def build_parser():
     return parser
 
 
+def _one_line(exc):
+    """The message of ``exc`` on one line, even where a path in it holds a line break."""
+    return str(exc).replace("\r", "\\r").replace("\n", "\\n")
+
+
 def main(argv=None):
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")    # read once, when numpy loads OpenBLAS
     parser = build_parser()
@@ -621,10 +618,10 @@ def main(argv=None):
     try:
         return run_report(args.report, args)
     except VerificationError as exc:
-        print("verification failed: %s" % exc, file=sys.stderr)
+        print("verification failed: %s" % _one_line(exc), file=sys.stderr)
         return EXIT_VERIFICATION
     except _VALIDATION_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % _one_line(exc), file=sys.stderr)
         return EXIT_VALIDATION
 
 

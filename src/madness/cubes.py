@@ -466,8 +466,6 @@ def _validate(cubes):
     by_name = {c.name: c for c in cubes}
     for c in cubes:
         m = by_name[mirror_name(c.name)]
-        if c.corner_set & m.corner_set:
-            raise TableauBuildError(f"mirror cubes {c.name}/{m.name} share a corner")
         if frozenset(reverse_corner(x) for x in c.corner_set) != m.corner_set:
             raise TableauBuildError(f"mirror cubes {c.name}/{m.name} are not reversals")
 

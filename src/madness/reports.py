@@ -5,10 +5,11 @@ built on those three alone (``cubes``, ``solve``) never import it.
 
 Output files are byte-deterministic: CSV and JSON payloads never contain
 timestamps or timings (the text report prints timing to the terminal only).
-Cached results are keyed by command name, package version, a hash of the
-package's source files, a hash of the cube data, and the parameters, so a
-repeat invocation returns instantly and a new version, a code change or a
-change to the underlying cube data invalidates every cache entry.  Each
+Cached results are keyed by the report's envelope (package version, a hash
+of the cube data, command name and parameters) plus a hash of the package's
+source files, so a repeat invocation returns instantly and a new version, a
+code change or a change to the underlying cube data invalidates every cache
+entry.  Each
 entry also holds a sha256 of its payload, so an entry edited after it was
 written is discarded and recomputed like an unreadable one.  An entry that
 cannot be written is skipped with a warning; the report is written anyway.
@@ -148,19 +149,13 @@ def render_text(fieldnames, rows):
 
 
 class ReportCache:
-    """JSON payload cache in a directory, keyed by (command, version, source, data, params)."""
+    """JSON payload cache in a directory, keyed by the report's envelope and the source hash."""
 
     def __init__(self, directory):
         self.directory = directory
 
     def _path(self, command, params, tableau=None):
-        entry = {
-            "command": command,
-            "version": __version__,
-            "source": _source_hash(),
-            "data": data_hash(tableau),
-            "params": params,
-        }
+        entry = dict(Envelope(command, params).as_dict(tableau), source=_source_hash())
         key = json.dumps(entry, sort_keys=True)
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         return os.path.join(self.directory, f"{command}-{digest}.json"), key

@@ -549,20 +549,11 @@ def five_target_rules():
 
 
 def _apply_rule(rule):
-    cells = [
-        r + c
-        for r in rule.rows
-        for c in rule.columns
-        if r.lower() != c
-    ]
+    cells = [r + c for r in rule.rows for c in rule.columns if r.lower() != c]
     other_rows = [r for r in ROW_LETTERS if r not in rule.rows]
     other_cols = [c for c in COLUMN_LETTERS if c not in rule.columns]
-    targets = [
-        r + c for r in other_rows for c in other_cols if r.lower() != c
-    ]
-    mirrors = {mirror_name(t) for t in targets} & set(cells)
-    if len(mirrors) != 2:
-        raise VerificationError(f"rule {rule} removed {len(mirrors)} mirrors, expected 2")
+    targets = [r + c for r in other_rows for c in other_cols if r.lower() != c]
+    mirrors = {mirror_name(t) for t in targets}
     collection = [c for c in cells if c not in mirrors]
     if not rule.columns_first:
         collection = [mirror_name(n) for n in collection]
@@ -571,26 +562,19 @@ def _apply_rule(rule):
 
 
 def five_target_record(rule, tableau=None, verify=True):
-    """Instantiate one rule and (optionally) verify it solves as promised."""
+    """One rule's record, numbered by one solver pass over the targets its collection can serve.
+
+    A promised target it cannot serve gets 0.  With ``verify``, serving any
+    other targets than the promised ones raises VerificationError.
+    """
     tableau = tableau or build_tableau()
     collection, targets = _apply_rule(rule)
-    if verify:
-        # One solver pass over all 30 targets both checks the promise and
-        # gives the promised targets' solution numbers.
-        found = _target_numbers(as_ids(collection, tableau), tableau)
-        if set(found) != set(targets):
-            raise VerificationError(
-                f"rule {rule} promises targets {targets}, engine finds {sorted(found)}"
-            )
-        numbers = {t: found[t] for t in targets}
-    else:
-        numbers = {t: solution_number(collection, t, tableau) for t in targets}
-    return FiveTargetRecord(
-        rule=rule,
-        collection=collection,
-        targets=targets,
-        solution_numbers=numbers,
-    )
+    found = _target_numbers(as_ids(collection, tableau), tableau)
+    if verify and set(found) != set(targets):
+        raise VerificationError(
+            f"rule {rule} promises targets {targets}, engine finds {sorted(found)}"
+        )
+    return FiveTargetRecord(rule, collection, targets, {t: found.get(t, 0) for t in targets})
 
 
 def five_target_records(tableau=None, verify=True):

@@ -610,6 +610,44 @@ def test_unusable_checkpoint_path_is_a_validation_error(where, tmp_path, capsys,
     assert err.startswith("error: checkpoint %s cannot be " % checkpoint)
 
 
+@pytest.mark.parametrize("flag", ["--checkpoint", "--out", "--out-dir", "--cache-dir"])
+def test_error_naming_a_path_with_a_line_break_is_one_line(flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(universal, "_scan_step", _compute_nothing)
+    monkeypatch.setattr(universal, "conjecture_sets", _compute_nothing)
+    monkeypatch.setattr(sweeps, "distribution_for_target", _compute_nothing)
+    blocker = tmp_path / "not\na directory"
+    blocker.write_text("")
+    argv = {
+        "--checkpoint": ("search", "--budget", "10", "--checkpoint", str(blocker / "x.json")),
+        "--out": ("cubes", "--out", str(blocker / "x.txt")),
+        "--out-dir": ("universal", "--no-cache", "--out-dir", str(blocker / "sub")),
+        "--cache-dir": ("table1", "--cache-dir", str(blocker / "sub")),
+    }[flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert str(blocker).replace("\n", "\\n") in err
+
+
+@pytest.mark.parametrize("source", ["environment", "default"])
+def test_cache_dir_error_names_where_the_directory_came_from(source, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweeps, "distribution_for_target", _compute_nothing)
+    if source == "environment":
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("MADNESS_CACHE_DIR", str(cache))
+        name = "$MADNESS_CACHE_DIR"
+    else:
+        (tmp_path / ".cache").mkdir()
+        cache = tmp_path / ".cache" / "madness"
+        monkeypatch.delenv("MADNESS_CACHE_DIR", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        name = "default cache directory"
+    cache.write_text("not a directory\n")
+    code, out, err = run(capsys, "table1")
+    assert (code, out, err) == (2, "", "error: %s %s is not a directory\n" % (name, cache))
+    assert cache.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_sample_count_must_be_positive(n, capsys):
     code, out, err = run(capsys, "sample", "--k", "12", "--n", n)
@@ -764,9 +802,9 @@ GOLDEN_SHA256 = {
     "table2-text": "d994270073346af4ffcef3219636f045257e71c84f0ea5e23ec09e498a669eba",
     "table2-csv": "78904b1daa9f869f152f0b49cf65302f4d03f6b7621dfe37af7512836d6f92b0",
     "table2-json": "b7f3f7630ac6d91d5a15a84d5bd7fc9395ca58dcd9b1f74423c1c42e559d4c65",
-    "five-targets-text": "4008938128d38266efb62eb9ccc890c240391d7c3e0566302771f58164f0853b",
+    "five-targets-text": "11bf690ebfba0397d054c59bf3874ed586a66e87f21716c96c10c2dc57d2d5e6",
     "five-targets-csv": "91a7f71d81e78736128c1e08a589d34adf1704caa26ad6d1386f38ea81e2b0ad",
-    "five-targets-json": "161889a382ee282de6bc33d8bae1abba9175d3bfc682780a2a4410f14e963886",
+    "five-targets-json": "3660ffc3a340ea78ecc3a596de89f0b65b7b08be58a3949eea93b91baec09753",
     "universal-text": "657813f127f34eaca585572547f0d8960cdb0e60da6de43f9166b239a5e5f0fc",
     "universal-csv": "39779e1267186160f9d6f07b4f580e1cf24ffab121cfbe9b8188b80912db734c",
     "universal-json": "3158bc85fd0c4f6261a169a7750a882675dca9131e035f5b6a092293c2b353a8",

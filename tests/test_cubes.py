@@ -206,6 +206,26 @@ def test_tableau_bootstrap_rejects_a_bad_reference_row(monkeypatch, edit):
     assert "matches no unclaimed reference corner set" in message
 
 
+@pytest.mark.parametrize(
+    "swap, message",
+    [
+        (("Ac", "Bc"), "row A does not cover all 40 corners"),
+        (("Ac", "Ad"), "column c does not cover all 40 corners"),
+    ],
+)
+def test_tableau_bootstrap_rejects_a_line_that_misses_a_corner(monkeypatch, swap, message):
+    # Swapping two reference rows names each coloring for the other cube, so
+    # the line the two cubes do not share loses a corner set.
+    a, b = swap
+    reference = dict(REFERENCE_CORNERS, **{a: REFERENCE_CORNERS[b], b: REFERENCE_CORNERS[a]})
+    assert _bootstrap_error(monkeypatch, "REFERENCE_CORNERS", reference) == message
+
+
+def test_tableau_bootstrap_rejects_mirrors_that_are_not_reversals(monkeypatch):
+    message = _bootstrap_error(monkeypatch, "reverse_corner", lambda corner: corner)
+    assert message == "mirror cubes Ab/Ba are not reversals"
+
+
 def test_published_corner_sets():
     t = build_tableau()
     assert t.cube("Fb").corner_set == {124, 146, 165, 152, 234, 253, 356, 364}

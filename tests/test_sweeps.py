@@ -383,3 +383,22 @@ def test_five_target_records_verify_mode():
     rule = FiveTargetRule(("b", "d", "e"), ("A", "B", "D", "F"))
     record = five_target_record(rule, verify=True)
     assert sorted(record.solution_numbers.values(), reverse=True) == [4, 4, 4, 2, 2]
+
+
+def test_five_target_numbers_do_not_depend_on_verify():
+    # Both modes read one solver pass; each number must be solution_number's.
+    t = build_tableau()
+    for rule in five_target_rules():
+        record = five_target_record(rule, t, verify=False)
+        assert record.solution_numbers == five_target_record(rule, t, verify=True).solution_numbers
+        assert record.solution_numbers == {
+            target: solution_number(record.collection, target, t) for target in record.targets
+        }
+
+
+def test_every_rule_drops_two_mirrors_leaving_eight_cubes():
+    # With columns C and rows R, |R & C| = 2: a target's mirror is a cell
+    # when its row letter is in C - R (1 letter) and its column in R - C (2).
+    for rule in five_target_rules():
+        collection, targets = sweeps._apply_rule(rule)
+        assert (len(set(collection)), len(set(targets))) == (8, 5)
