@@ -9,10 +9,10 @@ Cached results are keyed by the report's envelope (package version, a hash
 of the cube data, command name and parameters) plus a hash of the package's
 source files, so a repeat invocation returns instantly and a new version, a
 code change or a change to the underlying cube data invalidates every cache
-entry.  Each
-entry also holds a sha256 of its payload, so an entry edited after it was
-written is discarded and recomputed like an unreadable one.  An entry that
-cannot be written is skipped with a warning; the report is written anyway.
+entry.  Each entry also holds a sha256 of its payload, so an entry edited
+after it was written is discarded and recomputed like an unreadable one.  An
+entry that cannot be written is skipped with a warning; the report is
+written anyway.
 """
 
 from __future__ import annotations

@@ -564,8 +564,9 @@ def _apply_rule(rule):
 def five_target_record(rule, tableau=None, verify=True):
     """One rule's record, numbered by one solver pass over the targets its collection can serve.
 
-    A promised target it cannot serve gets 0.  With ``verify``, serving any
-    other targets than the promised ones raises VerificationError.
+    A promised target it cannot serve gets 0.  With ``verify``, a collection
+    that serves any other set of targets than the promised five raises
+    VerificationError.
     """
     tableau = tableau or build_tableau()
     collection, targets = _apply_rule(rule)
