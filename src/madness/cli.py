@@ -110,10 +110,13 @@ def _render(report, args, params, payload):
     return "\n".join(lines) + "\n" + reports.render_text(fieldnames, rows)
 
 
-def _write(path, body):
+def _write(flag, path, body):
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise ValueError("%s %s cannot be written: %s" % (flag, path, exc.strerror)) from None
         print("wrote %s" % path)
     else:
         sys.stdout.write(body)
@@ -123,8 +126,10 @@ def run_report(report, args):
     """Compute or load the payload, check it, write the report, give the exit code."""
     started = time.monotonic()
     params = report.params(args)
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise ValueError("--out directory %s does not exist" % os.path.dirname(args.out))
+    parent = os.path.dirname(args.out or "") or "."
+    if args.out and not os.path.isdir(parent):
+        problem = "is not a directory" if os.path.exists(parent) else "does not exist"
+        raise ValueError("--out directory %s %s" % (parent, problem))
     if args.out and os.path.isdir(args.out):
         raise ValueError("--out %s is a directory" % args.out)
     out_dir = getattr(args, "out_dir", None)
@@ -153,8 +158,8 @@ def run_report(report, args):
             return EXIT_VERIFICATION
     if out_dir:
         for name, body in report.files(payload).items():
-            _write(os.path.join(out_dir, name), body)
-    _write(args.out, _render(report, args, params, payload))
+            _write("--out-dir", os.path.join(out_dir, name), body)
+    _write("--out", args.out, _render(report, args, params, payload))
     if args.format == "text" and not args.out:
         print("computed in %.2fs" % (time.monotonic() - started))
     return report.status(args, payload) if report.status else EXIT_OK

@@ -23,6 +23,7 @@ The face order throughout is (Up, Down, North, East, South, West).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -364,7 +365,8 @@ class Tableau:
             return cube
         if isinstance(key, Cube):
             return key
-        if isinstance(key, int):
+        if isinstance(key, int) or hasattr(key, "__index__"):    # numpy's integers too
+            key = operator.index(key)
             if 0 <= key < 30:
                 return self.cubes[key]
             raise UnknownCubeError(f"cube id out of range: {key}")

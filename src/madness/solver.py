@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -190,7 +191,8 @@ def build_target_graph(target, tableau=None):
 def as_ids(collection, tableau=None, size=8):
     """Normalize a collection to a sorted id tuple, checking size and dups."""
     tableau = tableau or build_tableau()
-    if isinstance(collection, int):
+    if isinstance(collection, int) or not hasattr(collection, "__iter__"):    # numpy's integers too
+        collection = operator.index(collection)
         if not 0 <= collection < 1 << 30:
             raise ValueError(f"cube mask out of range: {collection}")
         ids = tableau.ids_of_mask(collection)

@@ -9,10 +9,10 @@ slot subsets decides the solution number of every collection for every
 target.  A subset's solution number is its number of perfect matchings:
 the ways to give the eight corners distinct slots of the subset, each on a
 slot that fits it.  So the classification is one count of matchings over
-all 2^21 slot masks, corner by corner, in numpy; it never reads the
-component rule of ``solution_number_formula``, which stays the independent
-check.  Per-target work is then a cheap remap of slot masks to cube masks,
-also done with numpy.
+all 2^21 slot masks in numpy, nonzero at the buildable subsets; it never
+reads the component rule of ``solution_number_formula``, which stays the
+independent check.  Per-target work is then a cheap remap of slot masks to
+cube masks, also done with numpy.
 
 Table 2 counts, for each collection, how many targets it builds, and reads
 the bases of one target only.  Recoloring by a color permutation p maps
@@ -25,10 +25,7 @@ collections.  The five-target collections are the images of Ba's under the
 720 recolorings.
 
 ``combination_rows`` unranks lexicographic k-combinations into uint8 rows,
-for the subset histograms of the universal module and for the tests.  Whole
-levels of combinations are built instead by folding per-element words down
-the combination tree (``_combination_words``): the slot masks the census is
-read at, and the tables of the C(30,12) scan.
+for the subset histograms of the universal module and for the tests.
 
 ``buildable_collections`` is the solver-only oracle: it tries each usable
 8-subset of some cubes with ``solution_number`` and never reads the slot
@@ -95,7 +92,7 @@ class SlotTable:
 
     ``nonzero_masks`` (21-bit slot masks, uint32) and ``nonzero_values``
     (their matching counts, the solution numbers, uint8) list the 133,680
-    buildable subsets, in lexicographic order of their slot combinations.
+    buildable subsets, ascending by mask value, an order no output reads.
     """
 
     nonzero_masks: np.ndarray
@@ -124,30 +121,6 @@ def combination_rows(n, k, ranks):
         left = left - column[d]
         rows[:, i] = n - 1 - d
     return rows
-
-
-def _combination_words(words, folds, k):
-    """The folded words of the k-combinations of n elements, in lexicographic order.
-
-    The last axis of each array of ``words`` runs over the n elements; a
-    combination's word is its elements' words folded by the matching ufunc of
-    ``folds``, along the same axis of the result.  Each array is folded on its
-    own, so only two of its levels are ever held at once.
-    """
-    n = words[0].shape[-1]
-    combined = []
-    for fold, element in zip(folds, words):
-        level = element
-        for j in range(2, k + 1):
-            folded = np.empty(element.shape[:-1] + (comb(n, j),), dtype=element.dtype)
-            at = 0
-            for a in range(n - j + 1):
-                size = comb(n - 1 - a, j - 1)
-                fold(level[..., -size:], element[..., a : a + 1], out=folded[..., at : at + size])
-                at += size
-            level = folded
-        combined.append(level)
-    return tuple(combined)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +184,16 @@ def _matching_counts():
 def slot_table():
     """Classify every 8-subset of slots once; shared by all sweeps.
 
-    Reads the matching counts at the C(21,8) slot masks in lexicographic
-    order of their combinations, so ``nonzero_masks`` ascends in that order.
-    The count never reads classify_edges, so solution_number_formula checks
-    it on every subset (the tests compare all of them).
+    The bases are the masks where the counts are nonzero, ascending (an order
+    no output reads), found a 32 KB bool chunk at a time: numpy tests a uint8
+    array for nonzero entries one by one (twice as slow), and one 2 MB bool
+    array adds 1 MB of peak RSS.  The count never reads classify_edges, so
+    solution_number_formula checks it on every subset (the tests compare all of them).
     """
-    counts = _matching_counts()    # first: its second buffer is unmapped before the masks exist
-    (masks,) = _combination_words((_SLOT_BITS,), (np.bitwise_or,), 8)
-    values = counts[masks]
-    buildable = values > 0
-    return SlotTable(nonzero_masks=masks[buildable], nonzero_values=values[buildable])
+    counts = _matching_counts()
+    chunks = [np.flatnonzero(counts[lo : lo + (1 << 15)] > 0) + lo for lo in range(0, len(counts), 1 << 15)]
+    masks = np.concatenate(chunks, dtype=np.uint32, casting="unsafe")    # every index is below 2^21
+    return SlotTable(nonzero_masks=masks, nonzero_values=counts[masks])
 
 
 def distribution_for_target(target):
@@ -289,8 +262,8 @@ def buildable_mask_table(target_name):
 # classification, the bases, and closed upward.  A spanning set contains a
 # basis through any independent set inside it, and slots 0-7 (eight edges on
 # all eight corners, with one cycle) are a basis: so the closure may leave
-# bits 0-7 out and close over bits 8-20 alone.  Read as uint64 words, slot
-# bit b >= 3 steps 2^(b - 3) words, and each bit closes with an OR of halves.
+# bits 0-7 out and close over bits 8-20 alone, each bit with an OR of the
+# halves of the masks without it into those with it.
 # ---------------------------------------------------------------------------
 
 
@@ -298,9 +271,8 @@ def buildable_mask_table(target_name):
 def _buildable_closure():
     closed = np.zeros(1 << SLOT_COUNT, dtype=bool)
     closed[slot_table().nonzero_masks] = True
-    words = closed.view("<u8")
     for bit in range(8, SLOT_COUNT):
-        halves = words.reshape(-1, 2, 1 << (bit - 3))
+        halves = closed.reshape(-1, 2, 1 << bit)
         halves[:, 1] |= halves[:, 0]
     return closed
 

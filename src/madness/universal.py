@@ -44,7 +44,6 @@ from .solver import as_ids, build_target_graph
 from .sweeps import (
     _bitmasks,
     _buildable_closure,
-    _combination_words,
     _recolor_action,
     _slot_bits_by_target,
     _slot_masks,
@@ -320,7 +319,7 @@ def orbit_and_stabilizer(candidates=None, tableau=None):
 # are folded by OR down the lexicographic combination tree from each cube's
 # words: its bit, and its slot bits in the first few targets.  For each of
 # those targets a set passes when its prefix's slot mask ORed into its
-# suffix's is in the upward closure.  A block is tested over slices of at
+# suffix's is in the step's closure.  A block is tested over slices of at
 # most _CHUNK sets, first for the targets outside its prefix (a target in
 # the set builds far more often): over the whole slice while more than half
 # of it survives, then at the survivors' indices only.  The whole blocks of
@@ -348,6 +347,30 @@ class _ScanTables:
     prefixes: np.ndarray      # (blocks,) uint32: the (k - 7)-subsets of 0..22, one per block
     prefix_masks: np.ndarray  # (_MASK_COLUMNS, blocks) uint32: their slot masks, first targets
     starts: np.ndarray        # (blocks + 1,) int64: each block's first rank, then C(30,k)
+
+
+def _combination_words(words, folds, k):
+    """The folded words of the k-combinations of n elements, in lexicographic order.
+
+    The last axis of each array of ``words`` runs over the n elements; a
+    combination's word is its elements' words folded by the matching ufunc of
+    ``folds``, along the same axis of the result.  Each array is folded on its
+    own, so only two of its levels are ever held at once.
+    """
+    n = words[0].shape[-1]
+    combined = []
+    for fold, element in zip(folds, words):
+        level = element
+        for j in range(2, k + 1):
+            folded = np.empty(element.shape[:-1] + (comb(n, j),), dtype=element.dtype)
+            at = 0
+            for a in range(n - j + 1):
+                size = comb(n - 1 - a, j - 1)
+                fold(level[..., -size:], element[..., a : a + 1], out=folded[..., at : at + size])
+                at += size
+            level = folded
+        combined.append(level)
+    return tuple(combined)
 
 
 @lru_cache(maxsize=1)
@@ -429,9 +452,8 @@ def _test_others(closed, pool):
     return list(zip(ranks.tolist(), sets.tolist()))
 
 
-def _scan_step(tables, begin, end):
-    """Bitmasks of the universal sets of ranks begin..end-1, in rank order."""
-    closed = _buildable_closure()
+def _scan_step(tables, closed, begin, end):
+    """Bitmasks of the sets of ranks begin..end-1 that pass ``closed`` for all 30 targets, in rank order."""
     found, pool, pooled = [], [], 0
     for piece in _block_pieces(tables, closed, begin, end):
         if pooled + len(piece[0]) > _CHUNK:
@@ -549,7 +571,7 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_sec
         # A step runs to the first block boundary at least _STEP sets on.
         after = np.searchsorted(tables.starts, min(state.completed + _STEP, state.total))
         end = min(stop, int(tables.starts[after]))
-        state.found.extend(_scan_step(tables, state.completed, end))
+        state.found.extend(_scan_step(tables, _buildable_closure(), state.completed, end))
         state.completed = end
         if checkpoint_path:
             _store_checkpoint(checkpoint_path, state, data)

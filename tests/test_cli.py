@@ -547,6 +547,29 @@ def _compute_nothing(*args):
     raise AssertionError("computed before checking the output paths")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_out_on_a_full_device_names_the_flag_and_the_path(capsys):
+    code, out, err = run(capsys, "table1", "--no-cache", "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "error: --out /dev/full cannot be written: %s\n" % os.strerror(errno.ENOSPC)
+
+
+def test_out_dir_file_that_is_a_directory_names_the_flag_and_the_path(tmp_path, capsys):
+    (tmp_path / "universal.json").mkdir()
+    code, out, err = run(capsys, "universal", "--no-cache", "--out-dir", str(tmp_path))
+    assert code == 2
+    path = tmp_path / "universal.json"
+    assert err == "error: --out-dir %s cannot be written: %s\n" % (path, os.strerror(errno.EISDIR))
+
+
+def test_out_under_a_regular_file_says_it_is_not_a_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweeps, "distribution_for_target", _compute_nothing)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "table1", "--out", str(blocker / "x.txt"))
+    assert (code, out, err) == (2, "", "error: --out directory %s is not a directory\n" % blocker)
+
+
 def test_out_that_is_a_directory_fails_before_computing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sweeps, "distribution_buildable", _compute_nothing)
     cache = tmp_path / "cache"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from madness import sweeps
-from madness.cubes import all_color_permutations, build_tableau, mirror_name
+from madness.cubes import UnknownCubeError, all_color_permutations, build_tableau, mirror_name
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
     EXPECTED_FIVE_TARGET_COUNT,
@@ -41,7 +41,7 @@ from madness.sweeps import (
     five_target_rules,
     slot_table,
 )
-from madness.universal import conjecture_sets
+from madness.universal import conjecture_sets, sample_sets
 
 
 def ids_of_mask(mask):
@@ -83,6 +83,15 @@ def test_slot_table_census():
     assert all(bin(int(m)).count("1") == 8 for m in st.nonzero_masks[:100])
 
 
+def test_slot_table_ascends_by_mask_value():
+    """The bases are the nonzero matching counts, read in mask order."""
+    masks = slot_table().nonzero_masks
+    assert masks.dtype == np.uint32
+    assert (masks[1:] > masks[:-1]).all()
+    slots = sum(masks >> np.uint32(s) & np.uint32(1) for s in range(SLOT_COUNT))
+    assert (slots == 8).all()
+
+
 def test_slot_table_matches_union_find_on_every_subset():
     """The census against classify_edges + solution_number_formula, all C(21,8)."""
     masks, values = [], []
@@ -92,6 +101,7 @@ def test_slot_table_matches_union_find_on_every_subset():
         if value:
             masks.append(sum(1 << s for s in combo))
             values.append(value)
+    masks, values = zip(*sorted(zip(masks, values)))    # the table ascends by mask value
     st = slot_table()
     assert (st.nonzero_masks.dtype, st.nonzero_values.dtype) == (np.uint32, np.uint8)
     assert np.array_equal(st.nonzero_masks, np.asarray(masks, dtype=np.uint32))
@@ -402,3 +412,18 @@ def test_every_rule_drops_two_mirrors_leaving_eight_cubes():
     for rule in five_target_rules():
         collection, targets = sweeps._apply_rule(rule)
         assert (len(set(collection)), len(set(targets))) == (8, 5)
+
+
+def test_numpy_integers_are_cube_ids_and_masks():
+    """The library's own numpy outputs go back in: sampled ids and orbit masks."""
+    tableau = build_tableau()
+    sample = sample_sets(8, 1, 7)[0]
+    assert solution_number(sample, "Ba") == solution_number(sample.tolist(), "Ba")
+    assert tableau.cube(np.int64(3)) is tableau.cube(3)
+    mask = distribution_buildable()[1][0]
+    assert isinstance(mask, np.uint32)
+    assert buildable_targets(mask) == buildable_targets(int(mask))
+    ids = np.array(ids_of_mask(int(mask)))
+    assert buildable_targets(ids) == buildable_targets(ids.tolist()) and len(buildable_targets(ids)) == 5
+    with pytest.raises(UnknownCubeError, match="^cube id out of range: 30$"):
+        tableau.cube(np.int64(30))

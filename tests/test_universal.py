@@ -526,7 +526,7 @@ def test_scan_tables_match_unranked_combinations():
 
 def test_scan_memory_peaks():
     """Building the scan tables, and one step over the first block of 480,700 sets."""
-    universal._buildable_closure()
+    closed = universal._buildable_closure()
     universal._slot_bits_by_target()
     sweeps._slot_lookup()
     universal._scan_tables.cache_clear()
@@ -536,7 +536,7 @@ def test_scan_memory_peaks():
         build_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         resident = tracemalloc.get_traced_memory()[0]
-        assert universal._scan_step(tables, 0, int(tables.starts[1])) == []
+        assert universal._scan_step(tables, closed, 0, int(tables.starts[1])) == []
         step_peak = tracemalloc.get_traced_memory()[1] - resident
     finally:
         tracemalloc.stop()
@@ -545,14 +545,14 @@ def test_scan_memory_peaks():
     assert step_peak < 2 * 2**20, "step peak %.2f MB" % (step_peak / 2**20)
 
 
-def _reference_scan(begin, end, k=SET_SIZE):
-    """Universal k-sets among ranks begin..end-1: every set against all 30 targets.
+def _reference_scan(begin, end, closed, k=SET_SIZE):
+    """The k-sets among ranks begin..end-1 that pass ``closed`` for all 30 targets.
 
     Unranks each set and ORs the slot bits of its k cubes per target, with
     no prefix blocks, precomputed columns or bitmask lookups.
     """
     rows = combination_rows(30, k, np.arange(begin, end))
-    bits, closed = universal._slot_bits_by_target(), universal._buildable_closure()
+    bits = universal._slot_bits_by_target()
     keep = np.ones(len(rows), dtype=bool)
     for t in range(30):
         keep &= closed[np.bitwise_or.reduce(bits[t][rows], axis=1)]
@@ -598,6 +598,7 @@ SMALL_BLOCKS = (4_675_385, 4_686_825)
     (SMALL_BLOCKS[0] - 1_000, SMALL_BLOCKS[1] + 1_000),
 ])
 def test_block_kernel_matches_the_reference_scan(begin, end, permissive, tmp_path, monkeypatch):
+    closure = universal._buildable_closure()
     if permissive:
         # Universal sets are too rare to show a skipped set or target; with a
         # closure that passes 90 % of slot masks a few percent of all sets
@@ -606,7 +607,7 @@ def test_block_kernel_matches_the_reference_scan(begin, end, permissive, tmp_pat
         monkeypatch.setattr(universal, "_buildable_closure", lambda: closure)
     # Steps of 3,000 sets at least, so that step edges fall among small blocks.
     monkeypatch.setattr(universal, "_STEP", 3_000)
-    expected = _reference_scan(begin, end)
+    expected = _reference_scan(begin, end, closure)
     assert len(expected) > 50 if permissive else len(expected) <= 1
     state, found = _scan_window(tmp_path, begin, end)
     assert state.completed == end
@@ -618,23 +619,21 @@ def test_block_kernel_matches_the_reference_scan(begin, end, permissive, tmp_pat
     (480_700 - 70_000, 480_700 + 70_000),            # a chunk edge on each side of a block edge
     (SMALL_BLOCKS[0] - 1_000, SMALL_BLOCKS[1] + 1_000),
 ])
-def test_block_kernel_keeps_every_set_when_every_mask_builds(begin, end, monkeypatch):
+def test_block_kernel_keeps_every_set_when_every_mask_builds(begin, end):
     """With a closure that passes every slot mask, each rank comes out once, in order."""
     closure = np.ones(1 << SLOT_COUNT, dtype=bool)
-    monkeypatch.setattr(universal, "_buildable_closure", lambda: closure)
     rows = combination_rows(30, SET_SIZE, np.arange(begin, end))
-    found = universal._scan_step(universal._scan_tables(), begin, end)
+    found = universal._scan_step(universal._scan_tables(), closure, begin, end)
     assert found == universal._bitmasks(rows).tolist()
 
 
 def test_small_blocks_split_over_several_passes_keep_every_set(monkeypatch):
     """Passes of 4,096 sets over the last 20,000: the 39 blocks of 120 sets take two."""
     closure = np.ones(1 << SLOT_COUNT, dtype=bool)
-    monkeypatch.setattr(universal, "_buildable_closure", lambda: closure)
     monkeypatch.setattr(universal, "_CHUNK", universal._SMALL)
     begin, end = TOTAL_TWELVE_SETS - 20_000, TOTAL_TWELVE_SETS
     rows = combination_rows(30, SET_SIZE, np.arange(begin, end))
-    found = universal._scan_step(universal._scan_tables(), begin, end)
+    found = universal._scan_step(universal._scan_tables(), closure, begin, end)
     assert found == universal._bitmasks(rows).tolist()
 
 
@@ -642,13 +641,25 @@ def test_small_blocks_split_over_several_passes_keep_every_set(monkeypatch):
     (0, 5_000),
     (comb(30, 13) - 20_000, comb(30, 13)),
 ])
-def test_block_kernel_scans_thirteen_sets(begin, end, monkeypatch):
+def test_block_kernel_scans_thirteen_sets(begin, end):
     """Six-cube prefixes over the same suffix table, against the reference scan."""
     closure = np.random.default_rng(7).random(1 << 21) < 0.9
-    monkeypatch.setattr(universal, "_buildable_closure", lambda: closure)
-    expected = _reference_scan(begin, end, k=13)
+    expected = _reference_scan(begin, end, closure, k=13)
     assert len(expected) > 50
-    assert universal._scan_step(universal._scan_tables(13), begin, end) == expected
+    assert universal._scan_step(universal._scan_tables(13), closure, begin, end) == expected
+
+
+def test_scan_step_filters_by_the_closure_it_is_handed(monkeypatch):
+    """The step never fetches the cached closure: a scan of other closures needs no patch."""
+    def fetch(*args):
+        raise AssertionError("the scan step fetched the cached closure")
+
+    monkeypatch.setattr(universal, "_buildable_closure", fetch)
+    closure = np.random.default_rng(11).random(1 << SLOT_COUNT) < 0.9
+    begin, end = 480_700 - 2_000, 480_700 + 2_000    # the end of the first block
+    expected = _reference_scan(begin, end, closure)
+    assert len(expected) > 50
+    assert universal._scan_step(universal._scan_tables(), closure, begin, end) == expected
 
 
 def test_block_kernel_finds_each_universal_set_from_inside_its_block(tmp_path):
@@ -658,16 +669,16 @@ def test_block_kernel_finds_each_universal_set_from_inside_its_block(tmp_path):
         assert tuple(combination_rows(30, SET_SIZE, [rank])[0]) == tableau.ids_of_mask(candidate.mask)
         begin, end = max(0, rank - 500), min(TOTAL_TWELVE_SETS, rank + 500)
         state, found = _scan_window(tmp_path, begin, end)
-        assert found == _reference_scan(begin, end) == [candidate.mask]
+        assert found == _reference_scan(begin, end, universal._buildable_closure()) == [candidate.mask]
 
 
 def test_scan_finds_every_universal_thirteen_set():
     """u(13) = 53,100: all C(30,13) sets through the block kernel, one step at a time."""
     tables, total = universal._scan_tables(13), comb(30, 13)
     assert tables.starts[-1] == total == 119_759_850
-    found = []
+    closed, found = universal._buildable_closure(), []
     for begin in range(0, total, universal._STEP):
-        found += universal._scan_step(tables, begin, min(total, begin + universal._STEP))
+        found += universal._scan_step(tables, closed, begin, min(total, begin + universal._STEP))
     tableau = build_tableau()
     assert found == sorted(set(found), key=tableau.ids_of_mask)    # each once, in rank order
     assert len(found) == 53_100
