@@ -7,16 +7,17 @@ exhausted before completion.
 
 Every command is a :class:`Report` spec run by :func:`run_report`, which
 handles the cache, --check, rendering and the exit code in one place.
-Each compute imports the numpy modules (sweeps, universal) it calls, so
-``cubes`` and ``solve`` never import numpy.  :func:`main` defaults
+Each compute imports the modules it calls (solver, sweeps, universal), so
+``cubes`` and ``solve`` never import numpy, and ``cubes`` and a cache hit
+load none of the three.  :func:`main` defaults
 OPENBLAS_NUM_THREADS to 1 before that: madness does no BLAS work, and
 OpenBLAS starts its thread pool when numpy loads it.
 Reports print as text tables by default; --format csv/json with --out PATH
 writes byte-deterministic files (no timestamps or timings inside).  Heavy
-sweeps cache their payloads under --cache-dir (or $MADNESS_CACHE_DIR),
-keyed by the report's envelope (version, cube-data hash, command and
-parameters) and the source hash.  An error prints on one line, with any
-line break in it escaped.
+sweeps cache their payloads under --cache-dir (or $MADNESS_CACHE_DIR, else
+$XDG_CACHE_HOME/madness or ~/.cache/madness), keyed by the report's envelope
+(version, cube-data hash, command and parameters) and the source hash.  An
+error prints on one line, with any line break in it escaped.
 """
 
 from __future__ import annotations
@@ -26,20 +27,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import NamedTuple
 
 from . import __version__, reports
 from .cubes import UnknownCubeError, build_tableau
 from .reports import Envelope, ReportCache, VerificationError
-from .solver import (
-    as_ids,
-    enumerate_arrangements,
-    interior_matching_count,
-    solution_number,
-    solution_number_permanent,
-    solution_number_prime_scan,
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,8 +45,7 @@ EXIT_BUDGET = 4
 _VALIDATION_ERRORS = (UnknownCubeError, ValueError, OSError)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One command: its parameters, payload, table and optional hooks.
 
     ``compute(args, params)`` gives the JSON-ready payload, ``rows(payload)``
@@ -85,7 +76,10 @@ def _cache_dir(args):
         return "--cache-dir", args.cache_dir
     if os.environ.get("MADNESS_CACHE_DIR"):
         return "$MADNESS_CACHE_DIR", os.environ["MADNESS_CACHE_DIR"]
-    return "default cache directory", os.path.join(os.path.expanduser("~"), ".cache", "madness")
+    cache_home = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache_home):    # unset, empty or relative: the XDG Base Directory default
+        cache_home = os.path.join(os.path.expanduser("~"), ".cache")
+    return "default cache directory", os.path.join(cache_home, "madness")
 
 
 def _render(report, args, params, payload):
@@ -202,12 +196,17 @@ CUBES = Report(
 
 
 def _solve_params(args):
+    from .solver import as_ids
+
     tableau = build_tableau()
     ids = as_ids([n for n in args.cubes.replace(",", " ").split() if n], tableau)
     return {"target": tableau.cube(args.target).name, "cubes": list(tableau.names(ids))}
 
 
 def _solve_compute(args, params):
+    from .solver import enumerate_arrangements, interior_matching_count, solution_number
+    from .solver import solution_number_permanent, solution_number_prime_scan
+
     target, cubes = params["target"], params["cubes"]
     value = solution_number(cubes, target)
     via_permanent = solution_number_permanent(cubes, target)
@@ -479,7 +478,7 @@ def _sample_compute(args, params):
 
     stats, counts = sample_distribution(params["k"], params["n"], params["seed"])
     histogram = {str(k): v for k, v in stats.histogram.items()}
-    return dict(asdict(stats), histogram=histogram, counts=[int(c) for c in counts])
+    return dict(stats._asdict(), histogram=histogram, counts=[int(c) for c in counts])
 
 
 def _sample_note(payload):
@@ -566,7 +565,7 @@ def build_parser():
         if report.cached:
             p.add_argument(
                 "--cache-dir", default=None, metavar="DIR",
-                help="cache directory (default $MADNESS_CACHE_DIR or ~/.cache/madness)",
+                help="cache directory (default $MADNESS_CACHE_DIR or $XDG_CACHE_HOME/madness)",
             )
             p.add_argument(
                 "--no-cache", action="store_true", help="compute without reading or writing the cache"

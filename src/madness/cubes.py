@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 __all__ = [
@@ -280,23 +279,35 @@ def _parse_reference():
 REFERENCE_CORNERS = _parse_reference()
 
 
-@dataclass(frozen=True)
 class Cube:
     """One of the 30 cubes.
 
     ``corners`` is indexed geometrically: entry i is the corner number read
     at corner i of the canonical coloring, which is also the corner this cube
     must show at cell i of a 2x2x2 assembly of canonically oriented cubes.
+    Its fields are set once, here; plain slots keep the solver's reads fast.
     """
 
-    name: str
-    id: int
-    coloring: tuple
-    corners: tuple
+    __slots__ = ("name", "id", "coloring", "corners", "corner_set")
 
-    @cached_property
-    def corner_set(self):
-        return frozenset(self.corners)
+    def __init__(self, name, id, coloring, corners):
+        for field, value in zip(self.__slots__, (name, id, coloring, corners, frozenset(corners))):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r} of a Cube")
+
+    def __eq__(self, other):
+        return type(other) is Cube and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __hash__(self):
+        return hash((self.name, self.id))    # equal cubes share both
+
+    def __repr__(self):
+        return f"Cube({self.name!r}, {self.id}, {self.coloring}, {self.corners})"
+
+    def __reduce__(self):    # copy and pickle rebuild through __init__, not __setattr__
+        return Cube, (self.name, self.id, self.coloring, self.corners)
 
     @property
     def row(self):
@@ -360,7 +371,10 @@ class Tableau:
 
     def cube(self, key):
         """Look up a cube by name, id or Cube instance."""
-        cube = self.by_name.get(key)    # a name: one lookup, no type checks
+        try:
+            cube = self.by_name.get(key)    # a name: one lookup, no type checks
+        except TypeError:    # unhashable, so no name, id or Cube
+            raise UnknownCubeError(f"not a cube name, id or Cube: {key!r}") from None
         if cube is not None:
             return cube
         if isinstance(key, Cube):

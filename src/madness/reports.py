@@ -1,7 +1,10 @@
 """Rendering, expected-value tables, result caching, and VerificationError.
 
 Like ``cubes`` and ``solver``, this module needs no numpy, so the commands
-built on those three alone (``cubes``, ``solve``) never import it.
+built on those three alone (``cubes``, ``solve``) never import it.  It
+imports ``csv``, ``tempfile`` and ``logging`` inside the functions that
+render CSV, write a file and warn, so a cache hit rendered as text or JSON
+loads none of them.
 
 Output files are byte-deterministic: CSV and JSON payloads never contain
 timestamps or timings (the text report prints timing to the terminal only).
@@ -18,20 +21,15 @@ written anyway.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import io
 import json
-import logging
 import os
-import tempfile
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import __version__
 from .cubes import build_tableau
-
-log = logging.getLogger("madness")
 
 __all__ = [
     "EXPECTED_SOLUTION_DISTRIBUTION",
@@ -111,8 +109,7 @@ def _source_hash():
     return digest.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """Header identifying a report: tool, data, command and parameters."""
 
     command: str
@@ -129,6 +126,8 @@ class Envelope:
 
 
 def render_csv(fieldnames, rows):
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
@@ -177,7 +176,9 @@ class ReportCache:
                 raise ValueError("payload does not match its digest")
             return stored["payload"]
         except (ValueError, KeyError, OSError) as exc:
-            log.warning("discarding unreadable cache file %s (%s)", path, exc)
+            import logging
+
+            logging.getLogger("madness").warning("discarding unreadable cache file %s (%s)", path, exc)
             try:
                 os.remove(path)
             except OSError:
@@ -191,7 +192,9 @@ class ReportCache:
             os.makedirs(self.directory, exist_ok=True)
             write_json(path, {"key": key, "payload": payload, "sha256": self._digest(payload)})
         except OSError as exc:
-            log.warning("not storing cache file %s (%s)", path, exc.strerror or exc)
+            import logging
+
+            logging.getLogger("madness").warning("not storing cache file %s (%s)", path, exc.strerror or exc)
             return None
         return path
 
@@ -202,6 +205,8 @@ def write_json(path, obj):
     Concurrent writers of one path never share a temporary file, each
     replace is atomic, and a failed write leaves no temporary file behind.
     """
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

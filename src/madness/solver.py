@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -120,8 +119,7 @@ class CollectionSizeError(ValueError):
     """A collection whose size is not 8 where 8 is required."""
 
 
-@dataclass(frozen=True)
-class TargetGraph:
+class TargetGraph(NamedTuple):
     """The target graph of one cube: the cube in slot s < TARGET_SLOT joins corners SLOT_ENDPOINTS[s]."""
 
     target: Cube

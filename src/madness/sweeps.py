@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import itertools
 import mmap
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class InvalidRuleError(ValueError):
     """A five-target rule violating the 3-column/4-row shape constraints."""
 
 
-@dataclass(frozen=True)
-class SlotTable:
+class SlotTable(NamedTuple):
     """Solution numbers of all 8-subsets of the 21 abstract slots.
 
     ``nonzero_masks`` (21-bit slot masks, uint32) and ``nonzero_values``
@@ -407,8 +406,7 @@ def buildable_targets(collection, tableau=None):
     return names
 
 
-@dataclass(frozen=True)
-class MaxCollectionCensus:
+class MaxCollectionCensus(NamedTuple):
     """The collections attaining the maximum solution number for one target."""
 
     target: str
@@ -478,15 +476,19 @@ def count_max_collections(target):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiveTargetRule:
-    columns: tuple       # 3 distinct column letters
-    rows: tuple          # 4 distinct row letters, exactly 2 with letter in columns
+class _RuleFields(NamedTuple):
+    columns: tuple       # 3 distinct column letters, sorted
+    rows: tuple          # 4 distinct row letters, sorted, exactly 2 with letter in columns
     columns_first: bool = True
 
-    def __post_init__(self):
-        cols = tuple(self.columns)
-        rows = tuple(self.rows)
+
+class FiveTargetRule(_RuleFields):
+    """One way to pick a five-target collection; its letters are checked and sorted on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, columns, rows, columns_first=True):
+        cols, rows = tuple(columns), tuple(rows)
         if len(cols) != 3 or len(set(cols)) != 3 or any(c not in COLUMN_LETTERS for c in cols):
             raise InvalidRuleError(f"need 3 distinct column letters, got {cols!r}")
         if len(rows) != 4 or len(set(rows)) != 4 or any(r not in ROW_LETTERS for r in rows):
@@ -496,12 +498,10 @@ class FiveTargetRule:
             raise InvalidRuleError(
                 f"exactly 2 of the rows must match a chosen column, got {matching}"
             )
-        object.__setattr__(self, "columns", tuple(sorted(cols)))
-        object.__setattr__(self, "rows", tuple(sorted(rows)))
+        return super().__new__(cls, tuple(sorted(cols)), tuple(sorted(rows)), columns_first)
 
 
-@dataclass(frozen=True)
-class FiveTargetRecord:
+class FiveTargetRecord(NamedTuple):
     rule: FiveTargetRule
     collection: tuple    # 8 cube names, sorted
     targets: tuple       # 5 target names, sorted

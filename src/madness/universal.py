@@ -26,9 +26,9 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +89,7 @@ class CheckpointError(ValueError):
     """A checkpoint file that cannot be read or written, or holds no scan state."""
 
 
-@dataclass(frozen=True)
-class UniversalCandidate:
+class UniversalCandidate(NamedTuple):
     pair: tuple      # the two generating column letters
     names: tuple     # 12 cube names, sorted
     mask: int
@@ -148,8 +147,7 @@ def buildable_count_direct(cube_set, tableau=None):
     return sum(1 for target in tableau if next(buildable_collections(ids, target.name, tableau), None))
 
 
-@dataclass(frozen=True)
-class TargetAnalysis:
+class TargetAnalysis(NamedTuple):
     """What one candidate set offers a single target."""
 
     target: str
@@ -239,8 +237,7 @@ def sample_sets(k, n, seed):
     return samples
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(NamedTuple):
     k: int
     n: int
     seed: int
@@ -282,8 +279,7 @@ def sample_distribution(k, n, seed):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     orbit_size: int
     single_orbit: bool            # all ten candidates in one orbit
     stabilizer_orders: tuple      # per candidate, in conjecture_sets order
@@ -340,8 +336,7 @@ _CHUNK = 1 << 16                 # sets per filter pass and per pool at most: bo
 _SMALL = 1 << 12                 # blocks of at most this many sets are tested in groups
 
 
-@dataclass(frozen=True)
-class _ScanTables:
+class _ScanTables(NamedTuple):
     suffixes: np.ndarray      # (C(25,7),) uint32: the 7-subsets of 5..29 as cube bitmasks
     columns: np.ndarray       # (_MASK_COLUMNS, C(25,7)) uint32: their slot masks, first targets
     prefixes: np.ndarray      # (blocks,) uint32: the (k - 7)-subsets of 0..22, one per block
@@ -466,11 +461,14 @@ def _scan_step(tables, closed, begin, end):
     return [mask for _, mask in sorted(found)]
 
 
-@dataclass
 class SearchState:
-    completed: int       # sets scanned: the rank of the next set to scan
-    found: list          # masks of universal sets, ascending discovery order
+    """Where a scan stands; the scan advances ``completed`` and extends ``found``."""
+
     total = TOTAL_TWELVE_SETS    # every scan covers the C(30,12) sets: not a field
+
+    def __init__(self, completed, found):
+        self.completed = completed    # sets scanned: the rank of the next set to scan
+        self.found = found            # masks of universal sets, ascending discovery order
 
     @property
     def finished(self):

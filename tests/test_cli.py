@@ -70,6 +70,13 @@ def test_envelope_version_is_the_package_version_not_a_field():
         reports.Envelope(command="cubes", params={}, version="0")
 
 
+def test_envelope_fields_cannot_be_assigned():
+    envelope = reports.Envelope(command="cubes", params={})
+    with pytest.raises(AttributeError):
+        envelope.command = "solve"
+    assert envelope.as_dict()["command"] == "cubes"
+
+
 def test_solve_json_payload(capsys):
     code, out, _ = run(
         capsys, "solve", "--target", "Ba", "--cubes", CANONICAL,
@@ -103,8 +110,8 @@ def test_solve_arrangements_payload(capsys):
 
 
 def test_solve_arrangement_count_disagreement_exits_3(capsys, monkeypatch):
-    listed = cli.enumerate_arrangements
-    monkeypatch.setattr(cli, "enumerate_arrangements", lambda *a: listed(*a)[1:])
+    listed = solver.enumerate_arrangements
+    monkeypatch.setattr(solver, "enumerate_arrangements", lambda *a: listed(*a)[1:])
     code, out, err = run(capsys, "solve", "--target", "Ba", "--cubes", CANONICAL, "--arrangements")
     assert (code, out) == (3, "")
     assert err == "verification failed: arrangement listing disagrees: formula=16 arrangements=15\n"
@@ -663,6 +670,7 @@ def test_cache_dir_error_names_where_the_directory_came_from(source, tmp_path, c
         (tmp_path / ".cache").mkdir()
         cache = tmp_path / ".cache" / "madness"
         monkeypatch.delenv("MADNESS_CACHE_DIR", raising=False)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
         monkeypatch.setenv("HOME", str(tmp_path))
         name = "default cache directory"
     cache.write_text("not a directory\n")
@@ -861,3 +869,35 @@ def test_report_bytes_are_stable(name, golden_cache, tmp_path, capsys):
             argv += ("--cache-dir", golden_cache)
     assert run(capsys, *argv)[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("xdg", [None, "", "relative/cache", "absolute"], ids=["unset", "empty", "relative", "set"])
+def test_default_cache_directory_follows_xdg_cache_home(xdg, tmp_path, monkeypatch):
+    monkeypatch.delenv("MADNESS_CACHE_DIR", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    if xdg is None:
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg") if xdg == "absolute" else xdg)
+    # Only an absolute $XDG_CACHE_HOME counts; otherwise the XDG default ~/.cache does.
+    expected = tmp_path / "xdg" if xdg == "absolute" else tmp_path / "home" / ".cache"
+    args = cli.build_parser().parse_args(["table1"])
+    assert cli._cache_dir(args) == ("default cache directory", str(expected / "madness"))
+
+
+def test_cache_dir_flag_and_environment_come_before_xdg_cache_home(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setenv("MADNESS_CACHE_DIR", str(tmp_path / "env"))
+    parser = cli.build_parser()
+    assert cli._cache_dir(parser.parse_args(["table1"])) == ("$MADNESS_CACHE_DIR", str(tmp_path / "env"))
+    flagged = parser.parse_args(["table1", "--cache-dir", str(tmp_path / "flag")])
+    assert cli._cache_dir(flagged) == ("--cache-dir", str(tmp_path / "flag"))
+
+
+def test_a_sweep_caches_under_xdg_cache_home(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MADNESS_CACHE_DIR", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert run(capsys, "table1")[0] == 0
+    assert [p.name[:7] for p in (tmp_path / "xdg" / "madness").iterdir()] == ["table1-"]
+    assert not (tmp_path / "home").exists()

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -333,3 +335,26 @@ def test_tableau_lookup_errors_and_masks():
     assert t.names_of_mask(mask) == names
     with pytest.raises(ValueError):
         t.mask(("Ac", "Ac"))
+
+
+def test_an_unhashable_key_is_an_unknown_cube():
+    with pytest.raises(UnknownCubeError, match=r"not a cube name, id or Cube: \[3\]"):
+        build_tableau().cube([3])
+
+
+def test_cube_fields_cannot_be_assigned():
+    cube = build_tableau().cube("Ba")
+    for field in ("name", "id", "coloring", "corners", "corner_set"):
+        with pytest.raises(AttributeError):
+            setattr(cube, field, None)
+    assert (cube.name, cube.id, cube.corner_set) == ("Ba", 5, frozenset(cube.corners))
+
+
+def test_cubes_are_equal_when_their_fields_are():
+    cube = build_tableau().cube("Ba")
+    twin = cubes.Cube(cube.name, cube.id, cube.coloring, cube.corners)
+    assert twin is not cube and twin == cube and hash(twin) == hash(cube)
+    assert cubes.Cube(cube.name, cube.id, cube.coloring, (0,) * 8) != cube
+    assert repr(twin) == "Cube('Ba', 5, %s, %s)" % (cube.coloring, cube.corners)
+    for clone in (copy.copy(cube), copy.deepcopy(cube), pickle.loads(pickle.dumps(cube))):
+        assert clone == cube and clone.corner_set == cube.corner_set

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -10,7 +9,9 @@ from madness import solver
 from madness.cubes import (
     CELL_FACES,
     FACE_LETTERS,
+    Cube,
     Tableau,
+    UnknownCubeError,
     all_color_permutations,
     build_tableau,
     corner_numbers,
@@ -127,7 +128,7 @@ def test_target_graphs_are_the_pinned_slot_maps():
 
 def _ba_graph_with_corners(monkeypatch, corners_by_name):
     """Ba's target graph, built afresh from a tableau whose named cubes carry the given corners."""
-    cubes = [dataclasses.replace(c, corners=corners_by_name.get(c.name, c.corners)) for c in build_tableau()]
+    cubes = [Cube(c.name, c.id, c.coloring, corners_by_name.get(c.name, c.corners)) for c in build_tableau()]
     monkeypatch.setattr(solver, "build_tableau", lambda: Tableau(cubes))
     return solver._target_graph_by_name.__wrapped__("Ba")
 
@@ -365,7 +366,7 @@ def test_face_routes_read_no_corner_number():
     # arrangements (but for their corner labels) still give the formula's
     # answers on the real tableau: they read faces only.
     t = build_tableau()
-    blank = Tableau([dataclasses.replace(c, corners=(0,) * 8) for c in t])
+    blank = Tableau([Cube(c.name, c.id, c.coloring, (0,) * 8) for c in t])
 
     def unlabeled(arrangements):
         return [[(p.vertex, p.cube, p.coloring) for p in a] for a in arrangements]
@@ -488,7 +489,7 @@ def test_arrangements_and_interior_count_match_brute_force():
 def test_cell_fits_cache_equals_fresh_lookups():
     t = build_tableau()
     table = _placement_table()
-    blank = Tableau([dataclasses.replace(c, corners=(0,) * 8) for c in t])
+    blank = Tableau([Cube(c.name, c.id, c.coloring, (0,) * 8) for c in t])
     for target in t:
         fresh = [table[v, tuple(target.coloring[f] for f in faces)] for v, faces in enumerate(CELL_FACES)]
         cached = _cell_fits(target, t)
@@ -674,3 +675,8 @@ def test_classify_edges_components():
     assert len(s.components) == 4
     assert all(c.vertices == 2 and c.edges == 2 for c in s.components)
     assert solution_number_formula(s) == 16
+
+
+def test_an_unhashable_member_is_an_unknown_cube():
+    with pytest.raises(UnknownCubeError, match=r"not a cube name, id or Cube: \['Ba'\]"):
+        solution_number([["Ba"]] * 8, "Ba")

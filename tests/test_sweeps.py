@@ -427,3 +427,26 @@ def test_numpy_integers_are_cube_ids_and_masks():
     assert buildable_targets(ids) == buildable_targets(ids.tolist()) and len(buildable_targets(ids)) == 5
     with pytest.raises(UnknownCubeError, match="^cube id out of range: 30$"):
         tableau.cube(np.int64(30))
+
+
+def test_five_target_rules_that_differ_in_letter_order_are_equal():
+    rule = FiveTargetRule(("a", "c", "f"), ("A", "B", "E", "F"))
+    shuffled = FiveTargetRule(("f", "a", "c"), ("F", "E", "B", "A"))
+    assert shuffled == rule and hash(shuffled) == hash(rule)
+    assert (shuffled.columns, shuffled.rows, shuffled.columns_first) == (rule.columns, rule.rows, True)
+    assert FiveTargetRule(("a", "c", "f"), ("A", "B", "E", "F"), columns_first=False) != rule
+
+
+@pytest.mark.parametrize("rows", [("A", "B", "B", "E"), ("A", "B", "E", "Z")], ids=["repeated", "unknown"])
+def test_five_target_rule_rejects_a_repeated_or_unknown_row(rows):
+    # The other raising checks are in test_five_target_rule_validation.
+    with pytest.raises(InvalidRuleError, match="need 4 distinct row letters"):
+        FiveTargetRule(("a", "c", "f"), rows)
+
+
+def test_sweep_records_cannot_be_assigned():
+    record = five_target_record(FiveTargetRule(("a", "c", "f"), ("A", "B", "E", "F")))
+    for value, field in ((record, "targets"), (record.rule, "rows"), (slot_table(), "nonzero_masks")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    assert record.rule.rows == ("A", "B", "E", "F")

@@ -742,3 +742,10 @@ def test_budgets_that_split_a_block_match_one_run(tmp_path):
 
 def test_search_space_size():
     assert TOTAL_TWELVE_SETS == comb(30, 12) == 86_493_225
+
+
+def test_a_search_state_advances_in_place():
+    state = universal.SearchState(completed=0, found=[])
+    state.completed = TOTAL_TWELVE_SETS
+    state.found.append(1)
+    assert state.finished and (state.completed, state.found) == (TOTAL_TWELVE_SETS, [1])
