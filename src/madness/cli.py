@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from typing import NamedTuple
 
 from . import __version__, reports
@@ -310,18 +311,11 @@ TABLE2 = Report(
     compute=_table2_compute,
     rows=_table2_rows,
     cached=True,
-    check=lambda payload: _mismatch(
-        (
-            "buildable distribution",
-            dict(_int_keyed(payload["counts"])),
-            reports.EXPECTED_BUILDABLE_DISTRIBUTION,
-        ),
-        (
-            "five-target collections",
-            payload["five_target_collections"],
-            reports.EXPECTED_FIVE_TARGET_COUNT,
-        ),
-    ),
+    check=lambda payload: _mismatch((
+        "buildable distribution",
+        dict(_int_keyed(payload["counts"])),
+        reports.EXPECTED_BUILDABLE_DISTRIBUTION,
+    )),
 )
 
 
@@ -371,7 +365,7 @@ FIVE_TARGETS = Report(
     rows=_five_targets_rows,
     cached=True,
     check=lambda payload: _mismatch(
-        ("rule records", payload["count"], reports.EXPECTED_FIVE_TARGET_COUNT),
+        ("rule records", payload["count"], reports.EXPECTED_BUILDABLE_DISTRIBUTION[5]),
     ),
 )
 

@@ -43,7 +43,6 @@ __all__ = [
     "Tableau",
     "canonical_corner",
     "reverse_corner",
-    "corner_digits",
     "corner_numbers",
     "corners_in_read_order",
     "rotate",
@@ -186,15 +185,9 @@ def canonical_corner(triple):
     return min(100 * a + 10 * b + c, 100 * b + 10 * c + a, 100 * c + 10 * a + b)
 
 
-def corner_digits(corner):
-    """The three digits of a corner number, in the stored reading order."""
-    return (corner // 100, (corner // 10) % 10, corner % 10)
-
-
 def reverse_corner(corner):
     """The corner read with the opposite chirality (132 for 123)."""
-    a, b, c = corner_digits(corner)
-    return canonical_corner((c, b, a))
+    return canonical_corner((corner % 10, corner // 10 % 10, corner // 100))
 
 
 def _all_corner_numbers():
@@ -379,6 +372,8 @@ class Tableau:
             return cube
         if isinstance(key, Cube):
             return key
+        if isinstance(key, bool):    # an int to Python, but no cube id
+            raise UnknownCubeError(f"not a cube name, id or Cube: {key!r}")
         if isinstance(key, int) or hasattr(key, "__index__"):    # numpy's integers too
             key = operator.index(key)
             if 0 <= key < 30:

@@ -35,8 +35,6 @@ __all__ = [
     "EXPECTED_SOLUTION_DISTRIBUTION",
     "EXPECTED_BUILDABLE_DISTRIBUTION",
     "EXPECTED_SUBSET_BUILD",
-    "EXPECTED_FIVE_TARGET_COUNT",
-    "EXPECTED_MAX_COLLECTIONS",
     "EXPECTED_UNIVERSAL_SETS",
     "Envelope",
     "ReportCache",
@@ -78,8 +76,6 @@ EXPECTED_SUBSET_BUILD = {
     10: {3: 12, 6: 6, 8: 36, 9: 12},
     11: {18: 12},
 }
-EXPECTED_FIVE_TARGET_COUNT = 360
-EXPECTED_MAX_COLLECTIONS = 81
 EXPECTED_UNIVERSAL_SETS = 10
 
 

@@ -329,18 +329,23 @@ def _recolor_action():
     return action
 
 
-def _targets_built(bases):
-    """How many of the 30 targets each cube mask (uint32) of ``bases`` builds.
+def _targets_built(sets, size):
+    """How many of the 30 targets each ``size``-cube mask (uint32) of ``sets`` builds, as uint8.
 
-    One mask test keeps, per target, the bases with no unusable cube: about
-    1.73 targets per basis of a target.  Only those (basis, target) pairs
-    are looked up in the closure.
+    The one counter for Table 2, the Figure 7 histograms, ``sample`` and
+    ``buildable_count``.  An 8-set with an unusable cube cannot build, so for
+    8-sets one mask test keeps, per target, the sets without one (about 1.73
+    targets per basis of a target) for the closure lookup.  A larger set may
+    hold unusable cubes and still build.
     """
-    built = np.zeros(len(bases), dtype=np.uint8)
+    built = np.zeros(len(sets), dtype=np.uint8)
     closed = _buildable_closure()
     for target, unusable in enumerate(_unusable_cubes()):
-        pairs = np.flatnonzero((bases & np.uint32(unusable)) == 0)
-        built[pairs] += closed[_slot_masks(bases[pairs], target)]
+        if size == 8:
+            pairs = np.flatnonzero((sets & np.uint32(unusable)) == 0)
+            built[pairs] += closed[_slot_masks(sets[pairs], target)]
+        else:
+            built += closed[_slot_masks(sets, target)]
     return built
 
 
@@ -360,7 +365,7 @@ def distribution_buildable():
     if len(set(action[:, tableau.cube("Ba").id].tolist())) != 30:
         raise VerificationError("the recolorings do not map Ba onto all 30 targets")
     bases = buildable_mask_table("Ba")[0]
-    built = _targets_built(bases)
+    built = _targets_built(bases, 8)
     top = int(built.max())
     if top > 5:
         raise VerificationError(f"a collection builds {top} targets; expected at most 5")

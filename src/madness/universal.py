@@ -11,11 +11,13 @@ on cube names through the tableau), each with a stabilizer of order 72.
 Buildability queries reduce to the sweep machinery: a target is buildable
 from a set iff the slot mask of the set's usable cubes contains a nonzero
 8-subset, which is one lookup in an upward-closed table (sweeps builds it).
-In matroid terms each target is a transversal matroid of rank 8 on the
-cubes (a cube fits the corners it can supply), its bases are the 8-cube
-collections with a nonzero solution number, and a set builds the target
-iff it spans that matroid (Hall's theorem).  So a universal set is one that
-spans all 30 matroids, and the upward-closed table is the spanning family.
+One counter in sweeps, ``_targets_built``, makes those lookups for Table 2,
+the Figure 7 histograms, ``sample`` and ``buildable_count``.  In matroid
+terms each target is a transversal matroid of rank 8 on the cubes (a cube
+fits the corners it can supply), its bases are the 8-cube collections with
+a nonzero solution number, and a set builds the target iff it spans that
+matroid (Hall's theorem).  So a universal set is one that spans all 30
+matroids, and the upward-closed table is the spanning family.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .sweeps import (
     _recolor_action,
     _slot_bits_by_target,
     _slot_masks,
+    _targets_built,
     buildable_collections,
     combination_rows,
 )
@@ -119,13 +122,6 @@ def conjecture_sets(tableau=None):
     return out
 
 
-def _counts_for_id_matrix(ids_matrix):
-    """Buildable counts for rows of cube ids, all rows at once."""
-    closed = _buildable_closure()
-    sets = _bitmasks(ids_matrix)
-    return sum(closed[_slot_masks(sets, t)].astype(np.int64) for t in range(30))
-
-
 def _set_ids(cube_set, tableau):
     """Sorted ids of a cube set (names, ids or a bitmask) of at least 8 distinct cubes."""
     ids = as_ids(cube_set, tableau, size=None)
@@ -137,7 +133,7 @@ def _set_ids(cube_set, tableau):
 def buildable_count(cube_set, tableau=None):
     """How many of the 30 targets some 8-subset of ``cube_set`` builds."""
     ids = _set_ids(cube_set, tableau)
-    return int(_counts_for_id_matrix(np.array([ids]))[0])
+    return int(_targets_built(_bitmasks([ids]), len(ids))[0])
 
 
 def buildable_count_direct(cube_set, tableau=None):
@@ -184,7 +180,7 @@ def subset_build_distribution(candidate, k, tableau=None):
         raise SetSizeError(f"subset size must be 8..{len(candidate.names)}, got {k}")
     ids = np.array([tableau.cube(name).id for name in candidate.names])
     rows = combination_rows(len(ids), k, np.arange(comb(len(ids), k)))
-    values, counts = np.unique(_counts_for_id_matrix(ids[rows]), return_counts=True)
+    values, counts = np.unique(_targets_built(_bitmasks(ids[rows]), k), return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
@@ -254,7 +250,7 @@ def sample_distribution(k, n, seed):
     Returns (SampleStats, per-sample counts in index order).
     """
     ids_matrix = sample_sets(k, n, seed)
-    counts = _counts_for_id_matrix(ids_matrix)
+    counts = _targets_built(_bitmasks(ids_matrix), k)
     if k >= 10 and int(counts.min()) < 1:
         raise VerificationError(
             f"a {k}-cube sample with zero buildable targets contradicts the k>=10 bound"

@@ -342,6 +342,17 @@ def test_an_unhashable_key_is_an_unknown_cube():
         build_tableau().cube([3])
 
 
+def test_a_bool_is_no_cube_id():
+    """bool is an int subclass, so True would read as cube 1 (Ac); integers stay ids."""
+    import numpy as np
+
+    t = build_tableau()
+    for key in (True, False):
+        with pytest.raises(UnknownCubeError, match="^not a cube name, id or Cube: %s$" % key):
+            t.cube(key)
+    assert t.cube(1) is t.cube(np.int64(1)) is t.cube("Ac")
+
+
 def test_cube_fields_cannot_be_assigned():
     cube = build_tableau().cube("Ba")
     for field in ("name", "id", "coloring", "corners", "corner_set"):

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import inspect
 import pkgutil
+import typing
 from pathlib import Path
 
 import pytest
@@ -21,10 +23,19 @@ def test_every_exported_name_resolves(module_name):
     assert not missing, "%s.__all__ names what it does not define: %s" % (module_name, missing)
 
 
-# Exported as references for the tests rather than for the program: the
-# solver-only buildable count of the universal module, and the paper's 81
-# maximum-solution collections that criterion 5 checks.
-READ_ONLY_BY_TESTS = {"buildable_count_direct", "EXPECTED_MAX_COLLECTIONS"}
+# Exported as a reference for the tests rather than for the program: the
+# solver-only buildable count of the universal module.
+READ_ONLY_BY_TESTS = {"buildable_count_direct"}
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_class_annotation_resolves(module_name):
+    """``typing.get_type_hints`` resolves each class the module defines: no
+    annotation names what the module does not import."""
+    module = importlib.import_module(module_name)
+    classes = [c for c in vars(module).values() if inspect.isclass(c) and c.__module__ == module_name]
+    for cls in classes:
+        typing.get_type_hints(cls)
 
 
 def _names_read(tree):

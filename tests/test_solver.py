@@ -515,6 +515,16 @@ def test_collection_validation():
         as_ids(("Ac", "Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb"))
 
 
+def test_a_bool_is_no_cube_mask():
+    """bool is an int subclass, so True would read as the mask of cube 0; integers stay masks."""
+    import numpy as np
+
+    for value in (True, False):
+        with pytest.raises(ValueError, match="^not a cube mask: %s$" % value):
+            as_ids(value, size=None)
+    assert as_ids(3, size=None) == as_ids(np.uint32(3), size=None) == (0, 1)
+
+
 def test_mask_beyond_thirty_cubes_is_rejected():
     mask = build_tableau().mask(CANONICAL_BA)
     with pytest.raises(ValueError, match="out of range"):

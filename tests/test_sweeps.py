@@ -12,8 +12,6 @@ from madness import sweeps
 from madness.cubes import UnknownCubeError, all_color_permutations, build_tableau, mirror_name
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
-    EXPECTED_FIVE_TARGET_COUNT,
-    EXPECTED_MAX_COLLECTIONS,
     EXPECTED_SOLUTION_DISTRIBUTION,
 )
 from madness.solver import (
@@ -214,8 +212,8 @@ def test_run_counting_matches_np_unique(choices, mask_runs, monkeypatch):
     """
     targets_built = sweeps._targets_built
 
-    def planted(bases):
-        built = targets_built(bases)
+    def planted(sets, size):
+        built = targets_built(sets, size)
         built[~np.isin(built, choices)] = 0
         return built
 
@@ -241,7 +239,7 @@ def _plant(monkeypatch, counts):
     """Make counts[j] of Ba's 133,680 bases build j targets, in place of the real count."""
     built = np.repeat(np.arange(len(counts)), counts).astype(np.uint8)
     assert len(built) == sum(EXPECTED_SOLUTION_DISTRIBUTION.values())
-    monkeypatch.setattr(sweeps, "_targets_built", lambda bases: built)
+    monkeypatch.setattr(sweeps, "_targets_built", lambda sets, size: built)
 
 
 def test_planted_counts_give_thirty_c_j_over_j(monkeypatch):
@@ -300,7 +298,7 @@ def test_buildable_count_distribution():
     distribution, five_masks = distribution_buildable()
     assert distribution == EXPECTED_BUILDABLE_DISTRIBUTION
     assert sum(distribution.values()) == TOTAL_COLLECTIONS
-    assert len(five_masks) == EXPECTED_FIVE_TARGET_COUNT
+    assert len(five_masks) == EXPECTED_BUILDABLE_DISTRIBUTION[5]
     t = build_tableau()
     rng = random.Random(32)
     for mask in rng.sample([int(m) for m in five_masks], 3):
@@ -328,7 +326,7 @@ def test_buildable_targets_match_the_solver_oracle():
 def test_max_collection_census():
     for name in ("Ba", "Ab", "Fe"):
         census = count_max_collections(name)
-        assert census.count == EXPECTED_MAX_COLLECTIONS
+        assert census.count == EXPECTED_SOLUTION_DISTRIBUTION[16]
         assert len(census.double_edge_masks) == 9
         assert len(census.path_masks) == 72
         # each maximum collection really solves the target 16 ways
@@ -382,9 +380,9 @@ def test_five_target_orientation_duality():
 def test_five_target_records_cover_the_sweep():
     t = build_tableau()
     records = five_target_records(t, verify=False)
-    assert len(records) == EXPECTED_FIVE_TARGET_COUNT
+    assert len(records) == EXPECTED_BUILDABLE_DISTRIBUTION[5]
     record_masks = {t.mask(r.collection) for r in records}
-    assert len(record_masks) == EXPECTED_FIVE_TARGET_COUNT
+    assert len(record_masks) == EXPECTED_BUILDABLE_DISTRIBUTION[5]
     _, five_masks = distribution_buildable()
     assert record_masks == {int(m) for m in five_masks}
 

@@ -27,7 +27,7 @@ from madness.reports import (
     EXPECTED_UNIVERSAL_SETS,
     data_hash,
 )
-from madness.solver import SLOT_COUNT, SLOT_ENDPOINTS, TARGET_SLOT, VERTEX_COUNT
+from madness.solver import SLOT_COUNT, SLOT_ENDPOINTS, TARGET_SLOT, VERTEX_COUNT, build_target_graph
 from madness.sweeps import combination_rows, slot_table
 from madness.universal import (
     SET_SIZE,
@@ -88,6 +88,29 @@ def test_fast_and_direct_buildable_counts_agree():
     for _ in range(6):
         ids = tuple(sorted(rng.sample(range(30), rng.choice([8, 9, 10]))))
         assert buildable_count(ids, t) == buildable_count_direct(ids, t)
+
+
+@pytest.mark.parametrize("k", range(8, 14))
+def test_targets_built_matches_the_solver_oracle(k):
+    """The one counter of targets built, against the solver-only count, set by set."""
+    t = build_tableau()
+    rng = random.Random(100 + k)
+    rows = np.array([sorted(rng.sample(range(30), k)) for _ in range(40)])
+    counts = sweeps._targets_built(universal._bitmasks(rows), k)
+    assert counts.dtype == np.uint8
+    assert counts.tolist() == [buildable_count_direct(tuple(row), t) for row in rows.tolist()]
+
+
+def test_a_nine_set_builds_with_an_unusable_cube():
+    """A basis of Ba plus one of Ba's nine unusable cubes builds Ba: only an
+    8-set with an unusable cube is sure not to build."""
+    t = build_tableau()
+    basis = t.ids(("Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb", "Fb"))    # builds Ba alone
+    for extra in build_target_graph("Ba", t).unusable_ids:
+        ids = tuple(sorted(basis + (extra,)))
+        assert next(sweeps.buildable_collections(ids, "Ba", t), None) is not None
+        expected = buildable_count_direct(ids, t)
+        assert sweeps._targets_built(universal._bitmasks([ids]), 9).tolist() == [expected]
 
 
 def test_buildable_count_monotone_under_growth():
@@ -302,7 +325,7 @@ def test_sample_sets_are_uniform_against_table_2():
     # k = 8: a uniform sample's buildable counts follow Table 2 over C(30,8)
     n = 200_000
     samples = sample_sets(8, n, 1)
-    counts = np.bincount(universal._counts_for_id_matrix(samples), minlength=6)
+    counts = np.bincount(sweeps._targets_built(universal._bitmasks(samples), 8), minlength=6)
     observed = [*counts[:4], counts[4:].sum()]
     table = EXPECTED_BUILDABLE_DISTRIBUTION
     expected = [n * table[b] / comb(30, 8) for b in range(4)]
@@ -696,7 +719,8 @@ def _counts_of_every(k):
     total, parts = comb(30, k), []
     for begin in range(0, total, 1 << 16):
         rows = combination_rows(30, k, np.arange(begin, min(total, begin + (1 << 16))))
-        parts.append((universal._bitmasks(rows), universal._counts_for_id_matrix(rows)))
+        masks = universal._bitmasks(rows)
+        parts.append((masks, sweeps._targets_built(masks, k)))
     return [np.concatenate(column) for column in zip(*parts)]
 
 
