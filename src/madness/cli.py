@@ -501,11 +501,9 @@ SAMPLE = Report(
 def _search_compute(args, params):
     from .universal import exhaustive_search
 
-    state = exhaustive_search(
-        checkpoint_path=args.checkpoint,
-        budget_combinations=args.budget,
-        budget_seconds=args.budget_seconds,
-    )
+    if args.out and args.checkpoint and os.path.realpath(args.out) == os.path.realpath(args.checkpoint):
+        raise ValueError("--out %s is the --checkpoint file" % args.out)
+    state = exhaustive_search(checkpoint_path=args.checkpoint, budget_combinations=args.budget)
     tableau = build_tableau()
     return {
         "completed": state.completed,
@@ -526,7 +524,7 @@ def _search_status(args, payload):
 
 
 SEARCH = Report(
-    params=lambda args: {"budget": args.budget, "budget_seconds": args.budget_seconds},
+    params=lambda args: {"budget": args.budget},
     compute=_search_compute,
     rows=lambda payload: (
         ["cubes"],
@@ -595,7 +593,6 @@ def build_parser():
 
     p = add("search", SEARCH, "scan all C(30,12) sets for universality, resumably")
     p.add_argument("--budget", type=int, help="stop after this many combinations")
-    p.add_argument("--budget-seconds", type=float, help="stop after this much time")
     p.add_argument("--checkpoint", help="checkpoint file for resuming")
 
     return parser

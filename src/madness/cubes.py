@@ -372,14 +372,14 @@ class Tableau:
             return cube
         if isinstance(key, Cube):
             return key
-        if isinstance(key, bool):    # an int to Python, but no cube id
+        if isinstance(key, str):
+            raise UnknownCubeError(f"unknown cube name: {key!r}")
+        if isinstance(key, bool) or not hasattr(key, "__index__"):    # a bool is an int, but no id
             raise UnknownCubeError(f"not a cube name, id or Cube: {key!r}")
-        if isinstance(key, int) or hasattr(key, "__index__"):    # numpy's integers too
-            key = operator.index(key)
-            if 0 <= key < 30:
-                return self.cubes[key]
-            raise UnknownCubeError(f"cube id out of range: {key}")
-        raise UnknownCubeError(f"unknown cube name: {key!r}")
+        key = operator.index(key)
+        if 0 <= key < 30:
+            return self.cubes[key]
+        raise UnknownCubeError(f"cube id out of range: {key}")
 
     def ids(self, keys):
         return tuple(sorted(self.cube(k).id for k in keys))

@@ -190,7 +190,7 @@ def as_ids(collection, tableau=None, size=8):
     """Normalize a collection to a sorted id tuple, checking size and dups."""
     tableau = tableau or build_tableau()
     if isinstance(collection, int) or not hasattr(collection, "__iter__"):    # numpy's integers too
-        if isinstance(collection, bool):    # an int to Python, but no cube mask
+        if isinstance(collection, bool) or not hasattr(collection, "__index__"):    # a bool: no mask
             raise ValueError(f"not a cube mask: {collection!r}")
         collection = operator.index(collection)
         if not 0 <= collection < 1 << 30:

@@ -26,10 +26,9 @@ import hashlib
 import itertools
 import json
 import os
-import time
 from collections import Counter
 from functools import lru_cache
-from math import comb, inf
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -321,13 +320,12 @@ def orbit_and_stabilizer(candidates=None, tableau=None):
 # ranks, about _CHUNK at a time, and filtered by the other targets together;
 # almost every set dies within the first few targets.  Blocks follow
 # lexicographic order, so the number of sets scanned is the rank of the next
-# set.  After each step of at least 2,000,000 sets a checkpoint file records
-# that rank, the sets found so far, and the version and cube data that wrote it.
+# set.  When the scan stops a checkpoint file records that rank, the sets
+# found so far, and the version and cube data that wrote it.
 # ---------------------------------------------------------------------------
 
 _SUFFIX = 7                      # cubes varying within a block
 _MASK_COLUMNS = 4                # targets with precomputed suffix slot masks
-_STEP = 2_000_000                # sets per step at least: one checkpoint each
 _CHUNK = 1 << 16                 # sets per filter pass and per pool at most: bounds the scratch
 _SMALL = 1 << 12                 # blocks of at most this many sets are tested in groups
 
@@ -524,52 +522,36 @@ def _store_checkpoint(path, state, data):
         raise CheckpointError(f"checkpoint {path} cannot be written ({exc.strerror})") from None
 
 
-def exhaustive_search(checkpoint_path=None, budget_combinations=None, budget_seconds=None):
+def exhaustive_search(checkpoint_path=None, budget_combinations=None):
     """Scan 12-sets for universality, resumably.
 
     Returns a SearchState; ``finished`` tells whether the space is exhausted
-    (otherwise a budget ran out and the checkpoint records the resume
-    point).  The scan stops after exactly ``budget_combinations`` sets, or
-    before the first step (at least 2,000,000 sets, up to a block boundary)
-    that starts after ``budget_seconds``.  With no budget the full scan
-    takes about two seconds.  A negative budget, or a time budget
-    that is not finite, raises ValueError before the checkpoint is read; a
-    checkpoint path whose directory does not exist raises CheckpointError
-    before the first step; a budget of 0 scans nothing.
+    (otherwise the budget ran out and the checkpoint records the resume
+    point).  The scan stops after exactly ``budget_combinations`` sets, or at
+    the last set; with no budget the full scan takes about two seconds.  The
+    checkpoint is read before the scan and written once, when it stops, even
+    if it scanned nothing.  A negative budget raises ValueError before the
+    checkpoint is read; a checkpoint path whose directory does not exist
+    raises CheckpointError before any scanning; a budget of 0 scans nothing.
     """
     if budget_combinations is not None and budget_combinations < 0:
         raise ValueError(f"a budget of combinations must be at least 0, got {budget_combinations}")
-    if budget_seconds is not None and not 0 <= budget_seconds < inf:  # NaN too
-        raise ValueError(f"a budget of seconds must be finite and at least 0, got {budget_seconds}")
     directory = os.path.dirname(checkpoint_path or "") or "."
     if checkpoint_path and not os.path.isdir(directory):
         raise CheckpointError(
             f"checkpoint {checkpoint_path} cannot be written ({directory} is not a directory)"
         )
-    data = data_hash()    # the cube-data hash every checkpoint of this call carries
+    data = data_hash()    # the cube-data hash the checkpoint carries
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = _load_checkpoint(checkpoint_path, data)
     else:
         state = SearchState(completed=0, found=[])
-
     stop = state.total
     if budget_combinations is not None:
         stop = min(stop, state.completed + budget_combinations)
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-
-    begin = state.completed
-    while state.completed < stop:
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        tables = _scan_tables()
-        # A step runs to the first block boundary at least _STEP sets on.
-        after = np.searchsorted(tables.starts, min(state.completed + _STEP, state.total))
-        end = min(stop, int(tables.starts[after]))
-        state.found.extend(_scan_step(tables, _buildable_closure(), state.completed, end))
-        state.completed = end
-        if checkpoint_path:
-            _store_checkpoint(checkpoint_path, state, data)
-
-    if checkpoint_path and state.completed == begin:    # no step ran, so no step stored it
+    if state.completed < stop:
+        state.found.extend(_scan_step(_scan_tables(), _buildable_closure(), state.completed, stop))
+        state.completed = stop
+    if checkpoint_path:
         _store_checkpoint(checkpoint_path, state, data)
     return state

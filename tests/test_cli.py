@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import importlib
@@ -446,14 +447,22 @@ def test_search_writes_its_report(tmp_path, capsys):
     }
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--budget", "-5"), ("--budget-seconds", "-5"), ("--budget-seconds", "nan"), ("--budget-seconds", "inf")],
-)
+def test_search_report_over_its_checkpoint_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "search", "--budget", "5", "--checkpoint", "ck.json")[0] == 4
+    stored = (tmp_path / "ck.json").read_bytes()
+    code, out, err = run(
+        capsys, "search", "--budget", "5", "--checkpoint", "./ck.json",
+        "--out", str(tmp_path / "ck.json"), "--format", "json",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --out %s is the --checkpoint file\n" % (tmp_path / "ck.json")
+    assert (tmp_path / "ck.json").read_bytes() == stored    # nothing scanned, nothing written
+
+
+@pytest.mark.parametrize("flag, value", [("--budget", "-5")])
 def test_bad_budget_is_a_validation_error(flag, value, tmp_path, capsys):
     # Rejected before the checkpoint is read: a malformed one is left as it is.
-    # A NaN deadline would never pass, so it would ignore the time budget; an
-    # infinite one would head the report as a bare Infinity, which is not JSON.
     checkpoint = tmp_path / "scan.json"
     checkpoint.write_text("[1,2]", encoding="utf-8")
     code, out, err = run(capsys, "search", flag, value, "--checkpoint", str(checkpoint))
@@ -804,8 +813,8 @@ def test_console_script_is_installed():
 
 
 # ---------------------------------------------------------------------------
-# Golden bytes.  Every report file of the six report commands, in each
-# format, plus the files of `universal --out-dir`, must keep these sha256
+# Golden bytes.  Every report file of each command, in each format, plus
+# the files of `universal --out-dir`, must keep these sha256
 # digests.  A change that alters any of them changes what users get on disk,
 # and must say why.
 # ---------------------------------------------------------------------------
@@ -818,6 +827,8 @@ GOLDEN_ARGV = {
     "five-targets": ("five-targets",),
     "universal": ("universal",),
     "sample": ("sample", "--k", "12", "--n", "50", "--seed", "3"),
+    # The budget ends just past the first universal 12-set, rank 10,236,518.
+    "search": ("search", "--budget", "10236519"),
 }
 GOLDEN_CACHED = {"table1", "table2", "five-targets", "universal"}
 GOLDEN_SHA256 = {
@@ -842,6 +853,9 @@ GOLDEN_SHA256 = {
     "sample-text": "4eb9573dbd8bd9833ac2838cac167b447235afebf44c8bdb92e5bfc2dd8c783d",
     "sample-csv": "6deeea1a0dace173a47456017c4367fea8d9da786f62b0ac566190495cd2399c",
     "sample-json": "fa2d968682bcfc45ef4afae674c8e9640fe475cadd6f74bc684dcc8524bf832a",
+    "search-text": "1e585fc6c950ff2cdeb59d47f2bc3c408bcc2aecec2e42ddabf580923b1444a9",
+    "search-csv": "b55ef729f57451c8dd3796f37d5088c56e0ea98d18521ff2eba9b3dcaa62ec3e",
+    "search-json": "3e82b8bbae1ed04f512f63311b55bd59c87b9a98bced406d32dac6750588e8d3",
     "out-dir/figure7_k10.csv": "31942da1be417c77b8f0a3b529aa65ff0c2200b7392acc54c6bd5646e40c1752",
     "out-dir/figure7_k11.csv": "c8cc6b0da1a41691d630e0b75a8805a1391641412ce9ee5289f2d13eedcade18",
     "out-dir/figure7_k8.csv": "92527d1d0c179052a61e1b0c5f4b5eaf1c17fb9648ba521e1f9418c0456c4822",
@@ -857,6 +871,7 @@ def golden_cache(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_report_bytes_are_stable(name, golden_cache, tmp_path, capsys):
+    code = cli.EXIT_OK
     if name.startswith("out-dir/"):
         out_dir = tmp_path / "reports"
         argv = ("universal", "--cache-dir", golden_cache, "--out-dir", str(out_dir))
@@ -867,8 +882,28 @@ def test_report_bytes_are_stable(name, golden_cache, tmp_path, capsys):
         argv = GOLDEN_ARGV[command] + ("--format", fmt, "--out", str(path))
         if command in GOLDEN_CACHED:
             argv += ("--cache-dir", golden_cache)
-    assert run(capsys, *argv)[0] == 0
+        if command == "search":    # stopped by its budget
+            code = cli.EXIT_BUDGET
+    assert run(capsys, *argv)[0] == code
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def test_readme_command_line_section_matches_the_parser():
+    """Each long option is documented there, and each option there exists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    defined = {
+        option
+        for p in (parser, *commands.values())
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    named = set(re.findall(r"--[a-z](?:[a-z0-9-]*[a-z0-9])?", section))
+    assert defined - {"--help", "--version"} <= named
+    assert named <= defined
 
 
 @pytest.mark.parametrize("xdg", [None, "", "relative/cache", "absolute"], ids=["unset", "empty", "relative", "set"])

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -347,8 +348,8 @@ def test_a_bool_is_no_cube_id():
     import numpy as np
 
     t = build_tableau()
-    for key in (True, False):
-        with pytest.raises(UnknownCubeError, match="^not a cube name, id or Cube: %s$" % key):
+    for key in (True, False, np.True_, 5.0, np.float64(3.0), None):
+        with pytest.raises(UnknownCubeError, match="^not a cube name, id or Cube: %s$" % re.escape(repr(key))):
             t.cube(key)
     assert t.cube(1) is t.cube(np.int64(1)) is t.cube("Ac")
 

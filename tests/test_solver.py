@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -519,8 +520,8 @@ def test_a_bool_is_no_cube_mask():
     """bool is an int subclass, so True would read as the mask of cube 0; integers stay masks."""
     import numpy as np
 
-    for value in (True, False):
-        with pytest.raises(ValueError, match="^not a cube mask: %s$" % value):
+    for value in (True, False, np.True_, 5.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="^not a cube mask: %s$" % re.escape(repr(value))):
             as_ids(value, size=None)
     assert as_ids(3, size=None) == as_ids(np.uint32(3), size=None) == (0, 1)
 

@@ -393,8 +393,8 @@ def test_search_budget_and_resume(tmp_path):
 
 def test_search_time_budget(tmp_path):
     path = str(tmp_path / "scan.json")
-    # a zero budget is expired at once: the scan must stop before the first step
-    state = exhaustive_search(checkpoint_path=path, budget_seconds=0)
+    # a zero budget scans nothing, but still stores the checkpoint
+    state = exhaustive_search(checkpoint_path=path, budget_combinations=0)
     assert not state.finished
     assert state.completed == 0
     resumed = exhaustive_search(checkpoint_path=path, budget_combinations=5_000)
@@ -405,7 +405,7 @@ def test_search_hashes_the_cube_data_once_per_call(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(universal, "data_hash", lambda: calls.append(1) or data_hash())
     path = tmp_path / "scan.json"
-    for _ in range(2):    # a fresh checkpoint, then a resume: several stores each
+    for _ in range(2):    # a fresh checkpoint, then a resume
         exhaustive_search(checkpoint_path=str(path), budget_combinations=1_000_000)
     assert len(calls) == 2
     assert json.loads(path.read_text(encoding="utf-8"))["data"] == data_hash()
@@ -417,8 +417,7 @@ def test_search_stores_each_checkpoint_once(tmp_path, monkeypatch):
     monkeypatch.setattr(universal, "_store_checkpoint", lambda *a: stored.append(a[1].completed) or store(*a))
     path = str(tmp_path / "scan.json")
     exhaustive_search(checkpoint_path=path, budget_combinations=5_000_000)
-    # Two steps to the first block edges past 2,000,000 and 4,000,000 sets, then the budget.
-    assert len(stored) == 3 and stored[-1] == 5_000_000 and stored == sorted(set(stored))
+    assert stored == [5_000_000]
     stored.clear()
     exhaustive_search(checkpoint_path=path, budget_combinations=0)
     assert stored == [5_000_000]
@@ -443,7 +442,7 @@ def test_search_state_total_is_a_constant_not_a_field():
 
 
 def test_zero_second_budget_stops_before_the_first_chunk():
-    assert exhaustive_search(budget_seconds=0, budget_combinations=1_000).completed == 0
+    assert exhaustive_search(budget_combinations=0).completed == 0
 
 
 def test_resume_from_a_rank_finds_the_first_universal_set(tmp_path):
@@ -591,18 +590,22 @@ def _lexicographic_rank(ids, n=30):
     return rank
 
 
-def _scan_window(tmp_path, begin, end):
-    """Resume a scan at rank begin for end - begin sets: (its state, the sets it found).
+def _scan_window(tmp_path, begin, end, leg=None):
+    """Resume a scan at rank begin for end - begin sets: (its last state, the sets it found).
 
-    The checkpoint lists the universal sets ranked below begin, as a scan
-    that got there would have.
+    The window is scanned in legs of at most ``leg`` sets (one leg by
+    default).  Each leg resumes from a checkpoint that lists the universal
+    sets ranked below its first rank, as a scan that got there would have.
     """
-    before = [mask for rank, mask in _universal_sets_by_rank() if rank < begin]
     path = tmp_path / "window.json"
-    path.write_text(json.dumps(dict(GOOD_CHECKPOINT, completed=begin, found=before)), encoding="utf-8")
-    state = exhaustive_search(checkpoint_path=str(path), budget_combinations=end - begin)
-    assert state.found[: len(before)] == before
-    return state, state.found[len(before) :]
+    step, found = leg or end - begin, []
+    for at in range(begin, end, step):
+        before = [mask for rank, mask in _universal_sets_by_rank() if rank < at]
+        path.write_text(json.dumps(dict(GOOD_CHECKPOINT, completed=at, found=before)), encoding="utf-8")
+        state = exhaustive_search(checkpoint_path=str(path), budget_combinations=min(step, end - at))
+        assert state.found[: len(before)] == before
+        found += state.found[len(before) :]
+    return state, found
 
 
 # The whole blocks of the first three cubes 0, 1, 2 and a fourth of 14 or
@@ -628,11 +631,10 @@ def test_block_kernel_matches_the_reference_scan(begin, end, permissive, tmp_pat
         # pass every target, so every stage and block edge shows in ``found``.
         closure = np.random.default_rng(7).random(1 << 21) < 0.9
         monkeypatch.setattr(universal, "_buildable_closure", lambda: closure)
-    # Steps of 3,000 sets at least, so that step edges fall among small blocks.
-    monkeypatch.setattr(universal, "_STEP", 3_000)
     expected = _reference_scan(begin, end, closure)
     assert len(expected) > 50 if permissive else len(expected) <= 1
-    state, found = _scan_window(tmp_path, begin, end)
+    # Resumed legs of 3,000 sets, so that leg edges fall among small blocks.
+    state, found = _scan_window(tmp_path, begin, end, leg=3_000)
     assert state.completed == end
     assert found == expected
 
@@ -696,12 +698,12 @@ def test_block_kernel_finds_each_universal_set_from_inside_its_block(tmp_path):
 
 
 def test_scan_finds_every_universal_thirteen_set():
-    """u(13) = 53,100: all C(30,13) sets through the block kernel, one step at a time."""
+    """u(13) = 53,100: all C(30,13) sets through the block kernel, 2,000,000 at a time."""
     tables, total = universal._scan_tables(13), comb(30, 13)
     assert tables.starts[-1] == total == 119_759_850
     closed, found = universal._buildable_closure(), []
-    for begin in range(0, total, universal._STEP):
-        found += universal._scan_step(tables, closed, begin, min(total, begin + universal._STEP))
+    for begin in range(0, total, 2_000_000):
+        found += universal._scan_step(tables, closed, begin, min(total, begin + 2_000_000))
     tableau = build_tableau()
     assert found == sorted(set(found), key=tableau.ids_of_mask)    # each once, in rank order
     assert len(found) == 53_100
