@@ -117,30 +117,33 @@ def _write(flag, path, body):
         sys.stdout.write(body)
 
 
+def _make_directory(flag, directory):
+    if directory:
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except FileExistsError:
+            raise ValueError("%s %s is not a directory" % (flag, directory)) from None
+        except OSError as exc:
+            raise ValueError("%s %s cannot be created: %s" % (flag, directory, exc.strerror)) from None
+
+
 def run_report(report, args):
     """Compute or load the payload, check it, write the report, give the exit code."""
     started = time.monotonic()
     params = report.params(args)
+    out_dir = getattr(args, "out_dir", None)
+    _make_directory("--out-dir", out_dir)    # first: --out may name a file in it
     parent = os.path.dirname(args.out or "") or "."
     if args.out and not os.path.isdir(parent):
         problem = "is not a directory" if os.path.exists(parent) else "does not exist"
         raise ValueError("--out directory %s %s" % (parent, problem))
     if args.out and os.path.isdir(args.out):
         raise ValueError("--out %s is a directory" % args.out)
-    out_dir = getattr(args, "out_dir", None)
-    cache_flag, cache_dir = None, None
+    cache = None
     if report.cached and not args.no_cache:
-        cache_flag, cache_dir = _cache_dir(args)
-    for flag, directory in (("--out-dir", out_dir), (cache_flag, cache_dir)):
-        if directory:
-            try:
-                os.makedirs(directory, exist_ok=True)
-            except FileExistsError:
-                raise ValueError("%s %s is not a directory" % (flag, directory)) from None
-            except OSError as exc:
-                message = "%s %s cannot be created: %s" % (flag, directory, exc.strerror)
-                raise ValueError(message) from None
-    cache = ReportCache(cache_dir) if cache_dir else None
+        flag, directory = _cache_dir(args)
+        _make_directory(flag, directory)
+        cache = ReportCache(directory)
     payload = cache.load(args.command, params) if cache else None
     if payload is None:
         payload = report.compute(args, params)

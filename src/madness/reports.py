@@ -95,7 +95,11 @@ def data_hash(tableau=None):
 
 @lru_cache(maxsize=1)
 def _source_hash():
-    """Stable hash of the package's own .py files, read once per process."""
+    """Stable hash of the package's own .py files, read once per process.
+
+    It keys the report cache and stamps every scan checkpoint, so a change to
+    any source file, ``__version__`` or the cube data invalidates both.
+    """
     directory = os.path.dirname(os.path.abspath(__file__))
     digest = hashlib.sha256()
     for name in sorted(os.listdir(directory)):

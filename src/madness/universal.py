@@ -33,14 +33,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
 from .cubes import (
     COLUMN_LETTERS,
     all_color_permutations,
     build_tableau,
     permutation_cycle_type,
 )
-from .reports import VerificationError, data_hash, write_json
+from .reports import VerificationError, _source_hash, write_json
 from .solver import as_ids, build_target_graph
 from .sweeps import (
     _bitmasks,
@@ -321,7 +320,7 @@ def orbit_and_stabilizer(candidates=None, tableau=None):
 # almost every set dies within the first few targets.  Blocks follow
 # lexicographic order, so the number of sets scanned is the rank of the next
 # set.  When the scan stops a checkpoint file records that rank, the sets
-# found so far, and the version and cube data that wrote it.
+# found so far, and the hash of the package source that wrote it.
 # ---------------------------------------------------------------------------
 
 _SUFFIX = 7                      # cubes varying within a block
@@ -469,8 +468,8 @@ class SearchState:
         return self.completed >= self.total
 
 
-def _load_checkpoint(path, data):
-    """Read a scan state, raising CheckpointError if it is not one for this code and ``data``."""
+def _load_checkpoint(path):
+    """Read a scan state, raising CheckpointError if this code did not write it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -478,27 +477,19 @@ def _load_checkpoint(path, data):
         raise CheckpointError(f"checkpoint {path} cannot be read ({exc.strerror})") from None
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path} is not JSON ({exc})") from None
-    if not isinstance(raw, dict) or set(raw) != {"completed", "found", "total", "version", "data"}:
-        raise CheckpointError(
-            f"checkpoint {path} must be an object with completed, found, total, version and data"
-        )
+    if not isinstance(raw, dict) or set(raw) != {"completed", "found", "source"}:
+        raise CheckpointError(f"checkpoint {path} must be an object with completed, found and source")
     completed, found = raw["completed"], raw["found"]
     if not (
         type(completed) is int
         and 0 <= completed <= TOTAL_TWELVE_SETS
-        and type(raw["total"]) is int
-        and raw["total"] == TOTAL_TWELVE_SETS
         and isinstance(found, list)
         and all(type(m) is int and 0 <= m < 1 << 30 and m.bit_count() == SET_SIZE for m in found)
     ):
         raise CheckpointError(f"checkpoint {path} does not hold a scan state of the C(30,12) sets")
-    # The file's own values are shown by repr, so a newline in one cannot split the message.
-    if raw["version"] != __version__:
-        raise CheckpointError(
-            f"checkpoint {path} was written by madness {raw['version']!r}, not {__version__}"
-        )
-    if raw["data"] != data:
-        raise CheckpointError(f"checkpoint {path} was written for other cube data ({raw['data']!r})")
+    # The file's value is shown by repr, so a newline in it cannot split the message.
+    if raw["source"] != _source_hash():
+        raise CheckpointError(f"checkpoint {path} was written by other code (source {raw['source']!r})")
     # A scan finds the ten universal 12-sets (criterion 11) below completed, in rank order.
     tableau, scanned = build_tableau(), []
     for row in sorted(tableau.ids_of_mask(u.mask) for u in conjecture_sets(tableau)):
@@ -509,15 +500,9 @@ def _load_checkpoint(path, data):
     return SearchState(completed=completed, found=found)
 
 
-def _store_checkpoint(path, state, data):
+def _store_checkpoint(path, state):
     try:
-        write_json(path, {
-            "completed": state.completed,
-            "found": state.found,
-            "total": state.total,
-            "version": __version__,
-            "data": data,
-        })
+        write_json(path, {"completed": state.completed, "found": state.found, "source": _source_hash()})
     except OSError as exc:
         raise CheckpointError(f"checkpoint {path} cannot be written ({exc.strerror})") from None
 
@@ -531,8 +516,10 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None):
     the last set; with no budget the full scan takes about two seconds.  The
     checkpoint is read before the scan and written once, when it stops, even
     if it scanned nothing.  A negative budget raises ValueError before the
-    checkpoint is read; a checkpoint path whose directory does not exist
-    raises CheckpointError before any scanning; a budget of 0 scans nothing.
+    checkpoint is read; a checkpoint path whose directory does not exist, or
+    a checkpoint that other code wrote (its ``source`` is not this package's
+    source hash), raises CheckpointError before any scanning; a budget of 0
+    scans nothing.
     """
     if budget_combinations is not None and budget_combinations < 0:
         raise ValueError(f"a budget of combinations must be at least 0, got {budget_combinations}")
@@ -541,9 +528,8 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None):
         raise CheckpointError(
             f"checkpoint {checkpoint_path} cannot be written ({directory} is not a directory)"
         )
-    data = data_hash()    # the cube-data hash the checkpoint carries
     if checkpoint_path and os.path.exists(checkpoint_path):
-        state = _load_checkpoint(checkpoint_path, data)
+        state = _load_checkpoint(checkpoint_path)
     else:
         state = SearchState(completed=0, found=[])
     stop = state.total
@@ -553,5 +539,5 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None):
         state.found.extend(_scan_step(_scan_tables(), _buildable_closure(), state.completed, stop))
         state.completed = stop
     if checkpoint_path:
-        _store_checkpoint(checkpoint_path, state, data)
+        _store_checkpoint(checkpoint_path, state)
     return state

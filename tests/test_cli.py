@@ -488,8 +488,7 @@ def test_checkpoint_with_a_foreign_mask_is_a_validation_error(tmp_path, capsys):
     # 30-cube and a 3-cube "universal set" and exit 4.
     checkpoint = tmp_path / "scan.json"
     checkpoint.write_text(json.dumps({
-        "completed": 12, "found": [-1, 7], "total": 86493225,
-        "version": madness.__version__, "data": reports.data_hash(),
+        "completed": 12, "found": [-1, 7], "source": reports._source_hash(),
     }), encoding="utf-8")
     code, out, err = run(capsys, "search", "--budget", "0", "--checkpoint", str(checkpoint), "--format", "json")
     assert code == 2
@@ -499,8 +498,7 @@ def test_checkpoint_with_a_foreign_mask_is_a_validation_error(tmp_path, capsys):
 
 def _search_from(checkpoint, capsys, completed, found):
     checkpoint.write_text(json.dumps({
-        "completed": completed, "found": found, "total": 86493225,
-        "version": madness.__version__, "data": reports.data_hash(),
+        "completed": completed, "found": found, "source": reports._source_hash(),
     }), encoding="utf-8")
     return run(capsys, "search", "--budget", "0", "--checkpoint", str(checkpoint))
 
@@ -533,10 +531,30 @@ def test_old_format_checkpoint_is_a_validation_error(tmp_path, capsys):
     code, out, err = run(capsys, "search", "--checkpoint", str(checkpoint))
     assert code == 2
     assert out == ""
-    assert err == (
-        "error: checkpoint %s must be an object with completed, found, total, version and data\n"
-        % checkpoint
-    )
+    assert err == "error: checkpoint %s must be an object with completed, found and source\n" % checkpoint
+
+
+@pytest.mark.parametrize("written, problem", [
+    (
+        {"completed": 12, "found": [], "source": "0" * 16},
+        "was written by other code (source '0000000000000000')",
+    ),
+    # The format before checkpoints carried the source hash.
+    (
+        {"completed": 12, "found": [], "total": 86493225, "version": madness.__version__, "data": "0" * 16},
+        "must be an object with completed, found and source",
+    ),
+], ids=["other-source", "five-key"])
+def test_checkpoint_of_other_code_fails_before_scanning(written, problem, tmp_path, capsys, monkeypatch):
+    def scan_nothing(*args):
+        raise AssertionError("scanned a checkpoint of other code")
+
+    monkeypatch.setattr(universal, "_scan_step", scan_nothing)
+    checkpoint = tmp_path / "scan.json"
+    checkpoint.write_text(json.dumps(written), encoding="utf-8")
+    code, out, err = run(capsys, "search", "--checkpoint", str(checkpoint))
+    assert (code, out, err) == (2, "", "error: checkpoint %s %s\n" % (checkpoint, problem))
+    assert json.loads(checkpoint.read_text(encoding="utf-8")) == written
 
 
 def test_out_into_missing_directory_fails_before_computing(tmp_path, capsys, monkeypatch):
@@ -549,6 +567,17 @@ def test_out_into_missing_directory_fails_before_computing(tmp_path, capsys, mon
     assert code == 2
     assert stdout == ""
     assert err == "error: --out directory %s does not exist\n" % out.parent
+
+
+def test_out_into_the_out_dir_it_creates(tmp_path, capsys):
+    out_dir = tmp_path / "reports"
+    code, out, err = run(
+        capsys, "universal", "--no-cache", "--out-dir", str(out_dir),
+        "--format", "json", "--out", str(out_dir / "report.json"),
+    )
+    names = ["universal.json"] + ["figure7_k%d.csv" % k for k in range(8, 12)] + ["report.json"]
+    assert (code, err) == (0, "")
+    assert out == "".join("wrote %s\n" % (out_dir / name) for name in names)
 
 
 def test_unwritable_out_is_a_validation_error(tmp_path, capsys):

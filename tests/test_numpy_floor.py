@@ -2,7 +2,8 @@
 
 The suite runs on one numpy release only, so a name that later releases
 added would pass here and fail for a user of 1.24.  This reads every
-``np.<name>`` in the sources and rejects the names numpy 1.24 lacks.
+``np.<name>`` in the sources and the tests (the ``test`` extra installs on
+the same floor) and rejects the names numpy 1.24 lacks.
 """
 
 import ast
@@ -24,7 +25,8 @@ NOT_IN_NUMPY_1_24 = frozenset({
     "unstack", "matvec", "vecmat",
 })
 
-SOURCES = sorted(Path(madness.__file__).parent.glob("*.py"))
+PACKAGE = Path(madness.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _numpy_names(path):
@@ -38,11 +40,11 @@ def _numpy_names(path):
 
 
 def test_the_sources_are_read():
-    assert {p.name for p in SOURCES} >= {"sweeps.py", "universal.py"}
+    assert {p.name for p in SOURCES} >= {"sweeps.py", "universal.py", "test_universal.py"}
     assert any(name == "flatnonzero" for p in SOURCES for _, name in _numpy_names(p))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name if p.parent == PACKAGE else "tests/" + p.name)
 def test_no_numpy_name_newer_than_the_floor(path):
     newer = [(line, name) for line, name in _numpy_names(path) if name in NOT_IN_NUMPY_1_24]
     assert newer == [], "%s uses numpy names that 1.24 lacks: %s" % (path.name, newer)

@@ -10,10 +10,9 @@ import tempfile
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from madness import __version__
 from madness.cli import main
 from madness.cubes import CUBE_NAMES, all_color_permutations, build_tableau
-from madness.reports import data_hash
+from madness.reports import _source_hash
 from madness.solver import build_target_graph, solution_number, solution_number_permanent
 from madness.universal import TOTAL_TWELVE_SETS, buildable_count, conjecture_sets, sample_sets
 
@@ -83,7 +82,7 @@ def _run(*argv):
 # Two valid scan states: a scan stopped early, and a finished one.  The
 # universal sets a checkpoint lists must be those ranked below ``completed``.
 _RANKED_SETS = [c.mask for c in sorted(conjecture_sets(TABLEAU), key=lambda c: TABLEAU.ids_of_mask(c.mask))]
-_STOPPED = {"completed": 12, "found": [], "total": TOTAL_TWELVE_SETS, "version": __version__, "data": data_hash()}
+_STOPPED = {"completed": 12, "found": [], "source": _source_hash()}
 _VALID_STATES = [_STOPPED, dict(_STOPPED, completed=TOTAL_TWELVE_SETS, found=_RANKED_SETS)]
 _STRINGS = st.text(st.sampled_from("0.1\n\r x") | st.characters(), max_size=12)
 _JUNK = _STRINGS | st.recursive(
@@ -92,7 +91,7 @@ _JUNK = _STRINGS | st.recursive(
     | st.floats()
     | st.integers(-(2**200), 2**200)
     | st.integers(-2, TOTAL_TWELVE_SETS + 2)
-    | st.sampled_from(_RANKED_SETS + [__version__, data_hash()])
+    | st.sampled_from(_RANKED_SETS + [_source_hash()])
     | _STRINGS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
@@ -121,8 +120,8 @@ def _checkpoint_with(**change):
 # No pytest fixture: hypothesis would reuse a function-scoped tmp_path across examples.
 @settings(max_examples=100, deadline=None, database=None)
 @given(text=checkpoint_text())
-@example(text=_checkpoint_with(version=__version__ + "\n"))    # the file's values once split the message
-@example(text=_checkpoint_with(data="\n"))
+@example(text=_checkpoint_with(source=_source_hash() + "\n"))    # the file's values once split the message
+@example(text=_checkpoint_with(source="\n"))
 def test_a_bad_checkpoint_is_one_error_line(text):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "scan.json")

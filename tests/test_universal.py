@@ -7,12 +7,13 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from madness import __version__, sweeps, universal
+from madness import sweeps, universal
 from madness.cubes import (
     COLUMN_LETTERS,
     ROW_LETTERS,
@@ -25,7 +26,7 @@ from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
     EXPECTED_SUBSET_BUILD,
     EXPECTED_UNIVERSAL_SETS,
-    data_hash,
+    _source_hash,
 )
 from madness.solver import SLOT_COUNT, SLOT_ENDPOINTS, TARGET_SLOT, VERTEX_COUNT, build_target_graph
 from madness.sweeps import combination_rows, slot_table
@@ -369,6 +370,32 @@ def test_sample_distribution_agrees_with_slow_count():
         assert buildable_count_direct(tuple(int(i) for i in row), t) == int(count)
 
 
+def test_first_moment_follows_from_the_closure_popcounts():
+    """Sum of j n_k(j) over the k-sets is 30 * sum_i C(9, k - i) s_i.
+
+    s_i counts the spanning i-subsets of the 21 slots, the closure's masks of
+    popcount i.  Every target has 21 usable cubes, one per slot, and 9
+    unusable ones, and the recolorings carry Ba's closure to each target's.
+    """
+    masks = np.flatnonzero(universal._buildable_closure())
+    s = np.bincount(sum(masks >> bit & 1 for bit in range(SLOT_COUNT)), minlength=SLOT_COUNT + 1).tolist()
+    assert s[:8] == [0] * 8
+    assert s[8:] == [
+        133_680, 244_048, 324_900, 340_788, 290_126, 202_638, 116_160,
+        54_256, 20_349, 5_985, 1_330, 210, 21, 1,
+    ]
+
+    def first_moment(k):
+        return 30 * sum(comb(9, k - i) * s_i for i, s_i in enumerate(s) if 0 <= k - i <= 9)
+
+    assert first_moment(8) == 4_010_400
+    assert first_moment(8) == sum(j * n for j, n in sweeps.distribution_buildable()[0].items())
+    assert first_moment(12) == 1_571_919_900
+    assert Fraction(first_moment(12), comb(30, 12)) == Fraction(20_958_932, 1_153_243)    # 18.1739...
+    stats, _ = sample_distribution(12, 20_000, 7)
+    assert abs(stats.mean - first_moment(12) / comb(30, 12)) < 0.1, stats.mean
+
+
 def test_orbit_report():
     report = orbit_and_stabilizer()
     assert report.orbit_size == EXPECTED_UNIVERSAL_SETS
@@ -401,14 +428,12 @@ def test_search_time_budget(tmp_path):
     assert resumed.completed == 5_000
 
 
-def test_search_hashes_the_cube_data_once_per_call(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(universal, "data_hash", lambda: calls.append(1) or data_hash())
+def test_checkpoint_holds_the_scan_state_and_the_source_hash(tmp_path):
     path = tmp_path / "scan.json"
-    for _ in range(2):    # a fresh checkpoint, then a resume
+    for completed in (1_000_000, 2_000_000):    # a fresh checkpoint, then a resume
         exhaustive_search(checkpoint_path=str(path), budget_combinations=1_000_000)
-    assert len(calls) == 2
-    assert json.loads(path.read_text(encoding="utf-8"))["data"] == data_hash()
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        assert stored == {"completed": completed, "found": [], "source": _source_hash()}
 
 
 def test_search_stores_each_checkpoint_once(tmp_path, monkeypatch):
@@ -455,27 +480,21 @@ def test_resume_from_a_rank_finds_the_first_universal_set(tmp_path):
     assert state.found == [first.mask]
 
 
-GOOD_CHECKPOINT = {
-    "completed": 12,
-    "found": [],
-    "total": TOTAL_TWELVE_SETS,
-    "version": __version__,
-    "data": data_hash(),
-}
+GOOD_CHECKPOINT = {"completed": 12, "found": [], "source": _source_hash()}
 
 
 @pytest.mark.parametrize("change", [
     {"completed": "12"},
     {"completed": -1},
     {"completed": True},
-    {"total": 1000},
+    {"total": TOTAL_TWELVE_SETS},    # a field of the old format: an extra key now
     {"found": [1.5]},
     {"found": None},
     {"found": [-1]},
     {"found": [7]},
     {"found": [1 << 30]},
-    {"version": "0.0.0"},
-    {"data": "0" * 16},
+    {"source": "0" * 16},
+    {"source": None},
     {"last_combo": list(range(SET_SIZE))},
     {"extra": 1},
 ])
