@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 validation error (bad cube names, sizes, flags,
 malformed checkpoints, paths that cannot be read or written), 3 verification
-mismatch (--check failures or disagreeing counting methods), 4 search budget
-exhausted before completion.
+mismatch (--check failures or disagreeing counting methods, each printed as
+``verification failed: ...``), 4 search budget exhausted before completion,
+141 stdout closed by its reader.
 
 Every command is a :class:`Report` spec run by :func:`run_report`, which
 handles the cache, --check, rendering and the exit code in one place.
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 EXIT_BUDGET = 4
+EXIT_CLOSED_STDOUT = 141    # 128 + SIGPIPE, as a shell reports a command killed by a closed pipe
 
 # Every input error of the package is a ValueError, except an unknown cube
 # name, which is also a KeyError.  The only files read or written are the
@@ -152,8 +154,7 @@ def run_report(report, args):
     if getattr(args, "check", False):
         failure = report.check(payload)
         if failure:
-            print("check FAILED: %s" % failure, file=sys.stderr)
-            return EXIT_VERIFICATION
+            raise VerificationError(failure)
     if out_dir:
         for name, body in report.files(payload).items():
             _write("--out-dir", os.path.join(out_dir, name), body)
@@ -200,10 +201,8 @@ CUBES = Report(
 
 
 def _solve_params(args):
-    from .solver import as_ids
-
     tableau = build_tableau()
-    ids = as_ids([n for n in args.cubes.replace(",", " ").split() if n], tableau)
+    ids = tableau.ids([n for n in args.cubes.replace(",", " ").split() if n], 8)
     return {"target": tableau.cube(args.target).name, "cubes": list(tableau.names(ids))}
 
 
@@ -328,7 +327,7 @@ def _five_targets_compute(args, params):
 
     records = five_target_records()
     tableau = build_tableau()
-    sweep = {tableau.names_of_mask(int(m)) for m in distribution_buildable()[1]}
+    sweep = {tableau.names_of_mask(m) for m in distribution_buildable()[1]}
     differ = len({r.collection for r in records} ^ sweep)
     if differ:
         raise VerificationError(
@@ -614,7 +613,12 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     try:
-        return run_report(args.report, args)
+        status = run_report(args.report, args)
+        sys.stdout.flush()    # a closed stdout fails here, not in the interpreter's exit flush
+        return status
+    except BrokenPipeError:    # the reader went away, as in `madness cubes | head -1`: no bad flag
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except VerificationError as exc:
         print("verification failed: %s" % _one_line(exc), file=sys.stderr)
         return EXIT_VERIFICATION

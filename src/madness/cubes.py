@@ -39,6 +39,7 @@ __all__ = [
     "InvalidColoringError",
     "TableauBuildError",
     "UnknownCubeError",
+    "CollectionSizeError",
     "Cube",
     "Tableau",
     "canonical_corner",
@@ -86,6 +87,10 @@ class UnknownCubeError(KeyError):
 
     def __str__(self):
         return self.args[0] if self.args else ""
+
+
+class CollectionSizeError(ValueError):
+    """A collection whose size is not the one required (8 for a puzzle instance)."""
 
 
 class TableauBuildError(RuntimeError):
@@ -347,6 +352,11 @@ def usable_corner_count(cube, other):
     return len(cube.corner_set & other.corner_set)
 
 
+def _integer(key):
+    """``key`` as an int if it is an integer, numpy's included; None for a bool, which is no id or mask."""
+    return None if isinstance(key, bool) or not hasattr(key, "__index__") else operator.index(key)
+
+
 class Tableau:
     """The 30 cubes with name, id and corner-set lookups.
 
@@ -374,33 +384,38 @@ class Tableau:
             return key
         if isinstance(key, str):
             raise UnknownCubeError(f"unknown cube name: {key!r}")
-        if isinstance(key, bool) or not hasattr(key, "__index__"):    # a bool is an int, but no id
+        index = _integer(key)
+        if index is None:
             raise UnknownCubeError(f"not a cube name, id or Cube: {key!r}")
-        key = operator.index(key)
-        if 0 <= key < 30:
-            return self.cubes[key]
-        raise UnknownCubeError(f"cube id out of range: {key}")
+        if 0 <= index < 30:
+            return self.cubes[index]
+        raise UnknownCubeError(f"cube id out of range: {index}")
 
-    def ids(self, keys):
-        return tuple(sorted(self.cube(k).id for k in keys))
+    def ids(self, collection, size=None):
+        """The sorted ids of distinct cubes, ``size`` of them if given: from an iterable of names,
+        ids or Cubes, or from a 30-bit mask (any integer but a bool, numpy's integers too)."""
+        if isinstance(collection, int) or not hasattr(collection, "__iter__"):
+            mask = _integer(collection)
+            if mask is None:
+                raise ValueError(f"not a cube mask: {collection!r}")
+            if not 0 <= mask < 1 << 30:
+                raise ValueError(f"cube mask out of range: {mask}")
+            ids = tuple(i for i in range(30) if mask >> i & 1)
+        else:
+            ids = tuple(sorted(self.cube(k).id for k in collection))
+            if len(set(ids)) != len(ids):
+                raise ValueError("collection contains a repeated cube")
+        if size is not None and len(ids) != size:
+            raise CollectionSizeError(f"expected {size} cubes, got {len(ids)}")
+        return ids
 
-    def names(self, keys):
-        return tuple(sorted(self.cube(k).name for k in keys))
+    def names(self, collection):
+        return tuple(self.cubes[i].name for i in self.ids(collection))
 
-    def mask(self, keys):
-        m = 0
-        for k in keys:
-            bit = 1 << self.cube(k).id
-            if m & bit:
-                raise ValueError(f"duplicate cube in collection: {self.cube(k).name}")
-            m |= bit
-        return m
+    def mask(self, collection):
+        return sum(1 << i for i in self.ids(collection))
 
-    def ids_of_mask(self, mask):
-        return tuple(i for i in range(30) if mask >> i & 1)
-
-    def names_of_mask(self, mask):
-        return tuple(self.cubes[i].name for i in range(30) if mask >> i & 1)
+    names_of_mask = names    # a mask is a collection too
 
     def mirror(self, key):
         return self.by_name[mirror_name(self.cube(key).name)]

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -51,6 +50,7 @@ from .cubes import (
     CELL_FACES,
     FACE_LETTERS,
     ROTATIONS,
+    CollectionSizeError,
     Cube,
     build_tableau,
     rotate,
@@ -68,7 +68,6 @@ __all__ = [
     "ComponentSummary",
     "SubgraphSummary",
     "Placement",
-    "as_ids",
     "build_target_graph",
     "classify",
     "classify_edges",
@@ -114,9 +113,6 @@ INTERIOR_CONTACTS = tuple(
 _CONTACTS_BY_CELL = tuple(
     tuple((a, fa, fb) for a, b, fa, fb in INTERIOR_CONTACTS if b == v) for v in range(8)
 )
-
-class CollectionSizeError(ValueError):
-    """A collection whose size is not 8 where 8 is required."""
 
 
 class TargetGraph(NamedTuple):
@@ -186,25 +182,6 @@ def build_target_graph(target, tableau=None):
     return _target_graph_by_name(tableau.cube(target).name)
 
 
-def as_ids(collection, tableau=None, size=8):
-    """Normalize a collection to a sorted id tuple, checking size and dups."""
-    tableau = tableau or build_tableau()
-    if isinstance(collection, int) or not hasattr(collection, "__iter__"):    # numpy's integers too
-        if isinstance(collection, bool) or not hasattr(collection, "__index__"):    # a bool: no mask
-            raise ValueError(f"not a cube mask: {collection!r}")
-        collection = operator.index(collection)
-        if not 0 <= collection < 1 << 30:
-            raise ValueError(f"cube mask out of range: {collection}")
-        ids = tableau.ids_of_mask(collection)
-    else:
-        ids = tuple(sorted(tableau.cube(k).id for k in collection))
-    if len(set(ids)) != len(ids):
-        raise ValueError("collection contains a repeated cube")
-    if size is not None and len(ids) != size:
-        raise CollectionSizeError(f"expected {size} cubes, got {len(ids)}")
-    return ids
-
-
 class ComponentSummary(NamedTuple):
     vertices: int
     edges: int
@@ -253,7 +230,7 @@ def classify_edges(edge_list, target_in_collection, unusable_count=0):
 def classify(collection, target, tableau=None):
     """Classify a collection's induced subgraph of the target graph."""
     tableau = tableau or build_tableau()
-    ids = as_ids(collection, tableau)
+    ids = tableau.ids(collection, 8)
     slot_of_cube = build_target_graph(target, tableau).slot_of_cube
     slots = [slot_of_cube[i] for i in ids]
     # Slot -1 marks an unusable cube; SLOT_ENDPOINTS[-1] would read a diagonal.
@@ -341,7 +318,7 @@ def _fits_of_coloring(coloring):
 
 def solution_number_permanent(collection, target, tableau=None):
     tableau = tableau or build_tableau()
-    members = set(as_ids(collection, tableau))
+    members = set(tableau.ids(collection, 8))
     cells = _cell_fits(target, tableau)
     rows = sorted(([1 << i for i, _ in fits if i in members] for fits in cells), key=len)
     ways = {0: 1}
@@ -378,7 +355,7 @@ _PRIMORIAL = math.prod(_PRIMES)
 
 def solution_number_prime_scan(collection, target, tableau=None):
     tableau = tableau or build_tableau()
-    prime_of = dict(zip(as_ids(collection, tableau), _PRIMES))
+    prime_of = dict(zip(tableau.ids(collection, 8), _PRIMES))
     cells = _cell_fits(target, tableau)
     rows = sorted(([prime_of[i] for i, _ in fits if i in prime_of] for fits in cells), key=len)
     products = {1: 1}
@@ -403,7 +380,7 @@ def _solution_picks(collection, target, tableau, contacts=None):
     With ``contacts`` (``_CONTACTS_BY_CELL``), a pick for cell v is kept only
     if its faces match the earlier picks on every contact listed for v.
     """
-    members = set(as_ids(collection, tableau))
+    members = set(tableau.ids(collection, 8))
     partial = [(0, ())]
     for v, fits in enumerate(_cell_fits(target, tableau)):
         candidates = [(1 << pick[0], pick) for pick in fits if pick[0] in members]

@@ -52,7 +52,6 @@ from .solver import (
     SLOT_ENDPOINTS,
     TARGET_SLOT,
     VERTEX_COUNT,
-    as_ids,
     build_target_graph,
     classify_edges,
     solution_number,
@@ -376,7 +375,7 @@ def distribution_buildable():
         if count:
             distribution[j] = 30 * count // j
     distribution[0] = TOTAL_COLLECTIONS - sum(distribution.values())
-    ids = np.array([tableau.ids_of_mask(int(m)) for m in bases[built == 5]], dtype=np.intp)
+    ids = np.array([tableau.ids(m) for m in bases[built == 5]], dtype=np.intp)
     # Sorted, the first of each run of equal masks (np.unique would import numpy.ma).
     five_masks = np.sort(_bitmasks(action[:, ids.reshape(-1, 8)]), axis=None)
     first = np.ones(len(five_masks), dtype=bool)
@@ -405,7 +404,7 @@ def _target_numbers(ids, tableau):
 def buildable_targets(collection, tableau=None):
     """Names of the targets this collection can build (at most 5)."""
     tableau = tableau or build_tableau()
-    names = frozenset(_target_numbers(as_ids(collection, tableau), tableau))
+    names = frozenset(_target_numbers(tableau.ids(collection, 8), tableau))
     if len(names) > 5:
         raise VerificationError("a collection cannot build more than 5 targets")
     return names
@@ -547,7 +546,7 @@ def five_target_record(rule, tableau=None, verify=True):
     """
     tableau = tableau or build_tableau()
     collection, targets = _apply_rule(rule)
-    found = _target_numbers(as_ids(collection, tableau), tableau)
+    found = _target_numbers(tableau.ids(collection, 8), tableau)
     if verify and set(found) != set(targets):
         raise VerificationError(
             f"rule {rule} promises targets {targets}, engine finds {sorted(found)}"

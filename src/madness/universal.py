@@ -40,7 +40,7 @@ from .cubes import (
     permutation_cycle_type,
 )
 from .reports import VerificationError, _source_hash, write_json
-from .solver import as_ids, build_target_graph
+from .solver import build_target_graph
 from .sweeps import (
     _bitmasks,
     _buildable_closure,
@@ -122,7 +122,7 @@ def conjecture_sets(tableau=None):
 
 def _set_ids(cube_set, tableau):
     """Sorted ids of a cube set (names, ids or a bitmask) of at least 8 distinct cubes."""
-    ids = as_ids(cube_set, tableau, size=None)
+    ids = (tableau or build_tableau()).ids(cube_set)
     if len(ids) < 8:
         raise SetSizeError(f"a cube set needs at least 8 cubes, got {len(ids)}")
     return ids
@@ -492,7 +492,7 @@ def _load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path} was written by other code (source {raw['source']!r})")
     # A scan finds the ten universal 12-sets (criterion 11) below completed, in rank order.
     tableau, scanned = build_tableau(), []
-    for row in sorted(tableau.ids_of_mask(u.mask) for u in conjecture_sets(tableau)):
+    for row in sorted(tableau.ids(u.mask) for u in conjecture_sets(tableau)):
         if TOTAL_TWELVE_SETS - 1 - sum(comb(29 - c, SET_SIZE - i) for i, c in enumerate(row)) < completed:
             scanned.append(sum(1 << c for c in row))
     if found != scanned:

@@ -118,6 +118,14 @@ def test_solve_arrangement_count_disagreement_exits_3(capsys, monkeypatch):
     assert err == "verification failed: arrangement listing disagrees: formula=16 arrangements=15\n"
 
 
+def test_solve_counting_disagreement_exits_3(capsys, monkeypatch):
+    scan = solver.solution_number_prime_scan
+    monkeypatch.setattr(solver, "solution_number_prime_scan", lambda *a: scan(*a) + 1)
+    code, out, err = run(capsys, "solve", "--target", "Ba", "--cubes", CANONICAL)
+    assert (code, out) == (3, "")
+    assert err == "verification failed: counting methods disagree: formula=16 permanent=16 primes=17\n"
+
+
 def test_solve_interior_with_arrangements_runs_the_pruned_count(capsys, monkeypatch):
     calls = []
     picks = solver._solution_picks
@@ -237,6 +245,38 @@ def test_universal_closure_and_solver_counts_must_agree(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err.count("\n") == 1
     assert err.startswith("verification failed: set ") and "29 targets by the closure, 30 by the solver" in err
+
+
+# The expected table each command's --check compares with, and a wrong value for it.
+_WRONG_EXPECTATIONS = {
+    "table1": ("EXPECTED_SOLUTION_DISTRIBUTION", lambda d: {**d, 16: d[16] + 1}),
+    "table2": ("EXPECTED_BUILDABLE_DISTRIBUTION", lambda d: {**d, 0: d[0] + 1}),
+    "five-targets": ("EXPECTED_BUILDABLE_DISTRIBUTION", lambda d: {**d, 5: d[5] + 1}),
+    "universal": ("EXPECTED_UNIVERSAL_SETS", lambda n: n + 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRONG_EXPECTATIONS))
+def test_a_failed_check_is_one_verification_line(command, tmp_path, capsys, monkeypatch):
+    name, wrong = _WRONG_EXPECTATIONS[command]
+    monkeypatch.setattr(reports, name, wrong(getattr(reports, name)))
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, command, "--check", "--no-cache", "--format", "json", "--out", str(report))
+    assert (code, out) == (3, "")
+    assert err.startswith("verification failed: ") and err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_a_closed_stdout_is_no_bad_flag():
+    # Over 64 KB of CSV: the pipe fills, and the write fails, whenever the reader closes it.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "madness.cli", "sample", "--k", "12", "--n", "20000", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def test_cache_entry_that_cannot_be_stored_still_writes_the_report(tmp_path, capsys, caplog, monkeypatch):

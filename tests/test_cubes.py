@@ -16,6 +16,7 @@ from madness.cubes import (
     CUBE_NAMES,
     REFERENCE_CORNERS,
     ROTATIONS,
+    CollectionSizeError,
     InvalidColoringError,
     InvalidCornerError,
     TableauBuildError,
@@ -33,6 +34,7 @@ from madness.cubes import (
     rotate,
     usable_corner_count,
 )
+from madness.solver import solution_number
 
 
 def test_canonical_corner_cyclic_normalization():
@@ -343,15 +345,46 @@ def test_an_unhashable_key_is_an_unknown_cube():
         build_tableau().cube([3])
 
 
-def test_a_bool_is_no_cube_id():
-    """bool is an int subclass, so True would read as cube 1 (Ac); integers stay ids."""
+# Each entry point that reads cube keys, applied to a collection (one key for ``cube``).
+_KEY_READERS = {
+    "cube": lambda t, key: t.cube(key),
+    "ids": lambda t, collection: t.ids(collection),
+    "mask": lambda t, collection: t.mask(collection),
+    "names": lambda t, collection: t.names(collection),
+    "solution_number": lambda t, collection: solution_number(collection, "Ba", t),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_KEY_READERS))
+def test_every_reader_of_cube_keys_keeps_one_rule(reader):
+    """bool is an int subclass, so True would read as cube 1 (Ac) or as the mask
+    of cube 0; integers, numpy's included, stay ids and masks."""
     import numpy as np
 
-    t = build_tableau()
+    t, read = build_tableau(), _KEY_READERS[reader]
     for key in (True, False, np.True_, 5.0, np.float64(3.0), None):
         with pytest.raises(UnknownCubeError, match="^not a cube name, id or Cube: %s$" % re.escape(repr(key))):
-            t.cube(key)
-    assert t.cube(1) is t.cube(np.int64(1)) is t.cube("Ac")
+            read(t, key if reader == "cube" else [key])
+        if reader != "cube":
+            with pytest.raises(ValueError, match="^not a cube mask: %s$" % re.escape(repr(key))):
+                read(t, key)
+    if reader == "cube":
+        assert t.cube(1) is t.cube(np.int64(1)) is t.cube("Ac")
+        return
+    names = ("Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb", "Fb")
+    ids = [t.cube(n).id for n in names]
+    mask = sum(1 << i for i in ids)
+    assert read(t, names) == read(t, [np.int64(i) for i in ids]) == read(t, mask) == read(t, np.uint32(mask))
+    with pytest.raises(ValueError, match="^collection contains a repeated cube$"):
+        read(t, ("Ac",) + names[:7])
+    with pytest.raises(ValueError, match="^cube mask out of range: %d$" % (1 << 30)):
+        read(t, 1 << 30)
+    if reader == "ids":
+        assert t.ids(3) == t.ids(np.uint32(3)) == (0, 1)
+    if reader in ("ids", "solution_number"):    # a puzzle instance holds 8 cubes, however given
+        for collection, size in ((names[:2], 2), (mask & mask - 1, 7)):
+            with pytest.raises(CollectionSizeError, match="^expected 8 cubes, got %d$" % size):
+                t.ids(collection, 8) if reader == "ids" else read(t, collection)
 
 
 def test_cube_fields_cannot_be_assigned():

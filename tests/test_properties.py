@@ -81,7 +81,7 @@ def _run(*argv):
 
 # Two valid scan states: a scan stopped early, and a finished one.  The
 # universal sets a checkpoint lists must be those ranked below ``completed``.
-_RANKED_SETS = [c.mask for c in sorted(conjecture_sets(TABLEAU), key=lambda c: TABLEAU.ids_of_mask(c.mask))]
+_RANKED_SETS = [c.mask for c in sorted(conjecture_sets(TABLEAU), key=lambda c: TABLEAU.ids(c.mask))]
 _STOPPED = {"completed": 12, "found": [], "source": _source_hash()}
 _VALID_STATES = [_STOPPED, dict(_STOPPED, completed=TOTAL_TWELVE_SETS, found=_RANKED_SETS)]
 _STRINGS = st.text(st.sampled_from("0.1\n\r x") | st.characters(), max_size=12)

@@ -27,7 +27,6 @@ from madness.solver import (
     CollectionSizeError,
     ComponentSummary,
     SubgraphSummary,
-    as_ids,
     build_target_graph,
     classify,
     classify_edges,
@@ -310,7 +309,7 @@ def test_oracles_agree_on_usable_collections():
 
 def _fit_matrix(collection, target, t):
     """Cell-by-cube 0/1 matrix: row v, column j is 1 iff cube j fits cell v."""
-    ids = as_ids(collection, t)
+    ids = t.ids(collection, 8)
     return [[int(i in {k for k, _ in fits}) for i in ids] for fits in _cell_fits(target, t)]
 
 
@@ -320,9 +319,9 @@ def test_incidence_matrix_structure():
     assert all(sum(row) == 2 for row in m)            # every corner on two cubes
     cols = list(zip(*m))
     assert all(sum(col) == 2 for col in cols)         # every diagonal cube has two corners
-    with_target = tuple(sorted(as_ids(CANONICAL_BA, t)[:7] + (t.cube("Ba").id,)))
+    with_target = tuple(sorted(t.ids(CANONICAL_BA, 8)[:7] + (t.cube("Ba").id,)))
     m2 = _fit_matrix(with_target, "Ba", t)
-    target_col = as_ids(with_target, t).index(t.cube("Ba").id)
+    target_col = t.ids(with_target, 8).index(t.cube("Ba").id)
     assert sum(list(zip(*m2))[target_col]) == 8
     # The face-level table agrees with the corner model on every target:
     # cell v of the target is fitted by exactly the 6 cubes carrying its corner.
@@ -386,7 +385,7 @@ def test_face_routes_read_no_corner_number():
 
 def _prime_scan_reference(collection, target, t):
     """The unmerged prime scan: every pick of one prime per cell, each product tested."""
-    prime_of = dict(zip(as_ids(collection, t), _PRIMES))
+    prime_of = dict(zip(t.ids(collection, 8), _PRIMES))
     prime_lists = [[prime_of[i] for i, _ in fits if i in prime_of] for fits in _cell_fits(target, t)]
     count = 0
     for picks in itertools.product(*prime_lists):
@@ -437,7 +436,7 @@ def _brute_force_arrangements(collection, target, t):
     ``itertools.permutations`` of the sorted ids gives the assignments in
     lexicographic order of (cube at cell 0, cube at cell 1, ...).
     """
-    ids = as_ids(collection, t)
+    ids = t.ids(collection, 8)
     fit = {(v, i): oriented for v, fits in enumerate(_cell_fits(target, t)) for i, oriented in fits}
     return [
         [(v, i, fit[v, i]) for v, i in enumerate(perm)]
@@ -513,17 +512,7 @@ def test_collection_validation():
     with pytest.raises(CollectionSizeError):
         solution_number(("Ac", "Ad"), "Ba")
     with pytest.raises(ValueError):
-        as_ids(("Ac", "Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb"))
-
-
-def test_a_bool_is_no_cube_mask():
-    """bool is an int subclass, so True would read as the mask of cube 0; integers stay masks."""
-    import numpy as np
-
-    for value in (True, False, np.True_, 5.0, np.float64(3.0)):
-        with pytest.raises(ValueError, match="^not a cube mask: %s$" % re.escape(repr(value))):
-            as_ids(value, size=None)
-    assert as_ids(3, size=None) == as_ids(np.uint32(3), size=None) == (0, 1)
+        build_tableau().ids(("Ac", "Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb"), 8)
 
 
 def test_mask_beyond_thirty_cubes_is_rejected():

@@ -42,10 +42,6 @@ from madness.sweeps import (
 from madness.universal import conjecture_sets, sample_sets
 
 
-def ids_of_mask(mask):
-    return tuple(i for i in range(30) if mask >> i & 1)
-
-
 def test_collection_totals():
     assert TOTAL_COLLECTIONS == comb(30, 8)
 
@@ -69,7 +65,7 @@ def test_combination_rows_of_the_twelve_sets():
     ranks.append(comb(30, 12) - 1)
     expected.append(list(range(18, 30)))
     assert combination_rows(30, 12, ranks).tolist() == expected
-    first_universal = min(ids_of_mask(c.mask) for c in conjecture_sets())
+    first_universal = min(build_tableau().ids(c.mask) for c in conjecture_sets())
     assert expected[2] == list(first_universal)
     assert "combination_rows" in sweeps.__all__
 
@@ -160,7 +156,7 @@ def test_buildable_mask_table_spot_checks():
     masks, values = buildable_mask_table("Ba")
     assert len(masks) == len(values) == 133680
     for k in rng.sample(range(len(masks)), 120):
-        ids = ids_of_mask(int(masks[k]))
+        ids = build_tableau().ids(int(masks[k]))
         assert solution_number(ids, "Ba", t) == int(values[k])
     # masks the table omits really are unbuildable
     lookup = set(int(m) for m in masks)
@@ -302,7 +298,7 @@ def test_buildable_count_distribution():
     t = build_tableau()
     rng = random.Random(32)
     for mask in rng.sample([int(m) for m in five_masks], 3):
-        assert len(buildable_targets(ids_of_mask(mask), t)) == 5
+        assert len(buildable_targets(t.ids(mask), t)) == 5
 
 
 def test_buildable_targets_examples():
@@ -318,7 +314,7 @@ def test_buildable_targets_match_the_solver_oracle():
     t = build_tableau()
     rng = random.Random(33)
     for mask in rng.sample([int(m) for m in buildable_mask_table("Cd")[0]], 40):
-        ids = ids_of_mask(mask)
+        ids = t.ids(mask)
         expected = {c.name for c in t if next(sweeps.buildable_collections(ids, c, t), None)}
         assert buildable_targets(ids, t) == expected
 
@@ -331,7 +327,7 @@ def test_max_collection_census():
         assert len(census.path_masks) == 72
         # each maximum collection really solves the target 16 ways
         for mask in census.sweep_masks[:4]:
-            assert solution_number(ids_of_mask(mask), name) == 16
+            assert solution_number(build_tableau().ids(mask), name) == 16
 
 
 def test_five_target_rule_validation():
@@ -421,7 +417,7 @@ def test_numpy_integers_are_cube_ids_and_masks():
     mask = distribution_buildable()[1][0]
     assert isinstance(mask, np.uint32)
     assert buildable_targets(mask) == buildable_targets(int(mask))
-    ids = np.array(ids_of_mask(int(mask)))
+    ids = np.array(build_tableau().ids(int(mask)))
     assert buildable_targets(ids) == buildable_targets(ids.tolist()) and len(buildable_targets(ids)) == 5
     with pytest.raises(UnknownCubeError, match="^cube id out of range: 30$"):
         tableau.cube(np.int64(30))

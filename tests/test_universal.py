@@ -476,7 +476,7 @@ def test_resume_from_a_rank_finds_the_first_universal_set(tmp_path):
     state = exhaustive_search(checkpoint_path=str(path), budget_combinations=1_000)
     assert state.completed == 10_237_000
     # The first universal set in lexicographic order of cube ids, rank 10,236,518.
-    first = min(conjecture_sets(), key=lambda c: build_tableau().ids_of_mask(c.mask))
+    first = min(conjecture_sets(), key=lambda c: build_tableau().ids(c.mask))
     assert state.found == [first.mask]
 
 
@@ -511,7 +511,7 @@ def _universal_sets_by_rank():
     """(lexicographic rank, mask) of the ten universal sets, ascending."""
     tableau = build_tableau()
     return sorted(
-        (_lexicographic_rank(tableau.ids_of_mask(c.mask)), c.mask) for c in conjecture_sets(tableau)
+        (_lexicographic_rank(tableau.ids(c.mask)), c.mask) for c in conjecture_sets(tableau)
     )
 
 
@@ -709,8 +709,8 @@ def test_scan_step_filters_by_the_closure_it_is_handed(monkeypatch):
 def test_block_kernel_finds_each_universal_set_from_inside_its_block(tmp_path):
     tableau = build_tableau()
     for candidate in conjecture_sets(tableau):
-        rank = _lexicographic_rank(tableau.ids_of_mask(candidate.mask))
-        assert tuple(combination_rows(30, SET_SIZE, [rank])[0]) == tableau.ids_of_mask(candidate.mask)
+        rank = _lexicographic_rank(tableau.ids(candidate.mask))
+        assert tuple(combination_rows(30, SET_SIZE, [rank])[0]) == tableau.ids(candidate.mask)
         begin, end = max(0, rank - 500), min(TOTAL_TWELVE_SETS, rank + 500)
         state, found = _scan_window(tmp_path, begin, end)
         assert found == _reference_scan(begin, end, universal._buildable_closure()) == [candidate.mask]
@@ -724,7 +724,7 @@ def test_scan_finds_every_universal_thirteen_set():
     for begin in range(0, total, 2_000_000):
         found += universal._scan_step(tables, closed, begin, min(total, begin + 2_000_000))
     tableau = build_tableau()
-    assert found == sorted(set(found), key=tableau.ids_of_mask)    # each once, in rank order
+    assert found == sorted(set(found), key=tableau.ids)    # each once, in rank order
     assert len(found) == 53_100
     # A universal 12-set plus any of the other 18 cubes is universal, and no
     # two of the ten share more than 4 cubes, so no 13-set holds two of them.
