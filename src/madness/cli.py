@@ -202,7 +202,7 @@ CUBES = Report(
 
 def _solve_params(args):
     tableau = build_tableau()
-    ids = tableau.ids([n for n in args.cubes.replace(",", " ").split() if n], 8)
+    ids = tableau.ids(args.cubes.replace(",", " ").split(), 8)
     return {"target": tableau.cube(args.target).name, "cubes": list(tableau.names(ids))}
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "build_tableau",
     "recolor_coloring",
     "all_color_permutations",
-    "permutation_cycle_type",
     "usable_corner_count",
 ]
 
@@ -296,7 +295,7 @@ class Cube:
         raise AttributeError(f"cannot assign to field {field!r} of a Cube")
 
     def __eq__(self, other):
-        return type(other) is Cube and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        return self is other or type(other) is Cube and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def __hash__(self):
         return hash((self.name, self.id))    # equal cubes share both
@@ -330,23 +329,6 @@ def all_color_permutations():
     return tuple(itertools.permutations(COLORS))
 
 
-def permutation_cycle_type(p):
-    """Cycle lengths of a color permutation, descending, e.g. (3, 2, 1)."""
-    seen = set()
-    lengths = []
-    for c in COLORS:
-        if c in seen:
-            continue
-        length = 0
-        x = c
-        while x not in seen:
-            seen.add(x)
-            x = p[x - 1]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def usable_corner_count(cube, other):
     """How many corners of ``other`` the cube ``cube`` can supply (0, 2 or 8)."""
     return len(cube.corner_set & other.corner_set)
@@ -358,7 +340,8 @@ def _integer(key):
 
 
 class Tableau:
-    """The 30 cubes with name, id and corner-set lookups.
+    """The 30 cubes with name, id and corner-set lookups, and the one definition
+    of the tableau's lines: ``row``, ``column`` and ``mirror``.
 
     Ids 0..29 follow tableau reading order (Ab, Ac, Ad, Ae, Af, Ba, Bc, ...).
     """
@@ -373,7 +356,7 @@ class Tableau:
         return {rotate(c.coloring, p): c for c in self.cubes for p in ROTATIONS}
 
     def cube(self, key):
-        """Look up a cube by name, id or Cube instance."""
+        """Look up a cube by name, id or Cube; a Cube must equal this tableau's cube of its id."""
         try:
             cube = self.by_name.get(key)    # a name: one lookup, no type checks
         except TypeError:    # unhashable, so no name, id or Cube
@@ -381,7 +364,10 @@ class Tableau:
         if cube is not None:
             return cube
         if isinstance(key, Cube):
-            return key
+            cube = self.cubes[key.id] if _integer(key.id) in range(30) else None
+            if cube != key:
+                raise UnknownCubeError(f"not a cube of this tableau: {key!r}")
+            return cube
         if isinstance(key, str):
             raise UnknownCubeError(f"unknown cube name: {key!r}")
         index = _integer(key)
@@ -393,7 +379,8 @@ class Tableau:
 
     def ids(self, collection, size=None):
         """The sorted ids of distinct cubes, ``size`` of them if given: from an iterable of names,
-        ids or Cubes, or from a 30-bit mask (any integer but a bool, numpy's integers too)."""
+        ids or Cubes, or from a 30-bit mask (any integer but a bool, numpy's integers too).
+        A string is one name, not a collection, and raises ValueError."""
         if isinstance(collection, int) or not hasattr(collection, "__iter__"):
             mask = _integer(collection)
             if mask is None:
@@ -401,6 +388,8 @@ class Tableau:
             if not 0 <= mask < 1 << 30:
                 raise ValueError(f"cube mask out of range: {mask}")
             ids = tuple(i for i in range(30) if mask >> i & 1)
+        elif isinstance(collection, str):
+            raise ValueError(f"a string is not a cube collection: {collection!r}")
         else:
             ids = tuple(sorted(self.cube(k).id for k in collection))
             if len(set(ids)) != len(ids):
@@ -478,21 +467,14 @@ def _match_reference(classes):
     return named
 
 
-def _validate(cubes):
-    for letter in ROW_LETTERS:
-        row = [c for c in cubes if c.row == letter]
-        covered = frozenset().union(*(c.corner_set for c in row))
-        if len(covered) != 40:
-            raise TableauBuildError(f"row {letter} does not cover all 40 corners")
-    for letter in COLUMN_LETTERS:
-        col = [c for c in cubes if c.column == letter]
-        covered = frozenset().union(*(c.corner_set for c in col))
-        if len(covered) != 40:
-            raise TableauBuildError(f"column {letter} does not cover all 40 corners")
-    by_name = {c.name: c for c in cubes}
-    for c in cubes:
-        m = by_name[mirror_name(c.name)]
-        if frozenset(reverse_corner(x) for x in c.corner_set) != m.corner_set:
+def _validate(tableau):
+    for kind, letters, line in (("row", ROW_LETTERS, tableau.row), ("column", COLUMN_LETTERS, tableau.column)):
+        for letter in letters:
+            if len(frozenset().union(*(c.corner_set for c in line(letter)))) != 40:
+                raise TableauBuildError(f"{kind} {letter} does not cover all 40 corners")
+    for c in tableau:
+        m = tableau.mirror(c)
+        if frozenset(map(reverse_corner, c.corner_set)) != m.corner_set:
             raise TableauBuildError(f"mirror cubes {c.name}/{m.name} are not reversals")
 
 
@@ -513,9 +495,9 @@ def build_tableau():
             f"expected 30 rotation classes of size 24, got {len(classes)} of sizes {sizes}"
         )
     named = _match_reference(classes)
-    cubes = [
+    tableau = Tableau(
         Cube(name=name, id=i, coloring=named[name][0], corners=named[name][1])
         for i, name in enumerate(CUBE_NAMES)
-    ]
-    _validate(cubes)
-    return Tableau(cubes)
+    )
+    _validate(tableau)
+    return tableau

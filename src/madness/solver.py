@@ -166,10 +166,8 @@ def _target_graph_by_name(name):
     if sorted(s for s in slot_of_cube if s >= 0) != list(range(SLOT_COUNT)):
         raise AssertionError(f"the cubes of {target.name} do not fill each slot once")
     unusable = frozenset(i for i, s in enumerate(slot_of_cube) if s < 0)
-    row_column_mirror = {
-        c.id for c in tableau
-        if c.row == target.row or c.column == target.column or c.id == mirror.id
-    } - {target.id}
+    row_column_mirror = {c.id for c in (*tableau.row(target.row), *tableau.column(target.column), mirror)}
+    row_column_mirror.discard(target.id)
     if unusable != row_column_mirror:
         raise AssertionError(f"unusable cubes for {target.name} are not row+column+mirror")
     cube_of_slot = tuple(map(slot_of_cube.index, range(SLOT_COUNT)))

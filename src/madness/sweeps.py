@@ -391,7 +391,7 @@ def _target_numbers(ids, tableau):
 
     A target with an unusable cube among ``ids`` is skipped by one mask test.
     """
-    mask = sum(1 << i for i in ids)
+    mask = tableau.mask(ids)
     numbers = {}
     for c, unusable in zip(tableau, _unusable_cubes()):
         if not mask & unusable:

@@ -26,19 +26,13 @@ import hashlib
 import itertools
 import json
 import os
-from collections import Counter
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .cubes import (
-    COLUMN_LETTERS,
-    all_color_permutations,
-    build_tableau,
-    permutation_cycle_type,
-)
+from .cubes import COLUMN_LETTERS, build_tableau
 from .reports import VerificationError, _source_hash, write_json
 from .solver import build_target_graph
 from .sweeps import (
@@ -176,7 +170,7 @@ def subset_build_distribution(candidate, k, tableau=None):
     tableau = tableau or build_tableau()
     if not 8 <= k <= len(candidate.names):
         raise SetSizeError(f"subset size must be 8..{len(candidate.names)}, got {k}")
-    ids = np.array([tableau.cube(name).id for name in candidate.names])
+    ids = np.array(tableau.ids(candidate.names))
     rows = combination_rows(len(ids), k, np.arange(comb(len(ids), k)))
     values, counts = np.unique(_targets_built(_bitmasks(ids[rows]), k), return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
@@ -277,27 +271,19 @@ class OrbitReport(NamedTuple):
     orbit_size: int
     single_orbit: bool            # all ten candidates in one orbit
     stabilizer_orders: tuple      # per candidate, in conjecture_sets order
-    stabilizer_cycle_types: tuple # per candidate: sorted (cycle type, count) pairs
 
 
 def orbit_and_stabilizer(candidates=None, tableau=None):
     tableau = tableau or build_tableau()
     candidates = candidates or conjecture_sets(tableau)
-    members = np.array([[tableau.cube(n).id for n in c.names] for c in candidates])
+    members = np.array([tableau.ids(c.mask) for c in candidates])
     own = _bitmasks(members)
     images = _bitmasks(_recolor_action()[:, members])    # (permutation, candidate) -> image
-    perms = all_color_permutations()
     orbit = set(images[:, 0].tolist())
-    stab_orders, stab_types = [], []
-    for column, mask in zip(images.T, own):
-        types = Counter(permutation_cycle_type(perms[p]) for p in np.flatnonzero(column == mask))
-        stab_orders.append(sum(types.values()))
-        stab_types.append(tuple(sorted(types.items())))
     return OrbitReport(
         orbit_size=len(orbit),
         single_orbit=orbit.issuperset(own.tolist()) and len(orbit) == len(members),
-        stabilizer_orders=tuple(stab_orders),
-        stabilizer_cycle_types=tuple(stab_types),
+        stabilizer_orders=tuple((images == own).sum(axis=0).tolist()),
     )
 
 

@@ -782,7 +782,11 @@ def test_console_script_entry_point():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
+        config = tomllib.load(fh)
+    # The version is stated once, in madness/__init__.py.
+    assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "madness.__version__"}
+    scripts = config["project"]["scripts"]
     module_name, _, attr = scripts["madness"].partition(":")
     assert (module_name, attr) == ("madness.cli", "main")
     assert getattr(importlib.import_module(module_name), attr) is main

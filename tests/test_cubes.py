@@ -12,7 +12,6 @@ from madness import cubes
 from madness.cubes import (
     ALL_CORNER_NUMBERS,
     COLORS,
-    COLORS,
     CUBE_NAMES,
     REFERENCE_CORNERS,
     ROTATIONS,
@@ -28,7 +27,6 @@ from madness.cubes import (
     corner_numbers,
     corners_in_read_order,
     mirror_name,
-    permutation_cycle_type,
     recolor_coloring,
     reverse_corner,
     rotate,
@@ -321,8 +319,6 @@ def test_recoloring_preserves_usable_corner_count():
 
 def test_permutation_helpers():
     p = (2, 3, 4, 5, 6, 1)
-    assert permutation_cycle_type(p) == (6,)
-    assert permutation_cycle_type(tuple(COLORS)) == (1, 1, 1, 1, 1, 1)
     coloring = (1, 2, 3, 4, 5, 6)
     assert recolor_coloring(p, coloring) == p
 
@@ -368,7 +364,13 @@ def test_every_reader_of_cube_keys_keeps_one_rule(reader):
         if reader != "cube":
             with pytest.raises(ValueError, match="^not a cube mask: %s$" % re.escape(repr(key))):
                 read(t, key)
+    # A Cube key must be the tableau's own cube of its id, not just any Cube.
+    ba = t.cube("Ba")
+    for key in (cubes.Cube("Zz", 40, ba.coloring, ba.corners), cubes.Cube("Ba", 5, ba.coloring, (0,) * 8)):
+        with pytest.raises(UnknownCubeError, match="^not a cube of this tableau: %s$" % re.escape(repr(key))):
+            read(t, key if reader == "cube" else [key])
     if reader == "cube":
+        assert t.cube(pickle.loads(pickle.dumps(ba))) is ba
         assert t.cube(1) is t.cube(np.int64(1)) is t.cube("Ac")
         return
     names = ("Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb", "Fb")
@@ -377,6 +379,9 @@ def test_every_reader_of_cube_keys_keeps_one_rule(reader):
     assert read(t, names) == read(t, [np.int64(i) for i in ids]) == read(t, mask) == read(t, np.uint32(mask))
     with pytest.raises(ValueError, match="^collection contains a repeated cube$"):
         read(t, ("Ac",) + names[:7])
+    for text in ("Ac", "".join(names)):    # a string is no collection of one-letter names
+        with pytest.raises(ValueError, match="^a string is not a cube collection: %s$" % re.escape(repr(text))):
+            read(t, text)
     with pytest.raises(ValueError, match="^cube mask out of range: %d$" % (1 << 30)):
         read(t, 1 << 30)
     if reader == "ids":

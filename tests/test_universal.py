@@ -20,7 +20,6 @@ from madness.cubes import (
     all_color_permutations,
     build_tableau,
     mirror_name,
-    permutation_cycle_type,
 )
 from madness.reports import (
     EXPECTED_BUILDABLE_DISTRIBUTION,
@@ -401,8 +400,6 @@ def test_orbit_report():
     assert report.orbit_size == EXPECTED_UNIVERSAL_SETS
     assert report.single_orbit
     assert report.stabilizer_orders == (72,) * EXPECTED_UNIVERSAL_SETS
-    assert all(any(3 in cycles for cycles, _ in types) for types in report.stabilizer_cycle_types)
-    assert len(set(report.stabilizer_cycle_types)) == 1
 
 
 def test_search_budget_and_resume(tmp_path):
@@ -763,7 +760,11 @@ def test_forty_twenty_four_sets_are_not_universal():
     # are C(6,3)/2 ways to split the letters and 2 x 2 ways to cycle them.
     tableau = build_tableau()
     removed = ((1 << 30) - 1) ^ short.astype(np.int64)
-    cycles = [p for p in all_color_permutations() if permutation_cycle_type(p) == (3, 3)]
+    # Two 3-cycles: no fixed point, and p applied three times is the identity.
+    cycles = [
+        p for p in all_color_permutations()
+        if all(p[c - 1] != c and p[p[p[c - 1] - 1] - 1] == c for c in range(1, 7))
+    ]
     assert sorted(removed.tolist()) == sorted(
         tableau.mask(r + COLUMN_LETTERS[p[i] - 1] for i, r in enumerate(ROW_LETTERS)) for p in cycles
     )
