@@ -352,7 +352,8 @@ class Tableau:
 
     @cached_property
     def by_coloring(self):
-        """Each of the 720 face colorings -> its cube, so that recoloring is one lookup."""
+        """Each of the 720 face colorings -> its cube, cube by cube in ROTATIONS order; recoloring
+        reads it, and so does ``solver._placement_table``, the face table."""
         return {rotate(c.coloring, p): c for c in self.cubes for p in ROTATIONS}
 
     def cube(self, key):

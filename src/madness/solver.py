@@ -46,15 +46,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .cubes import (
-    CELL_FACES,
-    FACE_LETTERS,
-    ROTATIONS,
-    CollectionSizeError,
-    Cube,
-    build_tableau,
-    rotate,
-)
+from .cubes import CELL_FACES, FACE_LETTERS, CollectionSizeError, Cube, build_tableau
 
 __all__ = [
     "ADJACENT_PAIRS",
@@ -277,18 +269,17 @@ def _placement_table():
     """(cell, colors on its exterior faces) -> ((cube id, oriented coloring), ...).
 
     Each of the 8 cells shows one of 120 ordered color triples, and each of
-    the 960 keys is shown by 6 cubes, in id order, each in one rotation.
+    the 960 keys is shown by 6 cubes, in id order, each in one rotation.  The
+    orientations are read off ``Tableau.by_coloring``, a cube's 24 together.
     """
     table = {}
-    for cube in build_tableau():
-        for perm in ROTATIONS:
-            oriented = rotate(cube.coloring, perm)
-            for v, faces in enumerate(CELL_FACES):
-                fits = table.setdefault((v, tuple(oriented[f] for f in faces)), [])
-                # A cube's rotations are listed together, so a repeat is adjacent.
-                if fits and fits[-1][0] == cube.id:
-                    raise AssertionError(f"{cube.name} fits cell {v} in two rotations")
-                fits.append((cube.id, oriented))
+    for oriented, cube in build_tableau().by_coloring.items():
+        for v, faces in enumerate(CELL_FACES):
+            fits = table.setdefault((v, tuple(oriented[f] for f in faces)), [])
+            # A cube's rotations are listed together, so a repeat is adjacent.
+            if fits and fits[-1][0] == cube.id:
+                raise AssertionError(f"{cube.name} fits cell {v} in two rotations")
+            fits.append((cube.id, oriented))
     return {key: tuple(fits) for key, fits in table.items()}
 
 

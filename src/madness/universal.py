@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cubes import COLUMN_LETTERS, build_tableau
+from .cubes import COLUMN_LETTERS, _integer, build_tableau
 from .reports import VerificationError, _source_hash, write_json
 from .solver import build_target_graph
 from .sweeps import (
@@ -168,7 +168,7 @@ def per_target_analysis(candidate, tableau=None):
 def subset_build_distribution(candidate, k, tableau=None):
     """Histogram of buildable_count over all k-subsets of a candidate set."""
     tableau = tableau or build_tableau()
-    if not 8 <= k <= len(candidate.names):
+    if _integer(k) not in range(8, len(candidate.names) + 1):
         raise SetSizeError(f"subset size must be 8..{len(candidate.names)}, got {k}")
     ids = np.array(tableau.ids(candidate.names))
     rows = combination_rows(len(ids), k, np.arange(comb(len(ids), k)))
@@ -207,18 +207,18 @@ def _least_cubes(words, k):
 
 
 def sample_sets(k, n, seed):
-    """n sorted k-subsets of cube ids, reproducible from (seed, index)."""
-    if not 8 <= k <= 30:
+    """n sorted k-subsets of cube ids, reproducible from (seed, index); k, n and seed are integers."""
+    if _integer(k) not in range(8, 31):
         raise SetSizeError(f"sample size must be 8..30, got {k}")
-    if n < 1:
+    if _integer(n) is None or n < 1:
         raise SampleCountError(f"number of samples n must be at least 1, got {n}")
-    if seed < 0:
+    if _integer(seed) is None or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     try:
         samples = np.empty((n, k), dtype=np.int64)
     except (MemoryError, ValueError):
         raise SampleCountError(f"{n} samples of {k} cubes do not fit in memory") from None
-    state = int.from_bytes(hashlib.blake2b(str(seed).encode(), digest_size=8).digest(), "little")
+    state = int.from_bytes(hashlib.blake2b(str(int(seed)).encode(), digest_size=8).digest(), "little")
     for start in range(0, n, _SAMPLE_BLOCK):
         stop = min(n, start + _SAMPLE_BLOCK)
         samples[start:stop] = _least_cubes(_sample_words(state, start, stop), k)
@@ -241,17 +241,16 @@ def sample_distribution(k, n, seed):
 
     Returns (SampleStats, per-sample counts in index order).
     """
-    ids_matrix = sample_sets(k, n, seed)
-    counts = _targets_built(_bitmasks(ids_matrix), k)
+    counts = _targets_built(_bitmasks(sample_sets(k, n, seed)), k)
     if k >= 10 and int(counts.min()) < 1:
         raise VerificationError(
             f"a {k}-cube sample with zero buildable targets contradicts the k>=10 bound"
         )
     histogram = {int(v): int(c) for v, c in zip(*np.unique(counts, return_counts=True))}
     stats = SampleStats(
-        k=k,
-        n=n,
-        seed=seed,
+        k=int(k),
+        n=int(n),
+        seed=int(seed),
         mean=float(counts.mean()),
         std=float(counts.std()),
         min=int(counts.min()),
@@ -501,13 +500,13 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None):
     point).  The scan stops after exactly ``budget_combinations`` sets, or at
     the last set; with no budget the full scan takes about two seconds.  The
     checkpoint is read before the scan and written once, when it stops, even
-    if it scanned nothing.  A negative budget raises ValueError before the
-    checkpoint is read; a checkpoint path whose directory does not exist, or
-    a checkpoint that other code wrote (its ``source`` is not this package's
-    source hash), raises CheckpointError before any scanning; a budget of 0
-    scans nothing.
+    if it scanned nothing.  A budget that is negative or no integer (a bool
+    included) raises ValueError before the checkpoint is read; a checkpoint
+    path whose directory does not exist, or a checkpoint that other code
+    wrote (its ``source`` is not this package's source hash), raises
+    CheckpointError before any scanning; a budget of 0 scans nothing.
     """
-    if budget_combinations is not None and budget_combinations < 0:
+    if budget_combinations is not None and (_integer(budget_combinations) is None or budget_combinations < 0):
         raise ValueError(f"a budget of combinations must be at least 0, got {budget_combinations}")
     directory = os.path.dirname(checkpoint_path or "") or "."
     if checkpoint_path and not os.path.isdir(directory):
@@ -520,7 +519,7 @@ def exhaustive_search(checkpoint_path=None, budget_combinations=None):
         state = SearchState(completed=0, found=[])
     stop = state.total
     if budget_combinations is not None:
-        stop = min(stop, state.completed + budget_combinations)
+        stop = min(stop, state.completed + int(budget_combinations))
     if state.completed < stop:
         state.found.extend(_scan_step(_scan_tables(), _buildable_closure(), state.completed, stop))
         state.completed = stop

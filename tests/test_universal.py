@@ -255,6 +255,10 @@ def test_subset_build_distribution_validation():
         subset_build_distribution(s, 7)
     with pytest.raises(SetSizeError):
         subset_build_distribution(s, 13)
+    for k in (12.0, True, "12"):
+        with pytest.raises(SetSizeError, match="subset size must be 8..12, got"):
+            subset_build_distribution(s, k)
+    assert subset_build_distribution(s, np.int64(12)) == {30: 1}
 
 
 def test_sample_sets_reproducible():
@@ -280,6 +284,17 @@ def test_sample_sets_validation():
         sample_sets(12, 0, 1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         sample_sets(12, 5, -1)
+    # k, n and seed are integers: numpy's pass, a bool or a float does not
+    for k in (12.0, True):
+        with pytest.raises(SetSizeError):
+            sample_sets(k, 5, 1)
+    for n in (5.0, True):
+        with pytest.raises(SampleCountError):
+            sample_sets(12, n, 1)
+    for seed in (True, 1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sample_sets(12, 3, seed)
+    assert np.array_equal(sample_sets(np.int64(12), np.int64(5), np.int64(1)), sample_sets(12, 5, 1))
 
 
 _MASK64 = (1 << 64) - 1
@@ -357,8 +372,9 @@ def test_sample_distribution_statistics():
     assert stats.min >= 1
     assert stats.max <= 30
     assert 0 < stats.mean < 30
-    again, _ = sample_distribution(12, 2000, 7)
+    again, _ = sample_distribution(np.int64(12), np.int64(2000), np.int64(7))
     assert again == stats
+    assert json.dumps(again._asdict()) == json.dumps(stats._asdict())
 
 
 def test_sample_distribution_agrees_with_slow_count():
@@ -423,6 +439,21 @@ def test_search_time_budget(tmp_path):
     assert state.completed == 0
     resumed = exhaustive_search(checkpoint_path=path, budget_combinations=5_000)
     assert resumed.completed == 5_000
+
+
+@pytest.mark.parametrize("budget", [-1, True, 1.5, 2.0, "10"])
+def test_search_budget_must_be_a_non_negative_integer(budget, tmp_path):
+    path = tmp_path / "scan.json"
+    with pytest.raises(ValueError, match="a budget of combinations must be at least 0, got"):
+        exhaustive_search(checkpoint_path=str(path), budget_combinations=budget)
+    assert not path.exists()
+
+
+def test_search_takes_a_numpy_integer_budget(tmp_path):
+    path = tmp_path / "scan.json"
+    state = exhaustive_search(checkpoint_path=str(path), budget_combinations=np.int64(5_000))
+    assert type(state.completed) is int and state.completed == 5_000
+    assert json.loads(path.read_text(encoding="utf-8"))["completed"] == 5_000
 
 
 def test_checkpoint_holds_the_scan_state_and_the_source_hash(tmp_path):
