@@ -294,6 +294,9 @@ class Cube:
     def __setattr__(self, field, value):
         raise AttributeError(f"cannot assign to field {field!r} of a Cube")
 
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r} of a Cube")
+
     def __eq__(self, other):
         return self is other or type(other) is Cube and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 

@@ -238,20 +238,24 @@ def _subset_or_table(bits):
 _SLOT_PIECE = 7    # the 21 slot bits, as three 7-bit pieces
 
 
-def buildable_mask_table(target_name):
-    """(cube masks, solution numbers) of all buildable collections for one target.
+def _cube_masks(slot_masks, graph):
+    """Cube masks of 21-bit slot masks (both uint32) for ``graph``'s target: the one slot-to-cube remap.
 
-    Each 21-bit slot mask of the slot table is cut into three 7-slot pieces,
-    each piece is looked up in a 128-entry table of the target's cube bits,
-    and the three looked-up values are ORed.
+    Each slot mask is cut into three 7-slot pieces, each piece is looked up in
+    a 128-entry table of the target's cube bits, and the three values are ORed.
     """
-    slots = slot_table().nonzero_masks
-    cubes = np.array(build_target_graph(target_name).cube_of_slot, dtype=np.uint32)
+    cubes = np.array(graph.cube_of_slot, dtype=np.uint32)
     lookup = _subset_or_table((np.uint32(1) << cubes).reshape(3, _SLOT_PIECE))
-    masks = lookup[0][slots & 127]
+    masks = lookup[0][slot_masks & 127]
     for i in (1, 2):
-        masks |= lookup[i][slots >> (_SLOT_PIECE * i) & 127]
-    return masks, slot_table().nonzero_values
+        masks |= lookup[i][slot_masks >> (_SLOT_PIECE * i) & 127]
+    return masks
+
+
+def buildable_mask_table(target_name):
+    """(cube masks, solution numbers) of one target's buildable collections: the bases through ``_cube_masks``."""
+    table = slot_table()
+    return _cube_masks(table.nonzero_masks, build_target_graph(target_name)), table.nonzero_values
 
 
 # ---------------------------------------------------------------------------
@@ -424,50 +428,40 @@ class MaxCollectionCensus(NamedTuple):
 
 
 def count_max_collections(target):
-    """Census of maximum-solution collections, swept and rebuilt structurally.
+    """Census of maximum-solution collections, swept and rebuilt structurally in slot space.
 
-    The sweep reads the buildable mask table.  The structural families:
-    either all four main diagonals doubled (with any one cube optionally
-    swapped for the target), or the target plus two doubled diagonals plus a
-    3-edge path spanning the four remaining block corners.  The two routes
-    must agree exactly.
+    The sweep keeps the slot table's bases with the top count.  The structural
+    families: either all four main diagonals doubled (with any one slot swapped
+    for the target slot or not), or the target slot plus two doubled diagonals
+    plus a 3-edge path spanning the four remaining block corners.  The two must
+    agree exactly; then ``_cube_masks`` lifts the three lists to the target's cubes.
     """
-    tableau = build_tableau()
-    graph = build_target_graph(target, tableau)
-    masks, values = buildable_mask_table(graph.target.name)
-    top = int(values.max())
-    sweep = sorted(int(m) for m in masks[values == top])
+    graph = build_target_graph(target)
+    masks, values = slot_table()
+    sweep = sorted(masks[values == values.max()].tolist())
 
-    bit = [1 << c for c in graph.cube_of_slot]    # distinct cubes, so sums of bits are ORs
-    target_bit = 1 << graph.target.id
-    diagonal = [[b for b, ends in zip(bit, SLOT_ENDPOINTS) if ends == pair] for pair in DIAGONAL_PAIRS]
+    diagonal = [[1 << s for s, ends in enumerate(SLOT_ENDPOINTS) if ends == pair] for pair in DIAGONAL_PAIRS]
     base = sum(map(sum, diagonal))                 # the four diagonals, doubled
-    family_a = [base] + [base - b + target_bit for pair in diagonal for b in pair]
+    family_a = [base] + [base - b + (1 << TARGET_SLOT) for pair in diagonal for b in pair]
 
     family_b = []
     for keep in itertools.combinations(range(4), 2):
-        kept_mask = target_bit + sum(sum(diagonal[p]) for p in keep)
+        kept_mask = (1 << TARGET_SLOT) + sum(sum(diagonal[p]) for p in keep)
         free_vertices = {v for p in range(4) if p not in keep for v in DIAGONAL_PAIRS[p]}
         slots = [s for s in range(TARGET_SLOT) if set(SLOT_ENDPOINTS[s]) <= free_vertices]
         for chosen in itertools.combinations(slots, 3):
             summary = classify_edges([SLOT_ENDPOINTS[s] for s in chosen], False)
             spanning = [c for c in summary.components if c.vertices > 1]
             if len(spanning) == 1 and spanning[0].vertices == 4 and spanning[0].is_tree:
-                family_b.append(kept_mask + sum(bit[s] for s in chosen))
+                family_b.append(kept_mask + sum(1 << s for s in chosen))
 
-    family_a = sorted(set(family_a))
-    family_b = sorted(set(family_b))
     if sorted(family_a + family_b) != sweep:
         raise VerificationError(
             f"structural census ({len(family_a)}+{len(family_b)}) disagrees "
             f"with sweep ({len(sweep)}) for {graph.target.name}"
         )
-    return MaxCollectionCensus(
-        target=graph.target.name,
-        sweep_masks=tuple(sweep),
-        double_edge_masks=tuple(family_a),
-        path_masks=tuple(family_b),
-    )
+    lifted = (sorted(_cube_masks(np.array(m, dtype=np.uint32), graph).tolist()) for m in (sweep, family_a, family_b))
+    return MaxCollectionCensus(graph.target.name, *map(tuple, lifted))
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,8 @@ def test_cube_fields_cannot_be_assigned():
     for field in ("name", "id", "coloring", "corners", "corner_set"):
         with pytest.raises(AttributeError):
             setattr(cube, field, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}' of a Cube$"):
+            delattr(cube, field)
     assert (cube.name, cube.id, cube.corner_set) == ("Ba", 5, frozenset(cube.corners))
 
 

@@ -320,7 +320,7 @@ def test_buildable_targets_match_the_solver_oracle():
 
 
 def test_max_collection_census():
-    for name in ("Ba", "Ab", "Fe"):
+    for name in [c.name for c in build_tableau()]:
         census = count_max_collections(name)
         assert census.count == EXPECTED_SOLUTION_DISTRIBUTION[16]
         assert len(census.double_edge_masks) == 9
@@ -328,6 +328,13 @@ def test_max_collection_census():
         # each maximum collection really solves the target 16 ways
         for mask in census.sweep_masks[:4]:
             assert solution_number(build_tableau().ids(mask), name) == 16
+
+
+def test_structural_census_disagreement_is_a_verification_error(monkeypatch):
+    # Without components no 3-edge path is found, so only the 9 doubled-diagonal collections remain.
+    monkeypatch.setattr(sweeps, "classify_edges", lambda *args: classify_edges(*args)._replace(components=()))
+    with pytest.raises(sweeps.VerificationError, match=r"^structural census \(9\+0\) disagrees with sweep \(81\)"):
+        count_max_collections("Ba")
 
 
 def test_five_target_rule_validation():
