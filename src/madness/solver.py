@@ -31,12 +31,13 @@ the cell/cube fit matrix), the other by multiplying, cell by cell, primes
 assigned to the cubes: equal partial products are merged with their counts,
 a prime already in the product is skipped, and a full product counts when
 the primorial divides it.  The arrangement listing grows partial solutions
-over the same face table, cell by cell, tracking the cubes used as a
-bitmask, so the three-way check compares the corner-number model of the
-target graph with the face model.  The interior count runs that search with
-Conway's rule added: a pick for cell v must match, face for face, the picks
-already made on the cells it touches, so a partial solution is dropped at
-its first mismatched contact instead of being listed and filtered.
+over the same face table, cell by cell, with a bitmask of the cubes used,
+carrying placements prebuilt once per target, so the three-way check
+compares the target graph's corner-number model with the face model.  The
+interior count runs that search with Conway's rule added: a pick for cell v
+must match, face for face, the picks already made on the cells it touches,
+so a partial solution is dropped at its first mismatched contact instead of
+being listed and filtered.
 """
 
 from __future__ import annotations
@@ -360,32 +361,6 @@ def solution_number_prime_scan(collection, target, tableau=None):
     return sum(n for product, n in products.items() if product % _PRIMORIAL == 0)
 
 
-def _solution_picks(collection, target, tableau, contacts=None):
-    """Every solution as its 8 (cube id, oriented coloring) picks, cell by cell.
-
-    Partial solutions grow one cell at a time, each with the bitmask of the
-    cubes it uses.  Each is extended in cube-id order, so the solutions come
-    out in lexicographic order of (cube id at cell 0, cube id at cell 1, ...).
-    With ``contacts`` (``_CONTACTS_BY_CELL``), a pick for cell v is kept only
-    if its faces match the earlier picks on every contact listed for v.
-    """
-    members = set(tableau.ids(collection, 8))
-    partial = [(0, ())]
-    for v, fits in enumerate(_cell_fits(target, tableau)):
-        candidates = [(1 << pick[0], pick) for pick in fits if pick[0] in members]
-        checks = contacts[v] if contacts else ()
-        partial = [
-            (used | bit, picks + (pick,))
-            for used, picks in partial
-            for bit, pick in candidates
-            if not used & bit
-            and (not checks or all(picks[a][1][fa] == pick[1][fb] for a, fa, fb in checks))
-        ]
-        if not partial:
-            return []
-    return [picks for _, picks in partial]
-
-
 class Placement(NamedTuple):
     """One cube of an arrangement: block cell, shown corner, oriented faces."""
 
@@ -402,20 +377,50 @@ class Placement(NamedTuple):
         return {FACE_LETTERS[f]: self.coloring[f] for f in range(6)}
 
 
+@lru_cache(maxsize=None)
+def _cell_placements(target):
+    """Each cell's fits as (cube id, Placement) pairs, cached by the target Cube's value, corners included."""
+    cubes = build_tableau().cubes    # the face table's ids
+    return tuple(
+        tuple((i, Placement(v, target.corners[v], cubes[i].name, oriented)) for i, oriented in fits)
+        for v, fits in enumerate(_fits_of_coloring(target.coloring))
+    )
+
+
+def _solution_picks(collection, target, tableau, contacts=None):
+    """Every solution as its 8 placements, cell by cell, the ``_cell_placements`` records as they are.
+
+    Partial solutions grow one cell at a time, each with the bitmask of the
+    cubes it uses.  Each is extended in cube-id order, so the solutions come
+    out in lexicographic order of (cube id at cell 0, cube id at cell 1, ...).
+    With ``contacts`` (``_CONTACTS_BY_CELL``), a pick for cell v is kept only
+    if its faces match the earlier picks on every contact listed for v.
+    """
+    members = set(tableau.ids(collection, 8))
+    partial = [(0, ())]
+    for v, fits in enumerate(_cell_placements(tableau.cube(target))):
+        candidates = [(1 << i, placement) for i, placement in fits if i in members]
+        checks = contacts[v] if contacts else ()
+        partial = [
+            (used | bit, picks + (placement,))
+            for used, picks in partial
+            for bit, placement in candidates
+            if not used & bit
+            and (not checks or all(picks[a].coloring[fa] == placement.coloring[fb] for a, fa, fb in checks))
+        ]
+        if not partial:
+            return []
+    return [picks for _, picks in partial]
+
+
 def enumerate_arrangements(collection, target, tableau=None):
     """All solutions, each a tuple of 8 placements, in lexicographic order.
 
-    Order is by the sequence (cube id at cell 0, cube id at cell 1, ...).
+    Order is by (cube id at cell 0, cube id at cell 1, ...); the placements are the search's prebuilt records.
     """
-    tableau = tableau or build_tableau()
-    corners, cubes = tableau.cube(target).corners, tableau.cubes
-    return [
-        tuple(Placement(v, corners[v], cubes[i].name, oriented) for v, (i, oriented) in enumerate(picks))
-        for picks in _solution_picks(collection, target, tableau)
-    ]
+    return _solution_picks(collection, target, tableau or build_tableau())
 
 
 def interior_matching_count(collection, target, tableau=None):
     """How many solutions also match colors on all 12 interior contacts."""
-    tableau = tableau or build_tableau()
-    return len(_solution_picks(collection, target, tableau, _CONTACTS_BY_CELL))
+    return len(_solution_picks(collection, target, tableau or build_tableau(), _CONTACTS_BY_CELL))

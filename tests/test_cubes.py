@@ -369,16 +369,27 @@ def test_every_reader_of_cube_keys_keeps_one_rule(reader):
     for key in (cubes.Cube("Zz", 40, ba.coloring, ba.corners), cubes.Cube("Ba", 5, ba.coloring, (0,) * 8)):
         with pytest.raises(UnknownCubeError, match="^not a cube of this tableau: %s$" % re.escape(repr(key))):
             read(t, key if reader == "cube" else [key])
+    # Names and plain ids take the one-dict path; a str subclass and every other key go through ``cube``.
+    class Name(str):
+        pass
+
+    for key in (-1, 30):
+        with pytest.raises(UnknownCubeError, match="^cube id out of range: %d$" % key):
+            read(t, key if reader == "cube" else ("Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb", key))
     if reader == "cube":
         assert t.cube(pickle.loads(pickle.dumps(ba))) is ba
-        assert t.cube(1) is t.cube(np.int64(1)) is t.cube("Ac")
+        assert t.cube(1) is t.cube(np.int64(1)) is t.cube("Ac") is t.cube(Name("Ac"))
         return
     names = ("Ac", "Ad", "Ae", "Af", "Cb", "Db", "Eb", "Fb")
     ids = [t.cube(n).id for n in names]
     mask = sum(1 << i for i in ids)
     assert read(t, names) == read(t, [np.int64(i) for i in ids]) == read(t, mask) == read(t, np.uint32(mask))
-    with pytest.raises(ValueError, match="^collection contains a repeated cube$"):
-        read(t, ("Ac",) + names[:7])
+    mixed = names[:4] + tuple(ids[4:])
+    for collection in (mixed, list(names), (n for n in names), [Name(n) for n in names]):
+        assert read(t, collection) == read(t, names)
+    for repeated in (("Ac",) + names[:7], ("Ac", 1)):
+        with pytest.raises(ValueError, match="^collection contains a repeated cube$"):
+            read(t, repeated)
     for text in ("Ac", "".join(names)):    # a string is no collection of one-letter names
         with pytest.raises(ValueError, match="^a string is not a cube collection: %s$" % re.escape(repr(text))):
             read(t, text)

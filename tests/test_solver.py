@@ -378,9 +378,10 @@ def test_face_routes_read_no_corner_number():
         expected = solution_number(ids, target, t)
         assert solution_number_permanent(ids, target.name, blank) == expected
         assert solution_number_prime_scan(ids, target.name, blank) == expected
-        assert unlabeled(enumerate_arrangements(ids, target.name, blank)) == unlabeled(
-            enumerate_arrangements(ids, target, t)
-        )
+        listed = enumerate_arrangements(ids, target.name, blank)
+        assert unlabeled(listed) == unlabeled(enumerate_arrangements(ids, target, t))
+        # The blank tableau's placements keep its own corner labels, not the real tableau's.
+        assert all(p.corner == 0 for a in listed for p in a)
 
 
 def _prime_scan_reference(collection, target, t):
@@ -480,6 +481,11 @@ def test_arrangements_and_interior_count_match_brute_force():
         reference = _brute_force_arrangements(ids, target, t)
         listed = enumerate_arrangements(ids, target, t)
         assert [[(p.vertex, t.cube(p.cube).id, p.coloring) for p in a] for a in listed] == reference
+        # The prebuilt placements carry the target's corner at each cell and the cube's name.
+        corners = t.cube(target).corners
+        assert [[(p.corner, p.cube) for p in a] for a in listed] == [
+            [(corners[v], t.cubes[i].name) for v, i, _ in r] for r in reference
+        ]
         interior = interior_matching_count(ids, target, t)
         assert interior == sum(_matches_inside(a) for a in reference)
         interior_counts.append(interior)

@@ -90,3 +90,17 @@ def test_solve_loads_the_solver_and_not_numpy():
     loaded = _loaded("solve", "--target", "Ba", "--cubes", "Ac,Ad,Ae,Af,Cb,Db,Eb,Fb")
     assert "madness.solver" in loaded
     assert "numpy" not in loaded
+
+
+def test_importing_the_package_builds_no_table():
+    """The tableau, the face table and the per-target placements are built on first use, never at import."""
+    probe = "\n".join([
+        "import json",
+        "import madness.cli, madness.solver, madness.sweeps",
+        "from madness import cubes, solver",
+        "caches = (cubes.build_tableau, solver._placement_table, solver._fits_of_coloring, solver._cell_placements)",
+        "print(json.dumps([f.cache_info().currsize for f in caches]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, 0, 0, 0]
