@@ -352,7 +352,6 @@ class Tableau:
     def __init__(self, cubes):
         self.cubes = tuple(cubes)
         self.by_name = {c.name: c for c in self.cubes}
-        self._plain_ids = {key: c.id for i, c in enumerate(self.cubes) for key in (c.name, i)}
 
     @cached_property
     def by_coloring(self):
@@ -383,9 +382,9 @@ class Tableau:
         raise UnknownCubeError(f"cube id out of range: {index}")
 
     def ids(self, collection, size=None):
-        """The sorted ids of distinct cubes, ``size`` of them if given: from an iterable of names, ids or Cubes
-        (read through one dict of names and plain ids; other keys go through ``cube``), or from a 30-bit mask
-        (any integer but a bool, numpy's too).  A string is one name, not a collection, and raises ValueError."""
+        """The sorted ids of distinct cubes, ``size`` of them if given: from an iterable of names,
+        ids or Cubes, or from a 30-bit mask (any integer but a bool, numpy's integers too).
+        A string is one name, not a collection, and raises ValueError."""
         if isinstance(collection, int) or not hasattr(collection, "__iter__"):
             mask = _integer(collection)
             if mask is None:
@@ -396,11 +395,7 @@ class Tableau:
         elif isinstance(collection, str):
             raise ValueError(f"a string is not a cube collection: {collection!r}")
         else:
-            ids, get = [], self._plain_ids.get
-            for k in collection:    # exact types only: True == 1 and hashes alike
-                i = get(k) if type(k) is str or type(k) is int else None
-                ids.append(self.cube(k).id if i is None else i)
-            ids = tuple(sorted(ids))
+            ids = tuple(sorted(self.cube(k).id for k in collection))
             if len(set(ids)) != len(ids):
                 raise ValueError("collection contains a repeated cube")
         if size is not None and len(ids) != size:

@@ -361,25 +361,12 @@ def solution_number_prime_scan(collection, target, tableau=None):
     return sum(n for product, n in products.items() if product % _PRIMORIAL == 0)
 
 
-class Placement(NamedTuple):
-    """One cube of an arrangement: block cell, shown corner, oriented faces."""
-
-    vertex: int
-    corner: int
-    cube: str
-    coloring: tuple
-
-    @property
-    def position(self):
-        return (self.vertex >> 2 & 1, self.vertex >> 1 & 1, self.vertex & 1)
-
-    def faces(self):
-        return {FACE_LETTERS[f]: self.coloring[f] for f in range(6)}
-
-
 @lru_cache(maxsize=None)
 def _cell_placements(target):
-    """Each cell's fits as (cube id, Placement) pairs, cached by the target Cube's value, corners included."""
+    """Each cell's fits as (cube id, Placement) pairs, cached by the target Cube's value, corners included.
+
+    Each placement's cube name is that of the default tableau's cube of the id, as the face table's ids are.
+    """
     cubes = build_tableau().cubes    # the face table's ids
     return tuple(
         tuple((i, Placement(v, target.corners[v], cubes[i].name, oriented)) for i, oriented in fits)
@@ -413,10 +400,27 @@ def _solution_picks(collection, target, tableau, contacts=None):
     return [picks for _, picks in partial]
 
 
+class Placement(NamedTuple):
+    """One cube of an arrangement: block cell, shown corner, oriented faces."""
+
+    vertex: int
+    corner: int
+    cube: str
+    coloring: tuple
+
+    @property
+    def position(self):
+        return (self.vertex >> 2 & 1, self.vertex >> 1 & 1, self.vertex & 1)
+
+    def faces(self):
+        return {FACE_LETTERS[f]: self.coloring[f] for f in range(6)}
+
+
 def enumerate_arrangements(collection, target, tableau=None):
     """All solutions, each a tuple of 8 placements, in lexicographic order.
 
-    Order is by (cube id at cell 0, cube id at cell 1, ...); the placements are the search's prebuilt records.
+    Order is by (cube id at cell 0, cube id at cell 1, ...); the placements are the search's prebuilt records,
+    whose corners are the given tableau's and whose cube names are the default tableau's, as the face table's ids.
     """
     return _solution_picks(collection, target, tableau or build_tableau())
 

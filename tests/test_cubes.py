@@ -369,7 +369,7 @@ def test_every_reader_of_cube_keys_keeps_one_rule(reader):
     for key in (cubes.Cube("Zz", 40, ba.coloring, ba.corners), cubes.Cube("Ba", 5, ba.coloring, (0,) * 8)):
         with pytest.raises(UnknownCubeError, match="^not a cube of this tableau: %s$" % re.escape(repr(key))):
             read(t, key if reader == "cube" else [key])
-    # Names and plain ids take the one-dict path; a str subclass and every other key go through ``cube``.
+    # Mixed keys, str subclasses and out-of-range ids inside a collection follow the same rule.
     class Name(str):
         pass
 
